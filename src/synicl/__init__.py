@@ -10,7 +10,6 @@ from .treebank import (  # noqa: F401
     LabelVocab,
     load_corpus,
     parse_conllu,
-    subtree_stats,
 )
 from .treekernel import comp_sim, tree_kernel_similarity  # noqa: F401
 from .treepoly import (  # noqa: F401
@@ -21,6 +20,6 @@ from .treepoly import (  # noqa: F401
     tree_to_polynomial,
 )
 from .lexical import build_bm25, bm25_topk, build_dense, dense_topk, tokenize  # noqa: F401
-from .pipeline import SelectionConfig, SelectionResult, Selector, random_baseline, select  # noqa: F401
+from .pipeline import SelectionConfig, SelectionResult, Selector  # noqa: F401
 from .prompt import build_chat_prompt, build_completion_prompt, extract_correction  # noqa: F401
 from .gecscore import extract_edits, f_beta, parse_m2, score_corpus  # noqa: F401

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,17 +120,34 @@ def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
     return scores
 
 
-def _topk_by_score(scores: np.ndarray, k: int) -> List[Tuple[int, float]]:
-    # stable argsort on the negated scores: descending score, ties by lower id
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(int(i), float(scores[i])) for i in order]
+def top_k(
+    scores: Sequence[float], k: int, ids: Optional[Sequence[int]] = None, smallest: bool = False
+) -> List[Tuple[int, float]]:
+    """The k best (id, score) pairs, exactly as a full sort would rank them.
+
+    Highest scores come first, or lowest when `smallest` (distances); ties go
+    to the lower id. `ids` defaults to positions; scores must not be NaN.
+    Only the k survivors of a partition are sorted.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    ids = np.arange(len(scores)) if ids is None else np.asarray(ids)
+    keys = scores if smallest else -scores
+    if k < len(keys):
+        kth = np.partition(keys, k - 1)[k - 1]
+        better = np.flatnonzero(keys < kth)
+        tied = np.flatnonzero(keys == kth)
+        tied = tied[np.argsort(ids[tied], kind="stable")[: k - len(better)]]
+        keep = np.concatenate((better, tied))
+        keys, ids, scores = keys[keep], ids[keep], scores[keep]
+    order = np.lexsort((ids, keys))[:k]
+    return [(int(ids[i]), float(scores[i])) for i in order]
 
 
 def bm25_topk(index: Bm25Index, query: str, k: int) -> List[Tuple[int, float]]:
     """Top-k documents by BM25 score, descending, ties broken by lower doc id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _topk_by_score(bm25_scores(index, query), k)
+    return top_k(bm25_scores(index, query), k)
 
 
 @dataclass
@@ -181,4 +198,4 @@ def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tupl
     """Top-k rows by cosine similarity, descending, ties broken by lower id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _topk_by_score(dense_scores(index, query_vector), k)
+    return top_k(dense_scores(index, query_vector), k)

@@ -139,12 +139,11 @@ class Selector:
     # -- stage II -----------------------------------------------------------
 
     def _rank_tree_kernel(self, query: Example, pool: List[int]) -> List[Tuple[int, float]]:
-        scored = [
-            (ex_id, treekernel.tree_kernel_similarity(query.tree, self.corpus[ex_id].tree))
+        scores = [
+            treekernel.tree_kernel_similarity(query.tree, self.corpus[ex_id].tree)
             for ex_id in pool
         ]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored
+        return lexical.top_k(scores, self.config.shots, pool)
 
     def _rank_poly(
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]
@@ -164,16 +163,15 @@ class Selector:
             fallbacks.append({"kind": "query_poly_budget", "query_id": query.id})
             return self._rank_tree_kernel(query, pool)
 
-        scored = []
+        distances = []
         for ex_id in pool:
             poly = self.polynomials[ex_id]
             if poly is None:
                 fallbacks.append({"kind": "candidate_poly_budget", "example_id": ex_id})
-                scored.append((ex_id, math.inf))
+                distances.append(math.inf)
                 continue
-            scored.append((ex_id, treepoly.poly_distance(query_poly, poly, self.weights)))
-        scored.sort(key=lambda item: treepoly.distance_rank_key(item[1], item[0]))
-        return scored
+            distances.append(treepoly.poly_distance(query_poly, poly, self.weights))
+        return lexical.top_k(distances, self.config.shots, pool, smallest=True)
 
     # -- public API ----------------------------------------------------------
 
@@ -186,9 +184,9 @@ class Selector:
         if cfg.stage2 == "none":
             chosen = stage1[: cfg.shots]
         elif cfg.stage2 == "tree_kernel":
-            chosen = self._rank_tree_kernel(query, pool_ids)[: cfg.shots]
+            chosen = self._rank_tree_kernel(query, pool_ids)
         elif cfg.stage2 in ("poly", "weighted_poly"):
-            chosen = self._rank_poly(query, pool_ids, fallbacks)[: cfg.shots]
+            chosen = self._rank_poly(query, pool_ids, fallbacks)
         else:  # random
             rng = random.Random(f"{cfg.random_seed}:{query.id}")
             sample = rng.sample(pool_ids, min(cfg.shots, len(pool_ids)))
@@ -219,24 +217,6 @@ class Selector:
         if failures:
             raise BatchSelectionError(failures)
         return [result for result, _ in outcomes]
-
-
-def select(config: SelectionConfig, corpus: Corpus, query: Example) -> SelectionResult:
-    """One-shot convenience wrapper; builds the indices on every call."""
-    return Selector(corpus, config).select(query)
-
-
-def select_batch(
-    config: SelectionConfig, corpus: Corpus, queries: Sequence[Example], jobs: int = 1
-) -> List[SelectionResult]:
-    return Selector(corpus, config).select_batch(queries, jobs=jobs)
-
-
-def random_baseline(corpus: Corpus, shots: int, seed: int) -> List[int]:
-    """Uniform sample of example ids without replacement, reproducible from `seed`."""
-    if shots > len(corpus):
-        raise ValueError(f"shots {shots} > corpus size {len(corpus)}")
-    return random.Random(seed).sample(range(len(corpus)), shots)
 
 
 def assemble_examples(

@@ -4,6 +4,11 @@ Trees are read from parser output only; this package never runs a parser.
 Node labels are the DEPREL strings (error-aware parsers encode error
 information there, e.g. the "S"/"R"/"M" labels), interned into a shared
 label vocabulary so that downstream similarity code works on small ints.
+
+CoNLL-U text and the JSON rows of a corpus bundle both reach a `DepTree`
+through `_build_tree`, so both pass the same structural checks (one root,
+no cycles, contiguous token indices), and both build their `Example`s
+through `_make_example`, which checks token counts and embedding widths.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,8 +153,9 @@ def _split_columns(line: str) -> List[str]:
     return line.split()
 
 
-def _parse_block(lines: List[str], vocab: LabelVocab, sentence_id: int) -> DepTree:
-    rows = []  # (token_index, form, head, label_id)
+def _block_rows(lines: List[str], sentence_id: int) -> List[Tuple[int, str, int, str]]:
+    """Split the token lines of one block into (token index, form, head, label) rows."""
+    rows = []
     for line in lines:
         cols = _split_columns(line)
         if len(cols) == 4:
@@ -164,49 +170,59 @@ def _parse_block(lines: List[str], vocab: LabelVocab, sentence_id: int) -> DepTr
             # multiword token / empty node lines carry no tree structure
             continue
         try:
-            token_index = int(id_col)
-            head = int(head_col)
+            rows.append((int(id_col), form, int(head_col), deprel))
         except ValueError as exc:
             raise MalformedLine(f"sentence {sentence_id}: non-integer ID/HEAD: {line!r}") from exc
-        if token_index < 1:
-            raise MalformedLine(f"sentence {sentence_id}: token index {token_index} < 1")
-        rows.append((token_index, form, head, vocab.add(deprel)))
+    return rows
 
+
+def _build_tree(rows: Sequence[Sequence], vocab: LabelVocab, sentence_id: int) -> DepTree:
+    """Check that (token index, form, head, label) rows form one tree, then link it.
+
+    The rows must be non-empty with indices 1..n (any order, no duplicates),
+    exactly one head 0, every other head among the indices and no cycle.
+    Labels enter `vocab` in row order.
+    """
     if not rows:
         raise MalformedLine(f"sentence {sentence_id}: empty block")
-
     n = len(rows)
-    seen = set()
-    for token_index, _, _, _ in rows:
-        if token_index in seen:
-            raise MalformedLine(f"sentence {sentence_id}: duplicate token index {token_index}")
-        seen.add(token_index)
-    for i in range(1, n + 1):
-        if i not in seen:
-            raise MissingToken(f"sentence {sentence_id}: token index {i} missing (have 1..{max(seen)})")
+    indices = sorted(row[0] for row in rows)
+    if indices != list(range(1, n + 1)):
+        if indices[0] < 1:
+            raise MalformedLine(f"sentence {sentence_id}: token index {indices[0]} < 1")
+        for prev, index in zip(indices, indices[1:]):
+            if prev == index:
+                raise MalformedLine(f"sentence {sentence_id}: duplicate token index {index}")
+        present = set(indices)
+        missing = next(i for i in range(1, n + 1) if i not in present)
+        raise MissingToken(f"sentence {sentence_id}: token index {missing} missing (have 1..{indices[-1]})")
 
-    nodes = {}
-    for token_index, form, _, label in rows:
-        nodes[token_index] = DepNode(token_index=token_index, form=form, label=label)
+    nodes: List[DepNode] = [None] * (n + 1)  # type: ignore[list-item]
+    heads = [0] * (n + 1)
+    label_ids = vocab._index
+    for token_index, form, head, label in rows:
+        label_id = label_ids.get(label)
+        if label_id is None:
+            label_id = vocab.add(label)
+        nodes[token_index] = DepNode(token_index, form, label_id)
+        heads[token_index] = head
 
     root = None
-    for token_index, _, head, _ in rows:
+    for token_index in range(1, n + 1):  # index order keeps every child list sorted
+        head = heads[token_index]
         if head == 0:
             if root is not None:
                 raise MultipleRoots(f"sentence {sentence_id}: more than one node with head 0")
             root = nodes[token_index]
-        else:
-            if head not in nodes:
-                raise MalformedLine(
-                    f"sentence {sentence_id}: head {head} of token {token_index} out of range"
-                )
+        elif 0 < head <= n:
             nodes[head].children.append(nodes[token_index])
+        else:
+            raise MalformedLine(
+                f"sentence {sentence_id}: head {head} of token {token_index} out of range"
+            )
     if root is None:
         # every node has a parent among the tokens, so the graph contains a cycle
         raise CyclicTree(f"sentence {sentence_id}: no root node (head 0) found")
-
-    for node in nodes.values():
-        node.children.sort(key=lambda c: c.token_index)
 
     reached = 0
     stack = [root]
@@ -235,7 +251,7 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
         line = raw.rstrip("\r")
         if line.strip() == "":
             if current:
-                trees.append(_parse_block(current, vocab, sentence_id))
+                trees.append(_build_tree(_block_rows(current, sentence_id), vocab, sentence_id))
                 sentence_id += 1
                 current = []
             continue
@@ -243,39 +259,26 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
             continue
         current.append(line)
     if current:
-        trees.append(_parse_block(current, vocab, sentence_id))
+        trees.append(_build_tree(_block_rows(current, sentence_id), vocab, sentence_id))
     return trees
+
+
+def _tree_rows(tree: DepTree, vocab: LabelVocab) -> List[List[object]]:
+    """[token index, form, head, label string] rows of `tree`, in token order."""
+    rows = []
+    stack = [(tree.root, 0)]
+    while stack:
+        node, head = stack.pop()
+        rows.append([node.token_index, node.form, head, vocab.labels[node.label]])
+        for child in node.children:
+            stack.append((child, node.token_index))
+    rows.sort(key=lambda r: r[0])
+    return rows
 
 
 def tree_to_conllu(tree: DepTree, vocab: LabelVocab) -> str:
     """Serialize a tree to the minimal 4-column TSV form (one block, no trailing blank)."""
-    heads = {}
-    forms = {}
-    labels = {}
-    stack = [(tree.root, 0)]
-    while stack:
-        node, head = stack.pop()
-        heads[node.token_index] = head
-        forms[node.token_index] = node.form
-        labels[node.token_index] = vocab.labels[node.label]
-        for child in node.children:
-            stack.append((child, node.token_index))
-    lines = [
-        f"{i}\t{forms[i]}\t{heads[i]}\t{labels[i]}"
-        for i in range(1, tree.n_tokens + 1)
-    ]
-    return "\n".join(lines)
-
-
-def subtree_stats(node: DepNode) -> tuple[int, int]:
-    """Return (number of children, number of descendants) of `node`."""
-    descendants = 0
-    stack = list(node.children)
-    while stack:
-        n = stack.pop()
-        descendants += 1
-        stack.extend(n.children)
-    return len(node.children), descendants
+    return "\n".join("\t".join(map(str, row)) for row in _tree_rows(tree, vocab))
 
 
 def _read_lines(path: str) -> List[str]:
@@ -283,21 +286,33 @@ def _read_lines(path: str) -> List[str]:
         return [line.rstrip("\n").rstrip("\r") for line in f]
 
 
-def _parse_embeddings(path: str) -> tuple[List[np.ndarray], int]:
-    vectors = []
-    dim = None
-    for lineno, line in enumerate(_read_lines(path)):
-        values = [float(v) for v in line.split()]
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise DimensionMismatch(
-                f"{path}: embedding on line {lineno + 1} has length {len(values)}, expected {dim}"
-            )
-        vectors.append(np.asarray(values, dtype=np.float64))
-    if dim is None or dim == 0:
+def _parse_embeddings(path: str) -> List[np.ndarray]:
+    vectors = [np.asarray([float(v) for v in line.split()], dtype=np.float64)
+               for line in _read_lines(path)]
+    if not vectors or vectors[0].shape[0] == 0:
         raise DimensionMismatch(f"{path}: no embedding values found")
-    return vectors, dim
+    return vectors
+
+
+def _make_example(
+    position: int,
+    source: str,
+    target: str,
+    tree: DepTree,
+    embedding: Optional[np.ndarray],
+    dim: Optional[int],
+    where: str,
+) -> Example:
+    """The one place an Example is built from loaded parts; `where` names it in errors."""
+    tokens = source.split()
+    if tree.n_tokens != len(tokens):
+        raise LengthMismatch(
+            f"{where}: tree has {tree.n_tokens} tokens but the source has {len(tokens)}"
+        )
+    if embedding is not None and embedding.shape[0] != dim:
+        raise DimensionMismatch(f"{where}: embedding has length {embedding.shape[0]}, expected {dim}")
+    return Example(id=position, source=source, target=target, source_tokens=tokens, tree=tree,
+                   embedding=embedding)
 
 
 def load_corpus(
@@ -326,57 +341,36 @@ def load_corpus(
             f"{trees_path} has {len(trees)} tree blocks but {source_path} has {len(sources)} lines"
         )
 
-    embeddings: Optional[List[np.ndarray]] = None
+    embeddings: List[Optional[np.ndarray]] = [None] * len(sources)
     dim: Optional[int] = None
     if embeddings_path is not None:
-        embeddings, dim = _parse_embeddings(embeddings_path)
+        embeddings = _parse_embeddings(embeddings_path)
+        dim = embeddings[0].shape[0]
         if len(embeddings) != len(sources):
             raise LengthMismatch(
                 f"{embeddings_path} has {len(embeddings)} vectors but "
                 f"{source_path} has {len(sources)} lines"
             )
 
-    examples = []
-    for i, (source, target) in enumerate(zip(sources, targets)):
-        tokens = source.split()
-        tree = trees[i]
-        if tree.n_tokens != len(tokens):
-            raise LengthMismatch(
-                f"sentence {i}: tree has {tree.n_tokens} tokens but source line has {len(tokens)}"
-            )
-        examples.append(
-            Example(
-                id=i,
-                source=source,
-                target=target,
-                source_tokens=tokens,
-                tree=tree,
-                embedding=embeddings[i] if embeddings is not None else None,
-            )
-        )
+    examples = [
+        _make_example(i, source, target, tree, embedding, dim, f"{source_path} line {i + 1}")
+        for i, (source, target, tree, embedding) in enumerate(
+            zip(sources, targets, trees, embeddings))
+    ]
     return Corpus(examples=examples, vocab=vocab, embedding_dim=dim)
 
 
 # ---------------------------------------------------------------------------
 # Corpus bundles: a validated on-disk form produced by `synicl ingest`.
 # Labels are stored as strings so that bundles ingested separately can be
-# loaded later under one shared vocabulary.
+# loaded later under one shared vocabulary. On load, the stored tree rows go
+# straight to `_build_tree` and pass the same structural checks as CoNLL-U,
+# and each example id must equal its line position, because selection and
+# prompt assembly index examples by position.
 # ---------------------------------------------------------------------------
 
 BUNDLE_EXAMPLES = "examples.jsonl"
 BUNDLE_VOCAB = "vocab.json"
-
-
-def _tree_rows(tree: DepTree, vocab: LabelVocab) -> List[List[object]]:
-    rows = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, head = stack.pop()
-        rows.append([node.token_index, node.form, head, vocab.labels[node.label]])
-        for child in node.children:
-            stack.append((child, node.token_index))
-    rows.sort(key=lambda r: r[0])
-    return rows
 
 
 def save_bundle(corpus: Corpus, out_dir: str) -> None:
@@ -397,36 +391,43 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
 
 
 def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
-    """Load a bundle written by save_bundle, extending `vocab` (shared across bundles)."""
+    """Load a bundle written by save_bundle, extending `vocab` (shared across bundles).
+
+    Every tree passes the same structural checks as parsed CoNLL-U, and the
+    example ids must equal their line positions (0, 1, ...).
+    """
     vocab = vocab if vocab is not None else LabelVocab()
     examples = []
     dim: Optional[int] = None
-    with open(os.path.join(bundle_dir, BUNDLE_EXAMPLES), encoding="utf-8") as f:
-        for line in f:
-            record = json.loads(line)
-            block = "\n".join(
-                f"{idx}\t{form}\t{head}\t{label}" for idx, form, head, label in record["tree"]
-            )
-            tree = _parse_block(block.split("\n"), vocab, record["id"])
+    path = os.path.join(bundle_dir, BUNDLE_EXAMPLES)
+    with open(path, encoding="utf-8") as f:
+        for position, line in enumerate(f):
+            where = f"{path} line {position + 1}"
+            try:
+                record = json.loads(line)
+                ex_id, source, target = record["id"], record["source"], record["target"]
+                rows = record["tree"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedLine(f"{where}: not an example record ({exc})") from exc
+            if type(ex_id) is not int or ex_id != position:
+                raise MalformedLine(f"{where}: example id {ex_id!r} != its position {position}")
+            if type(source) is not str or type(target) is not str:
+                raise MalformedLine(f"{where}: source and target must be strings")
+            if type(rows) is not list or not all(
+                type(row) is list and len(row) == 4 and type(row[0]) is int
+                and type(row[1]) is str and type(row[2]) is int and type(row[3]) is str
+                for row in rows
+            ):
+                raise MalformedLine(
+                    f"{where}: tree rows must be [int index, str form, int head, str label]"
+                )
+            tree = _build_tree(rows, vocab, position)
             embedding = None
             if "embedding" in record:
                 embedding = np.asarray(record["embedding"], dtype=np.float64)
                 if dim is None:
                     dim = embedding.shape[0]
-                elif embedding.shape[0] != dim:
-                    raise DimensionMismatch(
-                        f"{bundle_dir}: embedding dim {embedding.shape[0]} != {dim}"
-                    )
-            examples.append(
-                Example(
-                    id=record["id"],
-                    source=record["source"],
-                    target=record["target"],
-                    source_tokens=record["source"].split(),
-                    tree=tree,
-                    embedding=embedding,
-                )
-            )
+            examples.append(_make_example(position, source, target, tree, embedding, dim, where))
     return Corpus(examples=examples, vocab=vocab, embedding_dim=dim)
 
 

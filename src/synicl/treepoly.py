@@ -17,7 +17,7 @@ array kernel once the pair count makes Python dicts too slow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -456,63 +456,3 @@ def _poly_distance_exact(
 
     total = one_way(p_rows, q_rows) + one_way(q_rows, p_rows)
     return float(total) / (len(p_rows) + len(q_rows))
-
-
-def distance_rank_key(distance: float, example_id: int) -> Tuple[float, int]:
-    """Sort key ranking smaller distances first, ties broken by lower id."""
-    return (distance, example_id)
-
-
-# ---------------------------------------------------------------------------
-# text cache of precomputed polynomials, keyed by corpus hash and label count
-# ---------------------------------------------------------------------------
-
-CACHE_MAGIC = "synicl-poly-cache/1"
-
-
-def save_polynomial_cache(
-    path: str, polynomials: Sequence[Optional[Polynomial]], corpus_hash: str, d: int
-) -> None:
-    """Write polynomials (None = budget-exceeded example) to a text cache file."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{CACHE_MAGIC} {corpus_hash} {d} {len(polynomials)}\n")
-        for poly in polynomials:
-            if poly is None:
-                f.write("-1\n")
-                continue
-            f.write(f"{len(poly)}\n")
-            for exps, coeff in poly.terms.items():
-                f.write(" ".join(map(str, exps)) + f" {coeff}\n")
-
-
-def load_polynomial_cache(
-    path: str, corpus_hash: str, d: int
-) -> Optional[List[Optional[Polynomial]]]:
-    """Read a cache written by save_polynomial_cache.
-
-    Returns None when the file is missing or was built for a different corpus
-    hash or label count (stale cache).
-    """
-    try:
-        f = open(path, encoding="utf-8")
-    except OSError:
-        return None
-    with f:
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != CACHE_MAGIC:
-            return None
-        if header[1] != corpus_hash or int(header[2]) != d:
-            return None
-        count = int(header[3])
-        polynomials: List[Optional[Polynomial]] = []
-        for _ in range(count):
-            n_terms = int(f.readline())
-            if n_terms < 0:
-                polynomials.append(None)
-                continue
-            terms: Dict[Tuple[int, ...], int] = {}
-            for _ in range(n_terms):
-                values = [int(v) for v in f.readline().split()]
-                terms[tuple(values[:-1])] = values[-1]
-            polynomials.append(Polynomial(d=d, terms=terms))
-    return polynomials

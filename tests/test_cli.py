@@ -103,6 +103,19 @@ def test_select_invalid_config_exits_1(bundles, capsys):
     assert "none" in capsys.readouterr().err
 
 
+def test_select_truncated_bundle_exits_1(bundles, capsys):
+    path = os.path.join(bundles["train"], "examples.jsonl")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text[: len(text) - 10])  # the last line is cut short
+    code = main(["select", "--train-bundle", bundles["train"],
+                 "--test-bundle", bundles["test"], "--out", str(bundles["tmp"] / "sel")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path} line 12" in err
+
+
 def test_select_writes_selections(bundles):
     out = str(bundles["tmp"] / "sel")
     code = main(["select", "--train-bundle", bundles["train"],

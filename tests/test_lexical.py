@@ -15,6 +15,7 @@ from synicl.lexical import (
     build_dense,
     dense_topk,
     tokenize,
+    top_k,
 )
 
 from conftest import make_synth_corpus
@@ -213,3 +214,19 @@ def test_build_dense_requires_embeddings():
     with_emb = make_synth_corpus(4, seed=3, embedding_dim=8)
     index = build_dense(with_emb)
     assert index.dim == 8
+
+
+def test_top_k_equals_full_sort():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        # few distinct values, so ties straddle the k-th place; inf stands for a fallback
+        scores = [rng.choice([0.0, 0.5, 1.0, 2.0, math.inf]) for _ in range(n)]
+        ids = rng.sample(range(100), n)
+        k = rng.randint(1, n + 2)
+        best_first = sorted(zip(ids, scores), key=lambda item: (-item[1], item[0]))[:k]
+        nearest_first = sorted(zip(ids, scores), key=lambda item: (item[1], item[0]))[:k]
+        assert top_k(np.array(scores), k, np.array(ids)) == best_first
+        assert top_k(np.array(scores), k, np.array(ids), smallest=True) == nearest_first
+        by_position = sorted(enumerate(scores), key=lambda item: (-item[1], item[0]))[:k]
+        assert top_k(np.array(scores), k) == by_position

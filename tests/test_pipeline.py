@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -13,8 +14,6 @@ from synicl.pipeline import (
     assemble_examples,
     export_results,
     load_results,
-    random_baseline,
-    select,
 )
 from synicl.treebank import Corpus, Example, LabelVocab
 
@@ -133,6 +132,27 @@ def test_tree_kernel_ranking_matches_exhaustive_oracle():
     assert result.chosen == oracle
 
 
+def test_stage2_ties_go_to_lower_id_whatever_the_stage1_order():
+    vocab = LabelVocab()
+    twin = node("Root", node("a", leaf("b")), leaf("S"))
+    corpus = toy_corpus([twin, twin, node("Root", leaf("a")), twin], vocab)
+    # example 3 shares every word with the query, example 1 one word and 0 none,
+    # so BM25 hands the three identical trees to stage II with the higher ids first
+    words = corpus[3].source_tokens
+    corpus.examples[1].source = f"{words[0]} x y z"
+    query = query_example(twin, vocab, qid=9)
+    query.source = " ".join(words)
+    for stage2, shots in itertools.product(("tree_kernel", "poly"), (2, 4)):
+        config = SelectionConfig(stage1="bm25", stage2=stage2, candidate_size=4, shots=shots)
+        selector = Selector(corpus, config)
+        stage1_ids = [i for i, _ in lexical.bm25_topk(selector.bm25, query.source, 4)]
+        assert stage1_ids[:3] == [3, 1, 0]
+        chosen = selector.select(query).chosen
+        assert [ex_id for ex_id, _ in chosen] == [0, 1, 3, 2][:shots]
+        assert len({score for _, score in chosen[:2]}) == 1
+        assert all(type(ex_id) is int and type(score) is float for ex_id, score in chosen)
+
+
 def test_chosen_ids_come_from_stage1_pool():
     corpus = make_synth_corpus(100, seed=6)
     queries = make_synth_corpus(5, seed=60, vocab=corpus.vocab)
@@ -189,20 +209,6 @@ def test_random_stage2_is_reproducible_and_pool_bound():
         assert set(result.chosen_ids()) <= pool
 
 
-def test_random_baseline():
-    corpus = make_synth_corpus(1000, seed=41)
-    assert random_baseline(corpus, 8, seed=5) == random_baseline(corpus, 8, seed=5)
-    full = random_baseline(make_synth_corpus(20, seed=42), 20, seed=1)
-    assert sorted(full) == list(range(20))
-    differing = sum(
-        random_baseline(corpus, 8, seed=s) != random_baseline(corpus, 8, seed=s + 100)
-        for s in range(10)
-    )
-    assert differing >= 9
-    with pytest.raises(ValueError):
-        random_baseline(make_synth_corpus(3, seed=43), 5, seed=0)
-
-
 def test_poly_budget_fallbacks():
     vocab = LabelVocab()
     wide = node("r",
@@ -257,15 +263,6 @@ def test_batch_aggregates_failures_with_query_ids():
     with pytest.raises(BatchSelectionError) as excinfo:
         selector.select_batch(good.examples + bad.examples)
     assert "query 77" in str(excinfo.value)
-
-
-def test_select_convenience_wrapper():
-    vocab = LabelVocab()
-    labels = ["Root", "a", "b"]
-    corpus = random_corpus(5, 71, vocab, labels)
-    query = query_example(random_tree_spec(random.Random(72), 4, labels), vocab)
-    config = SelectionConfig(stage1="none", stage2="tree_kernel", candidate_size=5, shots=2)
-    assert select(config, corpus, query) == Selector(corpus, config).select(query)
 
 
 def test_assemble_examples_order_flag():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -12,15 +13,15 @@ from synicl.treebank import (
     MalformedLine,
     MissingToken,
     MultipleRoots,
+    TreebankError,
     load_bundle,
     load_corpus,
     parse_conllu,
     save_bundle,
-    subtree_stats,
     tree_to_conllu,
 )
 
-from conftest import build_tree, leaf, node, random_tree_spec
+from conftest import build_tree, random_tree_spec
 
 # tree for "But there were no buyers ." with "were" as root
 BUYERS_BLOCK = """\
@@ -56,44 +57,73 @@ def test_parse_single_token():
     assert trees[0].root.is_leaf
 
 
-def test_parse_no_root_is_cyclic():
-    vocab = LabelVocab()
-    text = "1\ta\t2\tdep\n2\tb\t1\tdep\n"
-    with pytest.raises((CyclicTree, MultipleRoots)):
-        parse_conllu(text, vocab)
+def write_bundle(bundle_dir, records):
+    bundle_dir.mkdir(parents=True)
+    (bundle_dir / "examples.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    return str(bundle_dir)
 
 
-def test_parse_multiple_roots():
-    vocab = LabelVocab()
-    text = "1\ta\t0\tRoot\n2\tb\t0\tRoot\n"
-    with pytest.raises(MultipleRoots):
-        parse_conllu(text, vocab)
+def tree_record(ex_id, rows, source=None):
+    if source is None:
+        source = " ".join(str(row[1]) for row in rows)
+    return {"id": ex_id, "source": source, "target": source, "tree": rows}
 
 
-def test_parse_cycle_below_root():
-    vocab = LabelVocab()
-    text = "1\ta\t0\tRoot\n2\tb\t3\tdep\n3\tc\t2\tdep\n"
-    with pytest.raises(CyclicTree):
-        parse_conllu(text, vocab)
+def assert_both_readers_reject(tmp_path, rows, error):
+    """The CoNLL-U text of `rows` and a bundle holding `rows` fail with the same error."""
+    text = "\n".join("\t".join(map(str, row)) for row in rows) + "\n"
+    with pytest.raises(error):
+        parse_conllu(text, LabelVocab())
+    with pytest.raises(error):
+        load_bundle(write_bundle(tmp_path / "bundle", [tree_record(0, rows)]))
 
 
-def test_parse_missing_token_index():
-    vocab = LabelVocab()
-    text = "1\ta\t0\tRoot\n3\tc\t1\tdep\n"
-    with pytest.raises(MissingToken):
-        parse_conllu(text, vocab)
+def test_parse_no_root_is_cyclic(tmp_path):
+    rows = [[1, "a", 2, "dep"], [2, "b", 1, "dep"]]
+    assert_both_readers_reject(tmp_path, rows, CyclicTree)
 
 
-def test_parse_malformed_lines():
+def test_parse_multiple_roots(tmp_path):
+    rows = [[1, "a", 0, "Root"], [2, "b", 0, "Root"]]
+    assert_both_readers_reject(tmp_path, rows, MultipleRoots)
+
+
+def test_parse_cycle_below_root(tmp_path):
+    rows = [[1, "a", 0, "Root"], [2, "b", 3, "dep"], [3, "c", 2, "dep"]]
+    assert_both_readers_reject(tmp_path, rows, CyclicTree)
+
+
+def test_parse_missing_token_index(tmp_path):
+    rows = [[1, "a", 0, "Root"], [3, "c", 1, "dep"]]
+    assert_both_readers_reject(tmp_path, rows, MissingToken)
+
+
+def test_parse_malformed_lines(tmp_path):
     vocab = LabelVocab()
     with pytest.raises(MalformedLine):
         parse_conllu("1\ta\t0\tRoot\textra\n", vocab)  # 5 columns is neither layout
     with pytest.raises(MalformedLine):
         parse_conllu("1\ta\tX\tRoot\n", vocab)  # non-integer head
-    with pytest.raises(MalformedLine):
-        parse_conllu("1\ta\t0\tRoot\n1\tb\t1\tdep\n", vocab)  # duplicate index
-    with pytest.raises(MalformedLine):
-        parse_conllu("1\ta\t5\tRoot\n", vocab)  # head out of range
+    duplicate = [[1, "a", 0, "Root"], [1, "b", 1, "dep"]]
+    assert_both_readers_reject(tmp_path / "duplicate", duplicate, MalformedLine)
+    out_of_range = [[1, "a", 5, "Root"]]
+    assert_both_readers_reject(tmp_path / "out_of_range", out_of_range, MalformedLine)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, "a", 0]],  # 3-item row
+    [[1, "a", "0", "Root"]],  # string head
+    [[True, "a", 0, "Root"]],  # bool index
+    [[1, "a", 0, 7]],  # non-string label
+    [[1, "a", 0, "Root", "extra"]],  # 5-item row
+    "1 a 0 Root",  # not a list of rows
+], ids=["short-row", "string-head", "bool-index", "int-label", "long-row", "text-tree"])
+def test_bundle_rejects_malformed_rows(tmp_path, rows):
+    record = tree_record(0, [[1, "a", 0, "Root"]])
+    record["tree"] = rows
+    with pytest.raises(MalformedLine, match="examples.jsonl line 1"):
+        load_bundle(write_bundle(tmp_path / "bundle", [record]))
 
 
 def test_parse_ten_column_and_comments_and_mwt():
@@ -145,16 +175,6 @@ def test_child_count_sum_property():
         tree = build_tree(random_tree_spec(rng, rng.randint(1, 20), labels), vocab)
         total_children = sum(len(n.children) for n in tree.iter_nodes())
         assert total_children == tree.n_tokens - 1
-
-
-def test_subtree_stats():
-    vocab = LabelVocab()
-    tree = parse_conllu(BUYERS_BLOCK, vocab)[0]
-    assert subtree_stats(tree.root) == (4, 5)
-    lone = build_tree(leaf("a"), LabelVocab())
-    assert subtree_stats(lone.root) == (0, 0)
-    chain = build_tree(node("a", node("b", leaf("c"))), LabelVocab())
-    assert subtree_stats(chain.root) == (1, 2)
 
 
 def test_vocab_stable_ids_and_error_labels():
@@ -222,6 +242,10 @@ def test_load_corpus_token_count_mismatch(tmp_path):
         tmp_path, ["a extra", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES)
     with pytest.raises(LengthMismatch):
         load_corpus(src, tgt, trees)
+    # the same pair stored in a bundle
+    record = tree_record(0, [[1, "a", 0, "Root"]], source="a extra")
+    with pytest.raises(LengthMismatch, match="examples.jsonl line 1"):
+        load_bundle(write_bundle(tmp_path / "bundle", [record]))
 
 
 def test_load_corpus_embedding_dim_mismatch(tmp_path):
@@ -230,6 +254,14 @@ def test_load_corpus_embedding_dim_mismatch(tmp_path):
         embeddings=[[0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4, 5], [1, 0, 0, 0]])
     with pytest.raises(DimensionMismatch):
         load_corpus(src, tgt, trees, emb)
+
+
+def test_load_bundle_embedding_dim_mismatch(tmp_path):
+    records = [tree_record(i, [[1, "a", 0, "Root"]]) for i in range(2)]
+    records[0]["embedding"] = [0.1, 0.2]
+    records[1]["embedding"] = [0.1, 0.2, 0.3]
+    with pytest.raises(DimensionMismatch, match="examples.jsonl line 2"):
+        load_bundle(write_bundle(tmp_path / "bundle", records))
 
 
 def test_load_corpus_with_embeddings(tmp_path):
@@ -280,3 +312,29 @@ def test_content_hash_changes_with_content(tmp_path):
     assert treebank.content_hash([str(a)]) == treebank.content_hash([str(b)])
     b.write_text("world")
     assert treebank.content_hash([str(a)]) != treebank.content_hash([str(b)])
+
+
+def saved_bundle(tmp_path):
+    src, tgt, trees, _ = write_corpus_files(
+        tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES)
+    out = tmp_path / "bundle"
+    save_bundle(load_corpus(src, tgt, trees), str(out))
+    return out
+
+
+def test_bundle_ids_must_equal_positions(tmp_path):
+    out = saved_bundle(tmp_path)
+    path = out / "examples.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[1:]), encoding="utf-8")  # every id is now its position + 1
+    with pytest.raises(TreebankError, match=r"examples\.jsonl line 1: example id 1 != its position 0"):
+        load_bundle(str(out))
+
+
+def test_bundle_truncated_line_is_malformed(tmp_path):
+    out = saved_bundle(tmp_path)
+    path = out / "examples.jsonl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) - 20], encoding="utf-8")  # a write cut short
+    with pytest.raises(MalformedLine, match=r"examples\.jsonl line 3"):
+        load_bundle(str(out))

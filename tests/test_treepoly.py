@@ -10,11 +10,8 @@ from synicl.treepoly import (
     Polynomial,
     TermBudgetExceeded,
     WeightProfile,
-    distance_rank_key,
-    load_polynomial_cache,
     poly_distance,
     poly_multiply,
-    save_polynomial_cache,
     tree_to_polynomial,
 )
 
@@ -290,34 +287,6 @@ def test_huge_coefficients_fall_back_to_exact_path():
     assert poly_distance(p, q) == 5.0
 
 
-def test_rank_key_ordering():
-    distances = {0: 2.0, 1: 0.0, 2: 1.0}
-    order = sorted(distances, key=lambda i: distance_rank_key(distances[i], i))
-    assert order == [1, 2, 0]
-    tied = sorted([5, 3], key=lambda i: distance_rank_key(1.5, i))
-    assert tied == [3, 5]
-    assert sorted([9], key=lambda i: distance_rank_key(0.0, i)) == [9]
-
-
 def test_weight_profile_validation():
     with pytest.raises(ValueError):
         WeightProfile(np.array([1.0, 0.0, 1.0]))
-
-
-def test_cache_roundtrip_and_invalidation(tmp_path):
-    vocab = LabelVocab(["a", "b"])
-    polys = [
-        tree_to_polynomial(build_tree(node("a", leaf("b")), vocab), vocab),
-        None,
-        tree_to_polynomial(build_tree(leaf("b"), vocab), vocab),
-    ]
-    path = str(tmp_path / "polys.cache")
-    save_polynomial_cache(path, polys, corpus_hash="abc123", d=vocab.d)
-    loaded = load_polynomial_cache(path, corpus_hash="abc123", d=vocab.d)
-    assert loaded is not None
-    assert loaded[1] is None
-    assert loaded[0].terms == polys[0].terms
-    assert loaded[2].terms == polys[2].terms
-    assert load_polynomial_cache(path, corpus_hash="other", d=vocab.d) is None
-    assert load_polynomial_cache(path, corpus_hash="abc123", d=vocab.d + 1) is None
-    assert load_polynomial_cache(str(tmp_path / "missing"), "abc123", vocab.d) is None
