@@ -16,7 +16,6 @@ from .treepoly import (  # noqa: F401
     Polynomial,
     WeightProfile,
     poly_distance,
-    poly_multiply,
     tree_to_polynomial,
 )
 from .lexical import build_bm25, bm25_topk, build_dense, dense_topk, tokenize  # noqa: F401

@@ -307,7 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (treebank.TreebankError, pipeline.InvalidConfig, pipeline.MissingPrecomputation,
             pipeline.BatchSelectionError, gecscore.MalformedBlock, gecscore.LengthMismatch,
             lexical.EmptyCorpus, lexical.DimensionMismatch, lexical.ZeroVector,
-            prompt.TagCollision, KeyError) as exc:
+            prompt.TagCollision, llmclient.MalformedJournal, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (llmclient.TransportError, llmclient.AuthFailure, llmclient.MalformedResponse) as exc:

@@ -32,6 +32,10 @@ PromptLike = Union[str, Sequence[ChatMessage], Sequence[dict]]
 
 
 class LlmClientError(RuntimeError):
+    retries = 0  # retries made before the request gave up
+
+
+class MalformedJournal(ValueError):
     pass
 
 
@@ -119,32 +123,36 @@ def _complete_with_stats(config: EndpointConfig, prompt: PromptLike) -> Tuple[st
 
     last_error: Optional[str] = None
     retries = 0
-    for attempt in range(config.max_retries + 1):
-        if attempt > 0:
-            time.sleep(config.retry_backoff * (2 ** (attempt - 1)))
-            retries = attempt
-        try:
-            resp = requests.post(url, json=body, headers=headers, timeout=config.timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-            continue
-        if resp.status_code in (401, 403):
-            raise AuthFailure(f"HTTP {resp.status_code} from {url}")
-        if resp.status_code in RETRYABLE_STATUS:
-            last_error = f"HTTP {resp.status_code}"
-            continue
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponse(f"unexpected response body from {url}: {exc}") from exc
-        if not isinstance(content, str):
-            raise MalformedResponse(f"non-string content in response from {url}")
-        return content, retries
-    raise TransportError(
-        f"request to {url} failed after {config.max_retries} retries (last: {last_error})"
-    )
+    try:
+        for attempt in range(config.max_retries + 1):
+            if attempt > 0:
+                time.sleep(config.retry_backoff * (2 ** (attempt - 1)))
+                retries = attempt
+            try:
+                resp = requests.post(url, json=body, headers=headers, timeout=config.timeout)
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
+                continue
+            if resp.status_code in (401, 403):
+                raise AuthFailure(f"HTTP {resp.status_code} from {url}")
+            if resp.status_code in RETRYABLE_STATUS:
+                last_error = f"HTTP {resp.status_code}"
+                continue
+            if resp.status_code != 200:
+                raise TransportError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise MalformedResponse(f"unexpected response body from {url}: {exc}") from exc
+            if not isinstance(content, str):
+                raise MalformedResponse(f"non-string content in response from {url}")
+            return content, retries
+        raise TransportError(
+            f"request to {url} failed after {config.max_retries} retries (last: {last_error})"
+        )
+    except LlmClientError as exc:
+        exc.retries = retries
+        raise
 
 
 def complete(config: EndpointConfig, prompt: PromptLike) -> str:
@@ -154,28 +162,61 @@ def complete(config: EndpointConfig, prompt: PromptLike) -> str:
 
 
 def load_journal(path: str) -> Dict[Tuple[int, str], RunRecord]:
-    """Read an existing journal; the last record per (query id, fingerprint) wins."""
+    """Read an existing journal; the last record per (query id, fingerprint) wins.
+
+    An unterminated last line that does not parse is the torn tail of a crash
+    mid-write, and is skipped. Any other bad line raises MalformedJournal.
+    """
     records: Dict[Tuple[int, str], RunRecord] = {}
     if not os.path.exists(path):
         return records
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as f:  # bytes, so a torn UTF-8 sequence fails in json.loads
+        for number, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            data = json.loads(line)
-            rec = RunRecord(
-                query_id=data["query_id"],
-                fingerprint=data["fingerprint"],
-                raw_output=data.get("raw_output", ""),
-                correction=data.get("correction", ""),
-                latency_ms=data.get("latency_ms", 0.0),
-                retry_count=data.get("retry_count", 0),
-                error=data.get("error"),
-                flag=data.get("flag"),
-            )
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    break
+                raise MalformedJournal(f"{path} line {number}: not JSON ({exc})") from exc
+            try:
+                rec = RunRecord(
+                    query_id=data["query_id"],
+                    fingerprint=data["fingerprint"],
+                    raw_output=data.get("raw_output", ""),
+                    correction=data.get("correction", ""),
+                    latency_ms=data.get("latency_ms", 0.0),
+                    retry_count=data.get("retry_count", 0),
+                    error=data.get("error"),
+                    flag=data.get("flag"),
+                )
+            except (KeyError, TypeError) as exc:
+                raise MalformedJournal(f"{path} line {number}: not a journal record ({exc!r})") from exc
             records[(rec.query_id, rec.fingerprint)] = rec
     return records
+
+
+def _start_fresh_line(path: str) -> None:
+    """Before appending, end the journal on a line break.
+
+    An unterminated last line is cut if it does not parse (`load_journal`
+    skipped it) and terminated if it does (`load_journal` read it).
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as f:
+        last = b""
+        for last in f:
+            pass
+        if not last or last.endswith(b"\n"):
+            return
+        try:
+            json.loads(last)
+        except ValueError:
+            f.truncate(f.tell() - len(last))
+        else:
+            f.write(b"\n")
 
 
 @dataclass
@@ -238,6 +279,7 @@ def run_batch(
 
     journal_lock = threading.Lock()
     os.makedirs(os.path.dirname(os.path.abspath(journal_path)), exist_ok=True)
+    _start_fresh_line(journal_path)
     journal = open(journal_path, "a", encoding="utf-8")
 
     def execute(task: _Task) -> RunRecord:
@@ -263,7 +305,7 @@ def run_batch(
                 raw_output="",
                 correction=task.test_source,
                 latency_ms=(time.monotonic() - start) * 1000.0,
-                retry_count=config.max_retries,
+                retry_count=exc.retries,
                 error=f"{type(exc).__name__}: {exc}",
             )
         with journal_lock:

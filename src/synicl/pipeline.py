@@ -51,7 +51,6 @@ class SelectionConfig:
     random_seed: int = 0
     error_weight: float = 2.0
     term_budget: Optional[int] = treepoly.DEFAULT_TERM_BUDGET
-    most_similar_last: bool = False  # prompt-order flag; selection output is unaffected
 
     def validate(self) -> None:
         if self.stage1 not in STAGE1_METHODS:

@@ -370,7 +370,6 @@ def load_corpus(
 # ---------------------------------------------------------------------------
 
 BUNDLE_EXAMPLES = "examples.jsonl"
-BUNDLE_VOCAB = "vocab.json"
 
 
 def save_bundle(corpus: Corpus, out_dir: str) -> None:
@@ -386,8 +385,18 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
             if ex.embedding is not None:
                 record["embedding"] = [float(v) for v in ex.embedding]
             f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, BUNDLE_VOCAB), "w", encoding="utf-8") as f:
-        json.dump({"labels": corpus.vocab.labels}, f, ensure_ascii=False)
+
+
+def _bundle_embedding(values: object, where: str) -> np.ndarray:
+    """A stored embedding: a non-empty flat list of finite int/float values (no bools)."""
+    try:
+        if type(values) is list and values and {int, float}.issuperset(map(type, values)):
+            embedding = np.asarray(values, dtype=np.float64)
+            if np.isfinite(embedding).all():
+                return embedding
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise MalformedLine(f"{where}: embedding must be a non-empty list of finite numbers")
 
 
 def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
@@ -424,7 +433,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
             tree = _build_tree(rows, vocab, position)
             embedding = None
             if "embedding" in record:
-                embedding = np.asarray(record["embedding"], dtype=np.float64)
+                embedding = _bundle_embedding(record["embedding"], where)
                 if dim is None:
                     dim = embedding.shape[0]
             examples.append(_make_example(position, source, target, tree, embedding, dim, where))

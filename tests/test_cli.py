@@ -57,7 +57,6 @@ def bundles(tmp_path):
 def test_ingest_creates_bundle_and_manifest(bundles):
     out = bundles["train"]
     assert os.path.isfile(os.path.join(out, "examples.jsonl"))
-    assert os.path.isfile(os.path.join(out, "vocab.json"))
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as f:
         manifest = json.load(f)
     assert manifest["command"] == "ingest"
@@ -255,6 +254,23 @@ def test_run_endpoint_failure_exits_3(bundles, mock_endpoint):
                  "--model", "mock", "--max-retries", "1",
                  "--out", str(bundles["tmp"] / "run_f")])
     assert code == 3
+
+
+def test_run_bad_journal_line_exits_1(bundles, mock_endpoint, capsys):
+    sel_dir = str(bundles["tmp"] / "sel_j")
+    main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+          "--stage1", "bm25", "--stage2", "none", "--candidates", "12", "--shots", "1",
+          "--out", sel_dir])
+    journal = bundles["tmp"] / "journal.jsonl"
+    journal.write_text("{torn\n{}\n", encoding="utf-8")
+    server = mock_endpoint(reply_fn=lambda body: "ok")
+    code = main(["run", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                 "--selections", os.path.join(sel_dir, "selections.jsonl"),
+                 "--style", "chat", "--base-url", server.base_url, "--model", "mock",
+                 "--journal", str(journal), "--out", str(bundles["tmp"] / "run_j")])
+    assert code == 1
+    assert "journal.jsonl line 1" in capsys.readouterr().err
+    assert server.requests == []
 
 
 def test_bench_smoke(bundles, capsys):

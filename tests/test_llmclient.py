@@ -6,6 +6,7 @@ from synicl import llmclient
 from synicl.llmclient import (
     AuthFailure,
     EndpointConfig,
+    MalformedJournal,
     MalformedResponse,
     TransportError,
     complete,
@@ -185,3 +186,61 @@ def test_run_batch_parallel_order_stable(tmp_path, mock_endpoint):
                         journal, jobs=4)
     assert [r.query_id for r in records] == [s.query_id for s in selections]
     assert len(server.requests) == 6
+
+
+def test_run_batch_resumes_after_torn_journal_line(tmp_path, mock_endpoint):
+    train, test, selections = batch_setup()
+    server = mock_endpoint(reply_fn=lambda body: "corrigé")
+    journal = tmp_path / "journal.jsonl"
+    cfg = config_for(server)
+    run_batch(cfg, selections, train, test, "completion", str(journal), jobs=1)
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3
+    # a crash mid-write: the last record stops inside the two bytes of "é"
+    torn = lines[2][: lines[2].index("é".encode()) + 1]
+    journal.write_bytes(lines[0] + lines[1] + torn)
+    assert len(load_journal(str(journal))) == 2
+
+    records = run_batch(cfg, selections, train, test, "completion", str(journal), jobs=1)
+    assert len(server.requests) == 4  # only the torn query went out again
+    assert [r.query_id for r in records] == [s.query_id for s in selections]
+    assert all(r.error is None and r.correction == "corrigé" for r in records)
+    assert journal.read_bytes().startswith(lines[0] + lines[1])
+    assert len(load_journal(str(journal))) == 3
+    assert all(json.loads(line) for line in journal.read_bytes().splitlines())
+
+
+def test_run_batch_terminates_a_whole_unterminated_last_record(tmp_path, mock_endpoint):
+    train, test, selections = batch_setup()
+    server = mock_endpoint(reply_fn=lambda body: "out")
+    journal = tmp_path / "journal.jsonl"
+    cfg = config_for(server)
+    run_batch(cfg, selections[:2], train, test, "completion", str(journal), jobs=1)
+    journal.write_bytes(journal.read_bytes().rstrip(b"\n"))
+    run_batch(cfg, selections, train, test, "completion", str(journal), jobs=1)
+    assert len(server.requests) == 3  # both journaled records were hits
+    assert len(load_journal(str(journal))) == 3
+
+
+def test_bad_journal_line_names_path_and_line(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    good = json.dumps({"query_id": 0, "fingerprint": "f"})
+    for bad in ("{not json", "[1, 2]", json.dumps({"query_id": 1})):
+        journal.write_text(good + "\n" + bad + "\n" + good + "\n", encoding="utf-8")
+        with pytest.raises(MalformedJournal, match=r"journal\.jsonl line 2"):
+            load_journal(str(journal))
+    # an unterminated last line that parses is a whole record
+    journal.write_text(good + "\n" + json.dumps({"query_id": 1, "fingerprint": "g"}),
+                       encoding="utf-8")
+    assert sorted(load_journal(str(journal))) == [(0, "f"), (1, "g")]
+
+
+def test_error_records_count_the_retries_made(tmp_path, mock_endpoint):
+    train, test, selections = batch_setup(n_test=1)
+    for status_plan, retries in (([401], 0), ([503] * 10, 3)):
+        server = mock_endpoint(status_plan=status_plan)
+        journal = str(tmp_path / f"journal{retries}.jsonl")
+        records = run_batch(config_for(server), selections, train, test, "completion", journal)
+        assert records[0].error is not None
+        assert records[0].retry_count == retries
+        assert load_journal(journal)[(records[0].query_id, records[0].fingerprint)].retry_count == retries

@@ -264,6 +264,21 @@ def test_load_bundle_embedding_dim_mismatch(tmp_path):
         load_bundle(write_bundle(tmp_path / "bundle", records))
 
 
+def test_load_bundle_rejects_malformed_embeddings(tmp_path):
+    bad = [5, "x", [], ["x"], [[1.0], [2.0]], [1.0, True], [1.0, None], [10**400],
+           [float("nan")], [1.0, float("inf")], [-float("inf")], {"0": 1.0}]
+    for i, embedding in enumerate(bad):
+        record = tree_record(0, [[1, "a", 0, "Root"]])
+        record["embedding"] = embedding
+        with pytest.raises(MalformedLine, match=r"examples\.jsonl line 1: embedding"):
+            load_bundle(write_bundle(tmp_path / f"bundle{i}", [record]))
+    record = tree_record(0, [[1, "a", 0, "Root"]])
+    record["embedding"] = [1, -2.5, 0]
+    corpus = load_bundle(write_bundle(tmp_path / "good", [record]))
+    assert corpus.embedding_dim == 3
+    assert corpus[0].embedding.tolist() == [1.0, -2.5, 0.0]
+
+
 def test_load_corpus_with_embeddings(tmp_path):
     src, tgt, trees, emb = write_corpus_files(
         tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES,

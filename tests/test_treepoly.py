@@ -1,9 +1,11 @@
+import math
 import random
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from synicl import treepoly
 from synicl.treebank import LabelVocab
 from synicl.treepoly import (
     EmptyPolynomial,
@@ -11,7 +13,6 @@ from synicl.treepoly import (
     TermBudgetExceeded,
     WeightProfile,
     poly_distance,
-    poly_multiply,
     tree_to_polynomial,
 )
 
@@ -41,9 +42,14 @@ def oracle_expand(spec):
     return prod
 
 
+def terms(poly):
+    """The polynomial's rows as an exponent-tuple -> coefficient dict."""
+    return {tuple(row[:-1]): row[-1] for row in poly.rows.tolist()}
+
+
 def poly_to_monomials(poly, vocab):
     out = {}
-    for exps, coeff in poly.terms.items():
+    for exps, coeff in terms(poly).items():
         atoms = []
         for i, e in enumerate(exps):
             if e:
@@ -87,7 +93,7 @@ def test_single_leaf_base_case():
     vocab = LabelVocab()
     tree = build_tree(leaf("l"), vocab)
     poly = tree_to_polynomial(tree, vocab)
-    assert poly.terms == {(1, 0): 1}  # d=1: x_l
+    assert terms(poly) == {(1, 0): 1}  # d=1: x_l
 
 
 def test_internal_node_rule():
@@ -95,14 +101,14 @@ def test_internal_node_rule():
     tree = build_tree(node("r", leaf("l")), vocab)
     poly = tree_to_polynomial(tree, vocab)
     # labels: r=0, l=1; terms y_r and x_l
-    assert poly.terms == {(0, 0, 1, 0): 1, (0, 1, 0, 0): 1}
+    assert terms(poly) == {(0, 0, 1, 0): 1, (0, 1, 0, 0): 1}
 
 
 def test_two_identical_leaves_merge_to_square():
     vocab = LabelVocab()
     tree = build_tree(node("r", leaf("l"), leaf("l")), vocab)
     poly = tree_to_polynomial(tree, vocab)
-    assert poly.terms == {(0, 0, 1, 0): 1, (0, 2, 0, 0): 1}  # y_r + x_l^2
+    assert terms(poly) == {(0, 0, 1, 0): 1, (0, 2, 0, 0): 1}  # y_r + x_l^2
 
 
 def test_expansion_matches_oracle_random_trees():
@@ -126,56 +132,53 @@ def test_term_count_at_least_two_with_children():
         assert len(poly) >= 2
 
 
-# ---------------------------------------------------------------------------
-# multiplication
-# ---------------------------------------------------------------------------
-
-def make_poly(d, terms):
-    return Polynomial(d=d, terms=dict(terms))
+def make_poly(d, coeffs_by_exps):
+    exps = np.array(list(coeffs_by_exps), dtype=np.int64).reshape(len(coeffs_by_exps), 2 * d)
+    return Polynomial(d, exps, list(coeffs_by_exps.values()))
 
 
-def multiply_oracle(p, q):
-    """Brute-force pairwise expansion collected through sorting, not a dict."""
-    rows = []
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            rows.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-    rows.sort()
-    out = {}
-    for key, coeff in rows:
-        out[key] = out.get(key, 0) + coeff
-    return out
+def test_exponents_wider_than_16_bits():
+    vocab = LabelVocab()
+    tree = build_tree(node("r", *[leaf("l")] * 70_000), vocab)
+    poly = tree_to_polynomial(tree, vocab, budget=None)
+    assert terms(poly) == {(0, 0, 1, 0): 1, (0, 70_000, 0, 0): 1}  # y_r + x_l^70000
 
 
-def test_multiply_by_monomial_shifts_exponents():
-    p = make_poly(2, {(1, 0, 0, 0): 2, (0, 0, 1, 0): 1})
-    shift = make_poly(2, {(0, 1, 0, 0): 1})  # x_2
-    result = poly_multiply(p, shift)
-    assert result.terms == {(1, 1, 0, 0): 2, (0, 1, 1, 0): 1}
+def test_coefficients_past_int64_stay_exact():
+    vocab = LabelVocab(["r", "a", "b", "S"])
+    spec = node("r", *[node("a", leaf("b"))] * 66)
+    poly = tree_to_polynomial(build_tree(spec, vocab), vocab)
+    # (y_a + x_b)^66 + y_r
+    expected = {(0, 0, 66 - j, 0, 0, j, 0, 0): math.comb(66, j) for j in range(67)}
+    expected[(0, 0, 0, 0, 1, 0, 0, 0)] = 1
+    assert terms(poly) == expected
+    assert max(expected.values()) >= 2**62 and poly.rows.dtype == object
+    assert poly_distance(poly, poly) == 0.0
+
+    weights = WeightProfile.error_weighted(vocab, 2.0)
+    perturbed = node("r", *[node("a", leaf("b"))] * 65, node("S", leaf("b")))
+    small = node("r", node("a", leaf("b")), leaf("S"))
+    for other_spec in (perturbed, small):
+        other = tree_to_polynomial(build_tree(other_spec, vocab), vocab)
+        for w, ws in ((None, [1] * 9), (weights, list(weights.weights))):
+            expected_distance = brute_force_distance(poly, other, ws)
+            assert poly_distance(poly, other, w) == pytest.approx(expected_distance, rel=1e-12)
+            assert poly_distance(other, poly, w) == pytest.approx(expected_distance, rel=1e-12)
 
 
-def test_binomial_square():
-    p = make_poly(2, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1})  # x_a + y_b
-    sq = poly_multiply(p, p)
-    assert sq.terms == {(2, 0, 0, 0): 1, (1, 0, 0, 1): 2, (0, 0, 0, 2): 1}
-
-
-def test_multiply_commutative_and_matches_oracle():
-    rng = random.Random(5)
-    for _ in range(200):
-        d = rng.randint(1, 3)
-        def rand_poly():
-            n_terms = rng.randint(1, 20)
-            terms = {}
-            for _ in range(n_terms):
-                exps = tuple(rng.randint(0, 3) for _ in range(2 * d))
-                terms[exps] = terms.get(exps, 0) + rng.randint(1, 5)
-            return make_poly(d, terms)
-        p, q = rand_poly(), rand_poly()
-        pq = poly_multiply(p, q)
-        qp = poly_multiply(q, p)
-        assert pq.terms == qp.terms
-        assert pq.terms == multiply_oracle(p, q)
+def test_pairs_cap_applies_without_budget(monkeypatch):
+    # the largest product here has 4 x 2 = 8 term pairs
+    spec = node("r",
+                node("a", leaf("u"), leaf("v")),
+                node("b", leaf("u"), leaf("w")),
+                node("c", leaf("v"), leaf("w")))
+    vocab = LabelVocab()
+    tree = build_tree(spec, vocab)
+    monkeypatch.setattr(treepoly, "_HARD_PAIRS_CAP", 8)
+    assert len(tree_to_polynomial(tree, vocab, budget=None)) == 9
+    monkeypatch.setattr(treepoly, "_HARD_PAIRS_CAP", 7)
+    with pytest.raises(TermBudgetExceeded):
+        tree_to_polynomial(tree, vocab, budget=None)
 
 
 def test_term_budget_enforced():
@@ -255,6 +258,17 @@ def test_distance_symmetry_and_weight_monotonicity():
             assert d_weighted == d_pq
 
 
+def brute_force_distance(p, q, w):
+    """Chamfer-style distance as a no-numpy double loop over the rows."""
+    rows_p = p.rows.tolist()
+    rows_q = q.rows.tolist()
+    def d1(s, t):
+        return sum(abs(a - b) * wi for a, b, wi in zip(s, t, w))
+    total = sum(min(d1(s, t) for t in rows_q) for s in rows_p)
+    total += sum(min(d1(s, t) for s in rows_p) for t in rows_q)
+    return total / (len(rows_p) + len(rows_q))
+
+
 def test_distance_brute_force_oracle():
     """Chamfer-style distance against a no-numpy double-loop oracle."""
     rng = random.Random(31)
@@ -262,23 +276,14 @@ def test_distance_brute_force_oracle():
     vocab = LabelVocab(labels)
     weights = WeightProfile.error_weighted(vocab, 2.0)
 
-    def oracle(p, q, w):
-        rows_p = [list(e) + [c] for e, c in p.terms.items()]
-        rows_q = [list(e) + [c] for e, c in q.terms.items()]
-        def d1(s, t):
-            return sum(abs(a - b) * wi for a, b, wi in zip(s, t, w))
-        total = sum(min(d1(s, t) for t in rows_q) for s in rows_p)
-        total += sum(min(d1(s, t) for s in rows_p) for t in rows_q)
-        return total / (len(rows_p) + len(rows_q))
-
     for _ in range(200):
         t1 = build_tree(random_tree_spec(rng, rng.randint(1, 8), labels), vocab)
         t2 = build_tree(random_tree_spec(rng, rng.randint(1, 8), labels), vocab)
         p = tree_to_polynomial(t1, vocab)
         q = tree_to_polynomial(t2, vocab)
-        assert poly_distance(p, q) == pytest.approx(oracle(p, q, [1.0] * 7), abs=1e-12)
+        assert poly_distance(p, q) == pytest.approx(brute_force_distance(p, q, [1.0] * 7), abs=1e-12)
         assert poly_distance(p, q, weights) == pytest.approx(
-            oracle(p, q, list(weights.weights)), abs=1e-12)
+            brute_force_distance(p, q, list(weights.weights)), abs=1e-12)
 
 
 def test_huge_coefficients_fall_back_to_exact_path():
