@@ -4,6 +4,14 @@ BM25 uses the non-negative idf form ln(1 + (N - n + 0.5) / (n + 0.5)) with
 k1=1.2, b=0.75 by default. Embeddings are an external input (any encoder
 producing one vector per sentence); rows are L2-normalized at load so cosine
 similarity reduces to a dot product.
+
+Dense top-k scores every row with one `np.vecdot` over the matrix, on the
+calling thread (a BLAS matrix-vector product would run on worker threads
+outside the caller's CPU affinity), then rescores row by row only the rows
+whose approximate score lies within a rounding band of the approximate
+k-th score. The band is derived from the dimension (see `dense_topk`),
+wide enough that every row of the exact top k is inside it, so ids and
+scores equal those of scoring each row with its own `np.dot`.
 """
 
 from __future__ import annotations
@@ -181,8 +189,14 @@ def build_dense(corpus: Corpus) -> DenseIndex:
     return DenseIndex.from_vectors(np.stack([ex.embedding for ex in corpus.examples]))
 
 
-def dense_scores(index: DenseIndex, query_vector: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every row to `query_vector`."""
+def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tuple[int, float]]:
+    """Top-k rows by cosine similarity, descending, ties broken by lower id.
+
+    Scores are the row-by-row `np.dot(row, nq)`, bit for bit; the one
+    `np.vecdot` pass only decides which rows need that exact score.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dim,):
         raise DimensionMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
@@ -190,12 +204,26 @@ def dense_scores(index: DenseIndex, query_vector: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ZeroVector("query vector is all zeros")
     nq = q / norm
-    # row-wise dot keeps scores bitwise identical to single-row scoring
-    return np.array([np.dot(row, nq) for row in index.vectors])
-
-
-def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tuple[int, float]]:
-    """Top-k rows by cosine similarity, descending, ties broken by lower id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return top_k(dense_scores(index, query_vector), k)
+    vectors = index.vectors
+    if k < len(vectors):
+        # vecdot, not `vectors @ nq`: OpenBLAS runs a matrix-vector product
+        # this size on its own worker threads, outside the caller's CPU
+        # affinity and beside select_batch's workers; vecdot stays on the
+        # calling thread
+        approx = np.vecdot(vectors, nq)
+        kth = np.partition(approx, len(approx) - k)[len(approx) - k]
+        # Any summation order of an n-term dot product of unit vectors is
+        # within gamma_n = n*u/(1 - n*u) (u = eps/2) of the true value, so
+        # the vecdot pass and the row-wise score differ by at most 2*gamma_n.
+        # If a row is in the exact top k, its exact score is >= the exact
+        # k-th score s, so its approximate score is >= s - 2*gamma_n; and the
+        # approximate k-th score is <= s + 2*gamma_n, or k rows would score
+        # exactly above s. Every exact top-k row therefore lies within
+        # 4*gamma_n of the approximate k-th score; 4*n*eps ~ 8*gamma_n
+        # leaves a factor of two for the rows' and query's norm rounding.
+        band = 4 * index.dim * np.finfo(np.float64).eps
+        rows = np.flatnonzero(approx >= kth - band)
+    else:
+        rows = np.arange(len(vectors))
+    exact = [np.dot(vectors[i], nq) for i in rows]
+    return top_k(exact, k, rows)

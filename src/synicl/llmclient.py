@@ -3,9 +3,10 @@
 Every request is sent with temperature 0.0 and no sampling options; the
 temperature is a module constant, not a parameter, so no call site can turn
 sampling back on. Batch runs journal one JSON line per query as soon as it
-finishes; a rerun skips queries whose (query id, prompt fingerprint) already
-has a successful journal entry, so interrupted runs resume where they left
-off and edited prompts are re-executed.
+finishes; a rerun skips queries whose (query id, request fingerprint)
+already has a successful journal entry, so interrupted runs resume where
+they left off, and edited prompts or another model or endpoint are
+re-executed. The first authentication failure stops the batch.
 """
 
 from __future__ import annotations
@@ -103,14 +104,20 @@ def _as_messages(prompt: PromptLike) -> List[dict]:
     return out
 
 
-def fingerprint(prompt: PromptLike) -> str:
-    """Stable hash of the wire-level message payload."""
-    payload = json.dumps(_as_messages(prompt), sort_keys=True, ensure_ascii=False)
+def fingerprint(prompt: PromptLike, config: EndpointConfig) -> str:
+    """Stable hash of what a request asks: endpoint URL, model and wire-level messages."""
+    request = {"url": _completions_url(config), "model": config.model,
+               "messages": _as_messages(prompt)}
+    payload = json.dumps(request, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _completions_url(config: EndpointConfig) -> str:
+    return config.base_url.rstrip("/") + "/chat/completions"
+
+
 def _complete_with_stats(config: EndpointConfig, prompt: PromptLike) -> Tuple[str, int]:
-    url = config.base_url.rstrip("/") + "/chat/completions"
+    url = _completions_url(config)
     body = {
         "model": config.model,
         "messages": _as_messages(prompt),
@@ -256,9 +263,11 @@ def run_batch(
     """Execute one request per selection, journaling incrementally.
 
     Results come back in input order regardless of completion order. Queries
-    with a successful journaled record for the same prompt fingerprint are
-    skipped; errored records are retried. Per-query failures are journaled
-    (with the test source as the fallback correction) and the batch goes on.
+    with a successful journaled record for the same fingerprint (messages,
+    model and endpoint URL) are skipped; errored records are retried.
+    Per-query failures are journaled (with the test source as the fallback
+    correction) and the batch goes on, except an AuthFailure: it is
+    journaled, no further request starts, and it is re-raised.
     """
     by_id = {ex.id: ex for ex in queries.examples}
     existing = load_journal(journal_path)
@@ -271,7 +280,7 @@ def run_batch(
         prompt = build_prompt_for_selection(
             result, train_corpus, query.source, style, most_similar_last
         )
-        fp = fingerprint(prompt)
+        fp = fingerprint(prompt, config)
         cached = existing.get((result.query_id, fp))
         if cached is not None and cached.error is not None:
             cached = None  # retry failures
@@ -282,9 +291,13 @@ def run_batch(
     _start_fresh_line(journal_path)
     journal = open(journal_path, "a", encoding="utf-8")
 
-    def execute(task: _Task) -> RunRecord:
+    auth_failures: List[AuthFailure] = []
+
+    def execute(task: _Task) -> Optional[RunRecord]:
         if task.cached is not None:
             return task.cached
+        if auth_failures:
+            return None  # the endpoint refused the credentials: start no more requests
         start = time.monotonic()
         try:
             raw, retries = _complete_with_stats(config, task.prompt)
@@ -308,6 +321,8 @@ def run_batch(
                 retry_count=exc.retries,
                 error=f"{type(exc).__name__}: {exc}",
             )
+            if isinstance(exc, AuthFailure):
+                auth_failures.append(exc)
         with journal_lock:
             journal.write(json.dumps(record.as_dict(), ensure_ascii=False) + "\n")
             journal.flush()
@@ -322,4 +337,6 @@ def run_batch(
                 records = list(pool.map(execute, tasks))
     finally:
         journal.close()
+    if auth_failures:
+        raise auth_failures[0]
     return records

@@ -162,9 +162,13 @@ class Selector:
             fallbacks.append({"kind": "query_poly_budget", "query_id": query.id})
             return self._rank_tree_kernel(query, pool)
 
+        candidates = [self.polynomials[ex_id] for ex_id in pool]
+        cost = sum(treepoly.distance_cost(query_poly, poly) for poly in candidates if poly is not None)
+        if cost > treepoly.QUERY_PAIRS_CAP:
+            fallbacks.append({"kind": "query_pair_budget", "query_id": query.id})
+            return self._rank_tree_kernel(query, pool)
         distances = []
-        for ex_id in pool:
-            poly = self.polynomials[ex_id]
+        for ex_id, poly in zip(pool, candidates):
             if poly is None:
                 fallbacks.append({"kind": "candidate_poly_budget", "example_id": ex_id})
                 distances.append(math.inf)

@@ -15,6 +15,15 @@ enough for the tree's node count, which bounds every exponent, so no field
 carries into the next. Multiplying two monomials is then adding two ints,
 like terms merge as equal dict keys, and the Python-int coefficients stay
 exact. The root's monomials are decoded once into the shared 2d layout.
+
+`poly_distance` takes pairwise differences only in the columns where
+either polynomial is non-zero: a column where both are 0 adds 0 to every
+pair. Unweighted distances are exact integer arithmetic, added as Python
+ints so a sum past the int64 range does not wrap. Weighted ones equal the
+sum over all 2d+1 entries bit for bit whenever the weighted sums are exact
+in float64, as for dyadic weights such as the default 2.0 with entries
+below 2**53; other weights (0.3, say) can differ in the last bits.
+Polynomials with object rows go to an exact Python path.
 """
 
 from __future__ import annotations
@@ -32,6 +41,16 @@ DEFAULT_TERM_BUDGET = 200_000
 _INT64_SAFE_MAX = 2**62
 # a product with more term pairs than this is refused, whatever the budget
 _HARD_PAIRS_CAP = 40_000_000
+# A time bound: a selection query whose `distance_cost` summed over its
+# candidates passes this is not scored by polynomial distance (pipeline falls
+# back to the tree kernel). On one Xeon vCPU an int64 term pair took ~93 ns
+# unweighted and ~166 ns weighted (91 columns, 16-token trees), so the cap
+# allows about 0.4-0.7 s of distance work per query.
+QUERY_PAIRS_CAP = 4_000_000
+# an object-row term pair (the exact Python path) took ~50 us on the same vCPU
+_OBJECT_PAIR_COST = 500
+# one block of the distance's |s-t| tensor has at most about this many entries
+_BLOCK_ENTRIES = 4_000_000
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -179,8 +198,7 @@ def _directional_min_sums(
     else:
         row_min = np.full(m, np.inf)
         col_min = np.full(n, np.inf)
-    # block size keeps the |s-t| tensor around ~4M int64 entries
-    block = max(64, int((4_000_000 // width) ** 0.5))
+    block = max(1, int((_BLOCK_ENTRIES // width) ** 0.5))
     for i0 in range(0, m, block):
         a = big[i0 : i0 + block]
         for j0 in range(0, n, block):
@@ -193,6 +211,14 @@ def _directional_min_sums(
             np.minimum(row_min[i0 : i0 + block], dist.min(axis=1), out=row_min[i0 : i0 + block])
             np.minimum(col_min[j0 : j0 + block], dist.min(axis=0), out=col_min[j0 : j0 + block])
     return row_min, col_min
+
+
+def distance_cost(p: Polynomial, q: Polynomial) -> int:
+    """The term pairs `poly_distance(p, q)` compares, in units of int64-row pairs."""
+    pairs = len(p) * len(q)
+    if p.rows.dtype == object or q.rows.dtype == object:
+        return pairs * _OBJECT_PAIR_COST
+    return pairs
 
 
 def poly_distance(
@@ -220,9 +246,14 @@ def poly_distance(
     if p.rows.dtype == object or q.rows.dtype == object:
         # coefficients outgrew int64; exact but slow Python arithmetic
         return _poly_distance_exact(p, q, w)
-    row_min, col_min = _directional_min_sums(p.rows, q.rows, w)
+    # a column where both polynomials are 0 adds 0 to every pair
+    cols = np.flatnonzero(p.rows.any(axis=0) | q.rows.any(axis=0))
+    row_min, col_min = _directional_min_sums(
+        p.rows[:, cols], q.rows[:, cols], None if w is None else w[cols]
+    )
     if w is None:
-        total: float = float(int(row_min.sum()) + int(col_min.sum()))
+        # each minimum fits int64, their sum may not: add them as Python ints
+        total: float = float(int(row_min.sum(dtype=object)) + int(col_min.sum(dtype=object)))
     else:
         total = float(row_min.sum() + col_min.sum())
     return total / (len(p) + len(q))

@@ -256,6 +256,21 @@ def test_run_endpoint_failure_exits_3(bundles, mock_endpoint):
     assert code == 3
 
 
+def test_run_auth_failure_exits_3_after_one_request(bundles, mock_endpoint, capsys):
+    sel_dir = str(bundles["tmp"] / "sel_a")
+    main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+          "--stage1", "bm25", "--stage2", "none", "--candidates", "12", "--shots", "1",
+          "--out", sel_dir])
+    server = mock_endpoint(status_plan=[401] * 100)
+    code = main(["run", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                 "--selections", os.path.join(sel_dir, "selections.jsonl"),
+                 "--style", "chat", "--base-url", server.base_url, "--model", "mock",
+                 "--jobs", "1", "--out", str(bundles["tmp"] / "run_a")])
+    assert code == 3
+    assert len(server.requests) == 1
+    assert "HTTP 401" in capsys.readouterr().err
+
+
 def test_run_bad_journal_line_exits_1(bundles, mock_endpoint, capsys):
     sel_dir = str(bundles["tmp"] / "sel_j")
     main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],

@@ -207,6 +207,44 @@ def test_dense_matches_oracle_and_score_range():
         assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for _, s in got)
 
 
+@pytest.mark.parametrize("approx_error", ["vecdot", "worst"])
+def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
+    """Near-ties that the approximate pass may order differently from row-wise dots.
+
+    "worst" replaces the `np.vecdot` pass with row-wise dots pushed up or
+    down by 2*gamma_n, the rounding bound the band is derived from.
+    """
+    rng = np.random.default_rng(11)
+    if approx_error == "worst":
+        u = np.finfo(np.float64).eps / 2
+
+        def shifted_dots(vectors, nq):
+            gamma = len(nq) * u / (1 - len(nq) * u)
+            exact = np.array([np.dot(row, nq) for row in vectors])
+            return exact + rng.choice([-2 * gamma, 2 * gamma], size=len(exact))
+
+        monkeypatch.setattr(np, "vecdot", shifted_dots)
+    dim = 64
+    for trial in range(20):
+        q = rng.normal(size=dim)
+        base = rng.normal(size=dim)
+        base /= np.linalg.norm(base)
+        rows = [base, base.copy()]  # exact duplicates
+        for _ in range(30):  # rows one ulp apart in one entry: tied or straddling
+            row = base.copy()
+            j = rng.integers(dim)
+            row[j] = np.nextafter(row[j], np.inf if rng.random() < 0.5 else -np.inf)
+            rows.append(row)
+        rows.extend(v / np.linalg.norm(v) for v in rng.normal(size=(10, dim)))
+        vectors = np.array(rows)[rng.permutation(len(rows))]
+        index = DenseIndex(vectors=vectors, dim=dim)
+        if trial % 2:
+            q = vectors[0] * 3.0  # the query is one of the tied rows
+        n = len(vectors)
+        for k in range(1, n + 1):
+            assert dense_topk(index, q, k) == cosine_oracle(vectors, q, k)
+
+
 def test_build_dense_requires_embeddings():
     corpus = make_synth_corpus(4, seed=3)  # no embeddings attached
     with pytest.raises(ZeroVector):

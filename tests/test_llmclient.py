@@ -97,12 +97,17 @@ def test_api_key_header(mock_endpoint, monkeypatch):
 
 
 def test_fingerprint_stable_and_prompt_sensitive():
-    one = fingerprint("same prompt")
-    assert fingerprint("same prompt") == one
-    assert fingerprint("different prompt") != one
+    cfg = EndpointConfig(base_url="http://host/v1", model="m")
+    one = fingerprint("same prompt", cfg)
+    assert fingerprint("same prompt", cfg) == one
+    assert fingerprint("different prompt", cfg) != one
     chat = build_chat_prompt([("a", "b")], "c")
-    assert fingerprint(chat) == fingerprint(build_chat_prompt([("a", "b")], "c"))
-    assert fingerprint(chat) != fingerprint(build_chat_prompt([("a", "x")], "c"))
+    assert fingerprint(chat, cfg) == fingerprint(build_chat_prompt([("a", "b")], "c"), cfg)
+    assert fingerprint(chat, cfg) != fingerprint(build_chat_prompt([("a", "x")], "c"), cfg)
+    # the model and the endpoint are part of the request, a trailing slash is not
+    assert fingerprint("same prompt", EndpointConfig(base_url="http://host/v1", model="n")) != one
+    assert fingerprint("same prompt", EndpointConfig(base_url="http://other/v1", model="m")) != one
+    assert fingerprint("same prompt", EndpointConfig(base_url="http://host/v1/", model="m")) == one
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,41 @@ def test_error_records_count_the_retries_made(tmp_path, mock_endpoint):
     for status_plan, retries in (([401], 0), ([503] * 10, 3)):
         server = mock_endpoint(status_plan=status_plan)
         journal = str(tmp_path / f"journal{retries}.jsonl")
-        records = run_batch(config_for(server), selections, train, test, "completion", journal)
-        assert records[0].error is not None
-        assert records[0].retry_count == retries
-        assert load_journal(journal)[(records[0].query_id, records[0].fingerprint)].retry_count == retries
+        if retries == 0:  # an auth failure is journaled, then stops the batch
+            with pytest.raises(AuthFailure):
+                run_batch(config_for(server), selections, train, test, "completion", journal)
+        else:
+            records = run_batch(config_for(server), selections, train, test, "completion", journal)
+            assert records[0].error is not None
+            assert records[0].retry_count == retries
+        (record,) = load_journal(journal).values()
+        assert record.error is not None
+        assert record.retry_count == retries
+
+
+def test_run_batch_stops_at_the_first_auth_failure(tmp_path, mock_endpoint):
+    train, test, selections = batch_setup(n_test=5)
+    server = mock_endpoint(status_plan=[401] * 10)
+    journal = str(tmp_path / "journal.jsonl")
+    with pytest.raises(AuthFailure):
+        run_batch(config_for(server), selections, train, test, "completion", journal, jobs=1)
+    assert len(server.requests) == 1
+    (record,) = load_journal(journal).values()
+    assert record.query_id == selections[0].query_id
+    assert record.error.startswith("AuthFailure")
+
+
+def test_journal_hits_need_the_same_model(tmp_path, mock_endpoint):
+    train, test, selections = batch_setup()
+    server = mock_endpoint(reply_fn=lambda body: body["model"])
+    journal = str(tmp_path / "journal.jsonl")
+    first = run_batch(config_for(server, model="model-a"), selections, train, test, "chat", journal)
+    second = run_batch(config_for(server, model="model-b"), selections, train, test, "chat", journal)
+    assert len(server.requests) == 6
+    assert [body["model"] for body in server.requests] == ["model-a"] * 3 + ["model-b"] * 3
+    assert all(r.raw_output == "model-a" for r in first)
+    assert all(r.raw_output == "model-b" for r in second)
+    # each model now resumes from its own records
+    again = run_batch(config_for(server, model="model-a"), selections, train, test, "chat", journal)
+    assert len(server.requests) == 6
+    assert all(r.raw_output == "model-a" for r in again)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -105,16 +106,17 @@ def test_poly_ranking_matches_exhaustive_oracle():
     labels = ["Root", "a", "b", "c", "S"]
     corpus = random_corpus(10, 3, vocab, labels)
     query = query_example(random_tree_spec(random.Random(4), 6, labels), vocab)
-    config = SelectionConfig(stage1="none", stage2="poly", candidate_size=10, shots=10)
-    result = Selector(corpus, config).select(query)
-
     qpoly = treepoly.tree_to_polynomial(query.tree, vocab)
-    oracle = []
-    for ex in corpus.examples:
-        poly = treepoly.tree_to_polynomial(ex.tree, vocab)
-        oracle.append((ex.id, treepoly.poly_distance(qpoly, poly)))
-    oracle.sort(key=lambda item: (item[1], item[0]))
-    assert result.chosen == oracle
+    for stage2, weights in (("poly", None),
+                            ("weighted_poly", treepoly.WeightProfile.error_weighted(vocab, 2.0))):
+        config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=10, shots=10)
+        result = Selector(corpus, config).select(query)
+        oracle = []
+        for ex in corpus.examples:
+            poly = treepoly.tree_to_polynomial(ex.tree, vocab)
+            oracle.append((ex.id, treepoly.poly_distance(qpoly, poly, weights)))
+        oracle.sort(key=lambda item: (item[1], item[0]))
+        assert result.chosen == oracle
 
 
 def test_tree_kernel_ranking_matches_exhaustive_oracle():
@@ -218,16 +220,17 @@ def test_poly_budget_fallbacks():
                 node("a", leaf("w"), leaf("u")))
     small = node("r", leaf("u"))
     corpus = toy_corpus([small, wide, small], vocab)
-    config = SelectionConfig(stage1="none", stage2="poly", candidate_size=3, shots=3,
-                             term_budget=6)
-    selector = Selector(corpus, config)
-    assert selector.poly_budget_ids == [1]
-
     query = query_example(node("r", leaf("u"), leaf("v")), vocab, qid=0)
-    result = selector.select(query)
-    # over-budget candidate ranks last and is flagged
-    assert result.chosen_ids()[-1] == 1
-    assert {f["kind"] for f in result.fallbacks} == {"candidate_poly_budget"}
+    for stage2 in ("weighted_poly", "poly"):
+        config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=3, shots=3,
+                                 term_budget=6)
+        selector = Selector(corpus, config)
+        assert selector.poly_budget_ids == [1]
+        result = selector.select(query)
+        # over-budget candidate ranks last and is flagged
+        assert result.chosen_ids()[-1] == 1
+        assert result.chosen[-1][1] == math.inf
+        assert result.fallbacks == [{"kind": "candidate_poly_budget", "example_id": 1}]
 
     blown_query = query_example(wide, vocab, qid=1)
     result = selector.select(blown_query)
@@ -237,6 +240,33 @@ def test_poly_budget_fallbacks():
         for ex in corpus.examples
     ]
     kernel_ranked.sort(key=lambda item: (-item[1], item[0]))
+    assert result.chosen == kernel_ranked
+
+
+def test_query_pair_budget_falls_back_to_tree_kernel(monkeypatch):
+    vocab = LabelVocab()
+    specs = [node("r", leaf("u")), node("r", node("a", leaf("u"), leaf("v"))), node("r", leaf("v"))]
+    corpus = toy_corpus(specs, vocab)
+    config = SelectionConfig(stage1="none", stage2="poly", candidate_size=3, shots=3)
+    selector = Selector(corpus, config)
+    query = query_example(node("r", leaf("u"), leaf("v")), vocab, qid=7)
+    pairs = len(treepoly.tree_to_polynomial(query.tree, vocab)) * sum(
+        len(poly) for poly in selector.polynomials)
+
+    monkeypatch.setattr(treepoly, "QUERY_PAIRS_CAP", pairs)
+    result = selector.select(query)
+    assert result.fallbacks == []
+    assert result.chosen == sorted(
+        ((ex.id, treepoly.poly_distance(treepoly.tree_to_polynomial(query.tree, vocab),
+                                        selector.polynomials[ex.id]))
+         for ex in corpus.examples), key=lambda item: (item[1], item[0]))
+
+    monkeypatch.setattr(treepoly, "QUERY_PAIRS_CAP", pairs - 1)
+    result = selector.select(query)
+    assert result.fallbacks == [{"kind": "query_pair_budget", "query_id": 7}]
+    kernel_ranked = sorted(
+        ((ex.id, treekernel.tree_kernel_similarity(query.tree, ex.tree)) for ex in corpus.examples),
+        key=lambda item: (-item[1], item[0]))
     assert result.chosen == kernel_ranked
 
 

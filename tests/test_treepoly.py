@@ -286,6 +286,64 @@ def test_distance_brute_force_oracle():
             brute_force_distance(p, q, list(weights.weights)), abs=1e-12)
 
 
+def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
+    """Bitwise equal to the double loop, blocked or not, wherever the sums are exact."""
+    rng = random.Random(41)
+    labels = ["r", "a", "b", "S", "R"]
+    vocab = LabelVocab(labels)
+    huge = tree_to_polynomial(build_tree(node("r", *[node("a", leaf("b"))] * 66), vocab), vocab)
+    assert huge.rows.dtype == object
+    profiles = [(None, [1] * (2 * vocab.d + 1), True)]
+    for weight, dyadic in ((2.0, True), (0.3, False)):
+        profile = WeightProfile.error_weighted(vocab, weight)
+        profiles.append((profile, list(profile.weights), dyadic))
+
+    def random_poly():
+        spec = random_tree_spec(rng, rng.randint(1, 9), labels)
+        return tree_to_polynomial(build_tree(spec, vocab), vocab)
+
+    for trial in range(20):
+        query = huge if trial == 0 else random_poly()
+        candidates = [random_poly() for _ in range(rng.randint(1, 8))]
+        candidates.insert(rng.randrange(len(candidates) + 1), huge)
+        for weights, ws, dyadic in profiles:
+            for candidate in candidates:
+                value = poly_distance(query, candidate, weights)
+                # blocks of a few entries split both term sets
+                monkeypatch.setattr(treepoly, "_BLOCK_ENTRIES", rng.randint(1, 40))
+                blocked = poly_distance(query, candidate, weights)
+                monkeypatch.undo()
+                want = brute_force_distance(query, candidate, ws)
+                if not dyadic or query.rows.dtype == object or candidate.rows.dtype == object:
+                    # sums with 0.3 or with huge coefficients are rounded, so the
+                    # order of the additions can show in the last bits
+                    assert value == pytest.approx(want, rel=1e-12)
+                    assert blocked == pytest.approx(want, rel=1e-12)
+                else:
+                    assert value == want == blocked  # bit for bit
+
+
+def test_int64_distance_sums_do_not_wrap():
+    big = 2**62 - 1  # still int64 rows
+    p = make_poly(2, {(1, 0, 0, 0): big, (0, 1, 0, 0): big, (0, 0, 1, 0): big, (0, 0, 0, 1): big})
+    q = make_poly(2, {(1, 1, 1, 1): 1})
+    assert p.rows.dtype == np.int64
+    want = brute_force_distance(p, q, [1] * 5)
+    assert want * 5 > 2**63  # the summed distances pass the int64 range
+    assert poly_distance(p, q) == want
+    assert poly_distance(q, p) == want
+
+
+def test_distance_cost_counts_object_rows_at_their_cost():
+    vocab = LabelVocab(["r", "a", "b"])
+    small = tree_to_polynomial(build_tree(node("r", leaf("a"), leaf("b")), vocab), vocab)
+    huge = tree_to_polynomial(build_tree(node("r", *[node("a", leaf("b"))] * 66), vocab), vocab)
+    assert small.rows.dtype == np.int64 and huge.rows.dtype == object
+    assert treepoly.distance_cost(small, small) == len(small) ** 2
+    object_cost = len(small) * len(huge) * treepoly._OBJECT_PAIR_COST
+    assert treepoly.distance_cost(small, huge) == treepoly.distance_cost(huge, small) == object_cost
+
+
 def test_huge_coefficients_fall_back_to_exact_path():
     p = make_poly(1, {(1, 0): 2**64})
     q = make_poly(1, {(1, 0): 2**64 + 5})
