@@ -20,5 +20,5 @@ from .treepoly import (  # noqa: F401
 )
 from .lexical import build_bm25, bm25_topk, build_dense, dense_topk, tokenize  # noqa: F401
 from .pipeline import SelectionConfig, SelectionResult, Selector  # noqa: F401
-from .prompt import build_chat_prompt, build_completion_prompt, extract_correction  # noqa: F401
+from .prompt import build_chat_prompt, build_completion_prompt, extract_correction_flagged  # noqa: F401
 from .gecscore import extract_edits, f_beta, parse_m2, score_corpus  # noqa: F401

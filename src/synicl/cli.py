@@ -99,28 +99,18 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_prompt(args: argparse.Namespace) -> int:
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     selections = pipeline.load_results(args.selections)
-    by_id = {ex.id: ex for ex in test.examples}
+    prompts = llmclient.selection_prompts(selections, train, test, args.style,
+                                          args.most_similar_last)
     os.makedirs(args.out, exist_ok=True)
-    if args.style == "completion":
-        for result in selections:
-            query = by_id[result.query_id]
-            text = llmclient.build_prompt_for_selection(
-                result, train, query.source, "completion", args.most_similar_last
-            )
-            with open(os.path.join(args.out, f"prompt_{result.query_id:05d}.txt"), "w",
+    if args.style == "completion":  # the flat text is the content of the one user message
+        for query, (message,) in prompts:
+            with open(os.path.join(args.out, f"prompt_{query.id:05d}.txt"), "w",
                       encoding="utf-8") as f:
-                f.write(text)
+                f.write(message["content"])
     else:
         with open(os.path.join(args.out, "prompts.jsonl"), "w", encoding="utf-8") as f:
-            for result in selections:
-                query = by_id[result.query_id]
-                messages = llmclient.build_prompt_for_selection(
-                    result, train, query.source, "chat", args.most_similar_last
-                )
-                record = {
-                    "query_id": result.query_id,
-                    "messages": [m.as_dict() for m in messages],
-                }
+            for query, messages in prompts:
+                record = {"query_id": query.id, "messages": messages}
                 f.write(json.dumps(record, ensure_ascii=False) + "\n")
     _write_manifest(args.out, "prompt", args, [args.selections])
     print(f"dumped {len(selections)} {args.style} prompts to {args.out}")
@@ -305,9 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (treebank.TreebankError, pipeline.InvalidConfig, pipeline.MissingPrecomputation,
-            pipeline.BatchSelectionError, gecscore.MalformedBlock, gecscore.LengthMismatch,
-            lexical.EmptyCorpus, lexical.DimensionMismatch, lexical.ZeroVector,
-            prompt.TagCollision, llmclient.MalformedJournal, KeyError) as exc:
+            pipeline.BatchSelectionError, pipeline.MalformedSelection, gecscore.MalformedBlock,
+            gecscore.LengthMismatch, lexical.EmptyCorpus, lexical.DimensionMismatch,
+            lexical.ZeroVector, prompt.TagCollision, llmclient.MalformedJournal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (llmclient.TransportError, llmclient.AuthFailure, llmclient.MalformedResponse) as exc:

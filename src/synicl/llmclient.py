@@ -1,5 +1,10 @@
 """Chat-completions HTTP client with retries, plus a resumable batch runner.
 
+A prompt is the list of `{"role", "content"}` message dicts that goes on
+the wire. `build_prompt_for_selection` builds it for one selection (a
+completion-style prompt is one user message holding the flat text), and it
+is sent, fingerprinted and dumped as it is.
+
 Every request is sent with temperature 0.0 and no sampling options; the
 temperature is a module constant, not a parameter, so no call site can turn
 sampling back on. Batch runs journal one JSON line per query as soon as it
@@ -17,19 +22,17 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import requests
 
-from .pipeline import SelectionResult, assemble_examples
-from .prompt import ChatMessage, build_chat_prompt, build_completion_prompt, extract_correction_flagged
-from .treebank import Corpus
+from .pipeline import MalformedSelection, SelectionResult
+from .prompt import build_chat_prompt, build_completion_prompt, extract_correction_flagged
+from .treebank import Corpus, Example
 
 TEMPERATURE = 0.0
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
-
-PromptLike = Union[str, Sequence[ChatMessage], Sequence[dict]]
 
 
 class LlmClientError(RuntimeError):
@@ -78,36 +81,10 @@ class RunRecord:
     error: Optional[str] = None
     flag: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "fingerprint": self.fingerprint,
-            "raw_output": self.raw_output,
-            "correction": self.correction,
-            "latency_ms": self.latency_ms,
-            "retry_count": self.retry_count,
-            "error": self.error,
-            "flag": self.flag,
-        }
 
-
-def _as_messages(prompt: PromptLike) -> List[dict]:
-    if isinstance(prompt, str):
-        # flat completion prompts travel as a single user message
-        return [{"role": "user", "content": prompt}]
-    out = []
-    for msg in prompt:
-        if isinstance(msg, ChatMessage):
-            out.append(msg.as_dict())
-        else:
-            out.append({"role": msg["role"], "content": msg["content"]})
-    return out
-
-
-def fingerprint(prompt: PromptLike, config: EndpointConfig) -> str:
-    """Stable hash of what a request asks: endpoint URL, model and wire-level messages."""
-    request = {"url": _completions_url(config), "model": config.model,
-               "messages": _as_messages(prompt)}
+def fingerprint(messages: List[Dict[str, str]], config: EndpointConfig) -> str:
+    """Stable hash of what a request asks: endpoint URL, model and messages."""
+    request = {"url": _completions_url(config), "model": config.model, "messages": messages}
     payload = json.dumps(request, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -116,13 +93,10 @@ def _completions_url(config: EndpointConfig) -> str:
     return config.base_url.rstrip("/") + "/chat/completions"
 
 
-def _complete_with_stats(config: EndpointConfig, prompt: PromptLike) -> Tuple[str, int]:
+def complete(config: EndpointConfig, messages: List[Dict[str, str]]) -> Tuple[str, int]:
+    """Return the model text for `messages` and the retries made, retrying transient failures."""
     url = _completions_url(config)
-    body = {
-        "model": config.model,
-        "messages": _as_messages(prompt),
-        "temperature": TEMPERATURE,
-    }
+    body = {"model": config.model, "messages": messages, "temperature": TEMPERATURE}
     headers = {}
     key = config.api_key
     if key:
@@ -160,12 +134,6 @@ def _complete_with_stats(config: EndpointConfig, prompt: PromptLike) -> Tuple[st
     except LlmClientError as exc:
         exc.retries = retries
         raise
-
-
-def complete(config: EndpointConfig, prompt: PromptLike) -> str:
-    """Return the model text for `prompt`, retrying transient failures."""
-    text, _ = _complete_with_stats(config, prompt)
-    return text
 
 
 def load_journal(path: str) -> Dict[Tuple[int, str], RunRecord]:
@@ -228,10 +196,9 @@ def _start_fresh_line(path: str) -> None:
 
 @dataclass
 class _Task:
-    query_id: int
-    prompt: PromptLike
+    query: Example
+    messages: List[Dict[str, str]]
     fingerprint: str
-    test_source: str
     cached: Optional[RunRecord] = None
 
 
@@ -241,13 +208,47 @@ def build_prompt_for_selection(
     test_source: str,
     style: str,
     most_similar_last: bool = False,
-) -> PromptLike:
-    pairs = assemble_examples(result, train_corpus, most_similar_last=most_similar_last)
+) -> List[Dict[str, str]]:
+    """The messages of one selection's prompt in `style` ("chat" or "completion").
+
+    Examples go most similar first; `most_similar_last` reverses the order.
+    Raises MalformedSelection for a chosen id outside `train_corpus`.
+    """
+    ids = result.chosen_ids()
+    bad = [ex_id for ex_id in ids if not 0 <= ex_id < len(train_corpus)]
+    if bad:
+        raise MalformedSelection(f"query {result.query_id} chose example ids {bad} outside "
+                                 f"the {len(train_corpus)}-example training corpus")
+    pairs = [(train_corpus[ex_id].source, train_corpus[ex_id].target) for ex_id in ids]
+    if most_similar_last:
+        pairs.reverse()
     if style == "completion":
-        return build_completion_prompt(pairs, test_source)
+        return [{"role": "user", "content": build_completion_prompt(pairs, test_source)}]
     if style == "chat":
         return build_chat_prompt(pairs, test_source)
     raise ValueError(f"unknown prompt style {style!r}")
+
+
+def selection_prompts(
+    selections: Sequence[SelectionResult],
+    train_corpus: Corpus,
+    queries: Corpus,
+    style: str,
+    most_similar_last: bool = False,
+) -> List[Tuple[Example, List[Dict[str, str]]]]:
+    """(query, messages) per selection, in input order.
+
+    Raises MalformedSelection for a query id that `queries` does not hold.
+    """
+    by_id = {ex.id: ex for ex in queries.examples}
+    prompts = []
+    for result in selections:
+        query = by_id.get(result.query_id)
+        if query is None:
+            raise MalformedSelection(f"selection references unknown query id {result.query_id}")
+        prompts.append((query, build_prompt_for_selection(
+            result, train_corpus, query.source, style, most_similar_last)))
+    return prompts
 
 
 def run_batch(
@@ -269,22 +270,17 @@ def run_batch(
     correction) and the batch goes on, except an AuthFailure: it is
     journaled, no further request starts, and it is re-raised.
     """
-    by_id = {ex.id: ex for ex in queries.examples}
     existing = load_journal(journal_path)
 
     tasks: List[_Task] = []
-    for result in selections:
-        query = by_id.get(result.query_id)
-        if query is None:
-            raise KeyError(f"selection references unknown query id {result.query_id}")
-        prompt = build_prompt_for_selection(
-            result, train_corpus, query.source, style, most_similar_last
-        )
-        fp = fingerprint(prompt, config)
-        cached = existing.get((result.query_id, fp))
+    for query, messages in selection_prompts(
+        selections, train_corpus, queries, style, most_similar_last
+    ):
+        fp = fingerprint(messages, config)
+        cached = existing.get((query.id, fp))
         if cached is not None and cached.error is not None:
             cached = None  # retry failures
-        tasks.append(_Task(result.query_id, prompt, fp, query.source, cached))
+        tasks.append(_Task(query, messages, fp, cached))
 
     journal_lock = threading.Lock()
     os.makedirs(os.path.dirname(os.path.abspath(journal_path)), exist_ok=True)
@@ -300,10 +296,10 @@ def run_batch(
             return None  # the endpoint refused the credentials: start no more requests
         start = time.monotonic()
         try:
-            raw, retries = _complete_with_stats(config, task.prompt)
-            correction, flag = extract_correction_flagged(raw, task.test_source)
+            raw, retries = complete(config, task.messages)
+            correction, flag = extract_correction_flagged(raw, task.query.source)
             record = RunRecord(
-                query_id=task.query_id,
+                query_id=task.query.id,
                 fingerprint=task.fingerprint,
                 raw_output=raw,
                 correction=correction,
@@ -313,10 +309,10 @@ def run_batch(
             )
         except LlmClientError as exc:
             record = RunRecord(
-                query_id=task.query_id,
+                query_id=task.query.id,
                 fingerprint=task.fingerprint,
                 raw_output="",
-                correction=task.test_source,
+                correction=task.query.source,
                 latency_ms=(time.monotonic() - start) * 1000.0,
                 retry_count=exc.retries,
                 error=f"{type(exc).__name__}: {exc}",
@@ -324,7 +320,7 @@ def run_batch(
             if isinstance(exc, AuthFailure):
                 auth_failures.append(exc)
         with journal_lock:
-            journal.write(json.dumps(record.as_dict(), ensure_ascii=False) + "\n")
+            journal.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")
             journal.flush()
         return record
 

@@ -32,6 +32,11 @@ class MissingPrecomputation(RuntimeError):
     pass
 
 
+class MalformedSelection(ValueError):
+    """A selections record that is not what export_results writes, or one that
+    names a query or example the loaded corpora do not hold."""
+
+
 class BatchSelectionError(RuntimeError):
     """Raised by select_batch after the batch finishes with per-query failures."""
 
@@ -104,7 +109,6 @@ class Selector:
             self.dense = lexical.build_dense(corpus)
 
         self.polynomials: Optional[List[Optional[treepoly.Polynomial]]] = None
-        self.poly_budget_ids: List[int] = []
         self.weights: Optional[treepoly.WeightProfile] = None
         if config.stage2 in ("poly", "weighted_poly"):
             self.polynomials = []
@@ -115,7 +119,6 @@ class Selector:
                     )
                 except treepoly.TermBudgetExceeded:
                     self.polynomials.append(None)
-                    self.poly_budget_ids.append(ex.id)
             if config.stage2 == "weighted_poly":
                 self.weights = treepoly.WeightProfile.error_weighted(
                     corpus.vocab, config.error_weight
@@ -222,22 +225,6 @@ class Selector:
         return [result for result, _ in outcomes]
 
 
-def assemble_examples(
-    result: SelectionResult, train_corpus: Corpus, most_similar_last: bool = False
-) -> List[Tuple[str, str]]:
-    """(source, target) pairs of the chosen examples in prompt order.
-
-    Default order is most similar first; `most_similar_last` reverses it.
-    """
-    pairs = [
-        (train_corpus[ex_id].source, train_corpus[ex_id].target)
-        for ex_id in result.chosen_ids()
-    ]
-    if most_similar_last:
-        pairs.reverse()
-    return pairs
-
-
 def export_results(
     results: Sequence[SelectionResult], config: SelectionConfig, path: str
 ) -> None:
@@ -255,15 +242,33 @@ def export_results(
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_results(path: str) -> List[SelectionResult]:
+    """Read the records of export_results; a malformed line raises MalformedSelection."""
     results = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            record = json.loads(line)
+        for number, line in enumerate(f, 1):
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise MalformedSelection(f"{path} line {number}: not JSON ({exc})") from exc
+            if not (isinstance(record, dict) and _is_int(record.get("query_id"))
+                    and _is_int(record.get("stage1_pool_size"))
+                    and isinstance(record.get("chosen"), list)
+                    and all(isinstance(row, list) and len(row) == 2 and _is_int(row[0])
+                            and (_is_int(row[1]) or isinstance(row[1], float))
+                            for row in record["chosen"])):
+                raise MalformedSelection(
+                    f"{path} line {number}: not a selection record (int query_id and "
+                    "stage1_pool_size, chosen as [[int id, score], ...])"
+                )
             results.append(
                 SelectionResult(
                     query_id=record["query_id"],
-                    chosen=[(int(i), float(s)) for i, s in record["chosen"]],
+                    chosen=[(ex_id, float(score)) for ex_id, score in record["chosen"]],
                     stage1_pool_size=record["stage1_pool_size"],
                     fallbacks=record.get("fallbacks", []),
                 )

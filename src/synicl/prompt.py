@@ -1,16 +1,18 @@
 """Few-shot prompt rendering and model-output extraction.
 
-Two render styles: a flat completion prompt (instruction paragraph followed
-by tagged example lines) and a chat message sequence (system instruction,
-then one user/assistant pair per example). Both wrap sentences in
+A prompt is a list of chat messages, each a `{"role", "content"}` dict in
+the form the endpoint receives. Two render styles: a chat sequence (system
+instruction, then one user/assistant pair per example, then the test
+source as a user turn) and a flat completion text (instruction paragraph
+followed by tagged example lines), which travels as the content of a
+single user message. Both wrap sentences in
 '<erroneous sentence>'/'<corrected sentence>' tags; extraction reverses the
 convention with deterministic fallbacks for untagged model output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 OPEN_ERR = "<erroneous sentence>"
 CLOSE_ERR = "</erroneous sentence>"
@@ -42,15 +44,6 @@ class TagCollision(ValueError):
     pass
 
 
-@dataclass
-class ChatMessage:
-    role: str  # system | user | assistant
-    content: str
-
-    def as_dict(self) -> dict:
-        return {"role": self.role, "content": self.content}
-
-
 def _check_tags(sentence: str) -> str:
     for tag in _ALL_TAGS:
         if tag in sentence:
@@ -75,46 +68,26 @@ def build_completion_prompt(examples: Sequence[Tuple[str, str]], test_source: st
 
 def build_chat_prompt(
     examples: Sequence[Tuple[str, str]], test_source: str
-) -> List[ChatMessage]:
+) -> List[Dict[str, str]]:
     """Chat prompt: system message, one user/assistant pair per example,
     final user message carrying the test source."""
-    messages = [ChatMessage("system", CHAT_SYSTEM)]
+    messages = [{"role": "system", "content": CHAT_SYSTEM}]
     for source, target in examples:
-        messages.append(ChatMessage("user", f"{OPEN_ERR} {_check_tags(source)} {CLOSE_ERR}"))
-        messages.append(ChatMessage("assistant", f"{OPEN_COR} {_check_tags(target)} {CLOSE_COR}"))
-    messages.append(ChatMessage("user", f"{OPEN_ERR} {_check_tags(test_source)} {CLOSE_ERR}"))
+        messages.append({"role": "user", "content": f"{OPEN_ERR} {_check_tags(source)} {CLOSE_ERR}"})
+        messages.append({"role": "assistant",
+                         "content": f"{OPEN_COR} {_check_tags(target)} {CLOSE_COR}"})
+    messages.append({"role": "user", "content": f"{OPEN_ERR} {_check_tags(test_source)} {CLOSE_ERR}"})
     return messages
 
 
-def validate_chat_messages(messages: Sequence[ChatMessage]) -> None:
-    """Check the role protocol: system first, strict user/assistant turns, user last."""
-    if not messages or messages[0].role != "system":
-        raise ValueError("first message must be the system instruction")
-    rest = messages[1:]
-    if not rest or rest[-1].role != "user":
-        raise ValueError("final message must be a user turn")
-    for i, msg in enumerate(rest):
-        expected = "user" if i % 2 == 0 else "assistant"
-        if msg.role != expected:
-            raise ValueError(f"message {i + 1} has role {msg.role!r}, expected {expected!r}")
-
-
-def extract_correction(raw_output: str, test_source: str) -> str:
-    """Pull the corrected sentence out of raw model output.
+def extract_correction_flagged(raw_output: str, test_source: str) -> Tuple[str, Optional[str]]:
+    """Pull the corrected sentence out of raw model output, with a flag
+    naming the fallback rule that fired.
 
     Precedence: tagged text, then the 'No errors found' convention (returns
     the test source unchanged), then the first non-empty line. Empty output
-    falls back to the test source.
-    """
-    text, _ = extract_correction_flagged(raw_output, test_source)
-    return text
-
-
-def extract_correction_flagged(raw_output: str, test_source: str) -> Tuple[str, Optional[str]]:
-    """extract_correction plus a flag naming the fallback rule that fired.
-
-    Flags: None (clean tagged output), "unclosed_tag", "no_errors_found",
-    "untagged_first_line", "empty_output".
+    falls back to the test source. Flags: None (clean tagged output),
+    "unclosed_tag", "no_errors_found", "untagged_first_line", "empty_output".
     """
     if raw_output is None or raw_output.strip() == "":
         return test_source, "empty_output"

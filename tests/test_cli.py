@@ -196,6 +196,98 @@ def test_prompt_chat_style_jsonl(bundles):
         assert row["messages"][-1]["role"] == "user"
 
 
+def select_for_prompts(bundles, name, *flags):
+    out = str(bundles["tmp"] / name)
+    assert main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                 "--stage1", "bm25", "--stage2", "tk", "--candidates", "12", "--shots", "2",
+                 "--out", out, *flags]) == 0
+    return os.path.join(out, "selections.jsonl")
+
+
+def reversed_pairs(items):
+    return [x for i in range(len(items) - 2, -1, -2) for x in items[i:i + 2]]
+
+
+def test_prompt_dumps_what_run_sends(bundles, mock_endpoint):
+    selections = select_for_prompts(bundles, "sel_same")
+    with open(selections, encoding="utf-8") as f:
+        query_ids = [json.loads(line)["query_id"] for line in f]
+    sent = {}
+    for style in ("chat", "completion"):
+        for order in ([], ["--most-similar-last"]):
+            common = ["--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                      "--selections", selections, "--style", style, *order]
+            prompt_out = bundles["tmp"] / f"prompts_{style}{len(order)}"
+            assert main(["prompt", *common, "--out", str(prompt_out)]) == 0
+            server = mock_endpoint(reply_fn=lambda body: "ok")
+            assert main(["run", *common, "--base-url", server.base_url, "--model", "mock",
+                         "--jobs", "1", "--out", str(bundles["tmp"] / f"run_{style}{len(order)}")]) == 0
+            bodies = [body["messages"] for body in server.requests]
+            if style == "chat":
+                with open(prompt_out / "prompts.jsonl", encoding="utf-8") as f:
+                    rows = [json.loads(line) for line in f]
+                assert [row["query_id"] for row in rows] == query_ids
+                assert [row["messages"] for row in rows] == bodies
+            else:
+                assert sorted(os.listdir(prompt_out)) == sorted(
+                    [f"prompt_{qid:05d}.txt" for qid in query_ids] + ["manifest.json"])
+                for qid, messages in zip(query_ids, bodies):
+                    text = (prompt_out / f"prompt_{qid:05d}.txt").read_text(encoding="utf-8")
+                    assert messages == [{"role": "user", "content": text}]
+            sent[style, bool(order)] = bodies
+    for forward, backward in zip(sent["chat", False], sent["chat", True]):
+        assert forward[0] == backward[0] and forward[-1] == backward[-1]
+        assert forward[1:-1] == reversed_pairs(backward[1:-1]) != backward[1:-1]
+    for forward, backward in zip(sent["completion", False], sent["completion", True]):
+        forward, backward = forward[0]["content"].split("\n"), backward[0]["content"].split("\n")
+        assert forward[1:-2] == reversed_pairs(backward[1:-2]) != backward[1:-2]
+
+
+def truncate(text):
+    return text[: len(text) - 10]
+
+
+def edit_first_row(query_id=None, chosen_id=None):
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        row = json.loads(first)
+        if query_id is not None:
+            row["query_id"] = query_id
+        if chosen_id is not None:
+            row["chosen"][0][0] = chosen_id
+        return json.dumps(row) + "\n" + rest
+    return apply
+
+
+BAD_SELECTIONS = {
+    "truncated": (truncate, "line 3: not JSON"),
+    "unknown-query": (edit_first_row(query_id=99), "unknown query id 99"),
+    "negative-id": (edit_first_row(chosen_id=-1), "[-1]"),
+    "id-past-end": (edit_first_row(chosen_id=999), "[999]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SELECTIONS))
+@pytest.mark.parametrize("command", ["prompt", "run"])
+def test_bad_selections_exit_1(bundles, mock_endpoint, capsys, command, case):
+    edit, message = BAD_SELECTIONS[case]
+    selections = select_for_prompts(bundles, "sel_bad")
+    with open(selections, encoding="utf-8") as f:
+        text = f.read()
+    with open(selections, "w", encoding="utf-8") as f:
+        f.write(edit(text))
+    capsys.readouterr()
+    server = mock_endpoint(reply_fn=lambda body: "ok")
+    args = [command, "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+            "--selections", selections, "--style", "chat", "--out", str(bundles["tmp"] / "out")]
+    if command == "run":
+        args += ["--base-url", server.base_url, "--model", "mock"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert server.requests == []
+
+
 def test_run_and_score_flow(bundles, mock_endpoint):
     sel_dir = str(bundles["tmp"] / "sel_r")
     main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],

@@ -1,23 +1,25 @@
 import json
 
 import pytest
+import requests
 
-from synicl import llmclient
 from synicl.llmclient import (
     AuthFailure,
     EndpointConfig,
     MalformedJournal,
     MalformedResponse,
     TransportError,
+    build_prompt_for_selection,
     complete,
     fingerprint,
     load_journal,
     run_batch,
 )
-from synicl.pipeline import SelectionConfig, Selector
-from synicl.prompt import build_chat_prompt
+from synicl.pipeline import MalformedSelection, SelectionConfig, SelectionResult, Selector
+from synicl.prompt import build_chat_prompt, build_completion_prompt
 
 from conftest import make_synth_corpus, mock_endpoint  # noqa: F401 (fixture)
+from test_prompt import FOUR_SHOT_EXAMPLES, TEST_SOURCE
 
 
 def config_for(server, **kwargs):
@@ -27,13 +29,21 @@ def config_for(server, **kwargs):
     return EndpointConfig(**defaults)
 
 
+def user(text):
+    return [{"role": "user", "content": text}]
+
+
 def test_completion_prompt_travels_as_single_user_message(mock_endpoint):
+    train = make_synth_corpus(4, seed=60)
+    result = SelectionResult(query_id=0, chosen=[(2, 1.0), (0, 0.5)], stage1_pool_size=4)
+    messages = build_prompt_for_selection(result, train, "fix this sentence", "completion")
+    pairs = [(train[i].source, train[i].target) for i in (2, 0)]
+    assert messages == user(build_completion_prompt(pairs, "fix this sentence"))
     server = mock_endpoint(reply_fn=lambda body: "echo")
-    text = complete(config_for(server), "fix this sentence")
-    assert text == "echo"
+    assert complete(config_for(server), messages) == ("echo", 0)
     assert len(server.requests) == 1
     body = server.requests[0]
-    assert body["messages"] == [{"role": "user", "content": "fix this sentence"}]
+    assert body["messages"] == messages
     assert body["model"] == "test-model"
 
 
@@ -41,14 +51,13 @@ def test_chat_messages_travel_verbatim(mock_endpoint):
     server = mock_endpoint(reply_fn=lambda body: "ok")
     messages = build_chat_prompt([("a", "b")], "c")
     complete(config_for(server), messages)
-    sent = server.requests[0]["messages"]
-    assert sent == [m.as_dict() for m in messages]
+    assert server.requests[0]["messages"] == messages
 
 
 def test_temperature_always_zero_on_the_wire(mock_endpoint):
     server = mock_endpoint(reply_fn=lambda body: "ok")
     cfg = config_for(server)
-    complete(cfg, "one")
+    complete(cfg, user("one"))
     complete(cfg, build_chat_prompt([], "two"))
     assert len(server.requests) == 2
     for body in server.requests:
@@ -59,7 +68,7 @@ def test_temperature_always_zero_on_the_wire(mock_endpoint):
 
 def test_retry_on_429_then_success(mock_endpoint):
     server = mock_endpoint(reply_fn=lambda body: "recovered", status_plan=[429, 429])
-    text, retries = llmclient._complete_with_stats(config_for(server), "x")
+    text, retries = complete(config_for(server), user("x"))
     assert text == "recovered"
     assert retries == 2
     assert len(server.requests) == 3
@@ -68,46 +77,77 @@ def test_retry_on_429_then_success(mock_endpoint):
 def test_retries_exhausted_raises_transport(mock_endpoint):
     server = mock_endpoint(status_plan=[503] * 10)
     with pytest.raises(TransportError, match="after 3 retries"):
-        complete(config_for(server), "x")
+        complete(config_for(server), user("x"))
     assert len(server.requests) == 4  # initial try + 3 retries
 
 
 def test_auth_failure_not_retried(mock_endpoint):
     server = mock_endpoint(status_plan=[401])
     with pytest.raises(AuthFailure):
-        complete(config_for(server), "x")
+        complete(config_for(server), user("x"))
     assert len(server.requests) == 1
 
 
 def test_malformed_body_raises(mock_endpoint):
     server = mock_endpoint(raw_body=b"this is not json")
     with pytest.raises(MalformedResponse):
-        complete(config_for(server), "x")
+        complete(config_for(server), user("x"))
     server2 = mock_endpoint(raw_body=json.dumps({"choices": []}).encode())
     with pytest.raises(MalformedResponse):
-        complete(config_for(server2), "x")
+        complete(config_for(server2), user("x"))
 
 
 def test_api_key_header(mock_endpoint, monkeypatch):
     server = mock_endpoint(reply_fn=lambda body: "ok")
     monkeypatch.setenv("TEST_LLM_KEY", "sk-secret")
-    complete(config_for(server, api_key_env="TEST_LLM_KEY"), "x")
+    complete(config_for(server, api_key_env="TEST_LLM_KEY"), user("x"))
     # header capture is not exposed by the mock; just assert the env hookup
     assert config_for(server, api_key_env="TEST_LLM_KEY").api_key == "sk-secret"
 
 
 def test_fingerprint_stable_and_prompt_sensitive():
     cfg = EndpointConfig(base_url="http://host/v1", model="m")
-    one = fingerprint("same prompt", cfg)
-    assert fingerprint("same prompt", cfg) == one
-    assert fingerprint("different prompt", cfg) != one
+    one = fingerprint(user("same prompt"), cfg)
+    assert fingerprint(user("same prompt"), cfg) == one
+    assert fingerprint(user("different prompt"), cfg) != one
     chat = build_chat_prompt([("a", "b")], "c")
     assert fingerprint(chat, cfg) == fingerprint(build_chat_prompt([("a", "b")], "c"), cfg)
     assert fingerprint(chat, cfg) != fingerprint(build_chat_prompt([("a", "x")], "c"), cfg)
     # the model and the endpoint are part of the request, a trailing slash is not
-    assert fingerprint("same prompt", EndpointConfig(base_url="http://host/v1", model="n")) != one
-    assert fingerprint("same prompt", EndpointConfig(base_url="http://other/v1", model="m")) != one
-    assert fingerprint("same prompt", EndpointConfig(base_url="http://host/v1/", model="m")) == one
+    same = user("same prompt")
+    assert fingerprint(same, EndpointConfig(base_url="http://host/v1", model="n")) != one
+    assert fingerprint(same, EndpointConfig(base_url="http://other/v1", model="m")) != one
+    assert fingerprint(same, EndpointConfig(base_url="http://host/v1/", model="m")) == one
+
+
+PINNED_CONFIG = EndpointConfig(base_url="http://127.0.0.1:8000/v1", model="gec-model")
+
+
+def test_fingerprints_match_journals_written_by_earlier_versions():
+    chat = build_chat_prompt(FOUR_SHOT_EXAMPLES, TEST_SOURCE)
+    completion = user(build_completion_prompt(FOUR_SHOT_EXAMPLES, TEST_SOURCE))
+    assert fingerprint(chat, PINNED_CONFIG) == (
+        "4f605f83d2be297bcfb7968f8a6065666e8bc509e381ae753edc2cf5a84ebef2")
+    assert fingerprint(completion, PINNED_CONFIG) == (
+        "ecdfc0d5ee4b983931972c93c1348e81315cd5ce056c0d67395c22fde180ed9e")
+
+
+def test_build_prompt_for_selection_order_flag_and_bounds():
+    corpus = make_synth_corpus(10, seed=81)
+    config = SelectionConfig(stage1="bm25", stage2="none", candidate_size=10, shots=3)
+    result = Selector(corpus, config).select(make_synth_corpus(1, seed=82, vocab=corpus.vocab)[0])
+    first = corpus[result.chosen_ids()[0]]
+    forward = build_prompt_for_selection(result, corpus, "t", "chat")
+    backward = build_prompt_for_selection(result, corpus, "t", "chat", most_similar_last=True)
+    # system, then three user/assistant pairs, then the test source
+    assert forward[1:7] == [m for i in (5, 3, 1) for m in backward[i:i + 2]]
+    assert forward[1]["content"] == f"<erroneous sentence> {first.source} </erroneous sentence>"
+    assert backward[-3]["content"] == forward[1]["content"]
+    for bad_id in (-1, len(corpus)):
+        bad = SelectionResult(query_id=0, chosen=[(0, 1.0), (bad_id, 0.5)], stage1_pool_size=2)
+        for style in ("chat", "completion"):
+            with pytest.raises(MalformedSelection, match=str(bad_id)):
+                build_prompt_for_selection(bad, corpus, "t", style)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +323,28 @@ def test_journal_hits_need_the_same_model(tmp_path, mock_endpoint):
     again = run_batch(config_for(server, model="model-a"), selections, train, test, "chat", journal)
     assert len(server.requests) == 6
     assert all(r.raw_output == "model-a" for r in again)
+
+
+# One query (id 0) of batch_setup(n_test=1), journaled in chat and completion style
+# against PINNED_CONFIG by an earlier version of run_batch.
+EARLIER_JOURNAL = """\
+{"query_id": 0, "fingerprint": "426f75c299bce61252f18fc14f02a7fc4eb0684e2930eed235ab444289c8352f", \
+"raw_output": "<corrected sentence> fixed . </corrected sentence>", "correction": "fixed .", \
+"latency_ms": 0.04469299892662093, "retry_count": 0, "error": null, "flag": null}
+{"query_id": 0, "fingerprint": "41638492ce273e33c012448e5ef674598c76be2058a497facf7b668523af24cc", \
+"raw_output": "<corrected sentence> fixed . </corrected sentence>", "correction": "fixed .", \
+"latency_ms": 0.017506004951428622, "retry_count": 0, "error": null, "flag": null}
+"""
+
+
+def test_journals_written_by_earlier_versions_resume(tmp_path, monkeypatch):
+    train, test, selections = batch_setup(n_test=1)
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(EARLIER_JOURNAL, encoding="utf-8")
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(args))
+    for style in ("chat", "completion"):
+        (record,) = run_batch(PINNED_CONFIG, selections, train, test, style, str(journal))
+        assert record.correction == "fixed ." and record.error is None
+    assert posts == []
+    assert journal.read_text(encoding="utf-8") == EARLIER_JOURNAL

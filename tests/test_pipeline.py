@@ -11,8 +11,8 @@ from synicl.pipeline import (
     InvalidConfig,
     MissingPrecomputation,
     SelectionConfig,
+    MalformedSelection,
     Selector,
-    assemble_examples,
     export_results,
     load_results,
 )
@@ -225,7 +225,7 @@ def test_poly_budget_fallbacks():
         config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=3, shots=3,
                                  term_budget=6)
         selector = Selector(corpus, config)
-        assert selector.poly_budget_ids == [1]
+        assert selector.polynomials[1] is None
         result = selector.select(query)
         # over-budget candidate ranks last and is flagged
         assert result.chosen_ids()[-1] == 1
@@ -295,16 +295,6 @@ def test_batch_aggregates_failures_with_query_ids():
     assert "query 77" in str(excinfo.value)
 
 
-def test_assemble_examples_order_flag():
-    corpus = make_synth_corpus(10, seed=81)
-    config = SelectionConfig(stage1="bm25", stage2="none", candidate_size=10, shots=3)
-    result = Selector(corpus, config).select(make_synth_corpus(1, seed=82, vocab=corpus.vocab)[0])
-    forward = assemble_examples(result, corpus)
-    backward = assemble_examples(result, corpus, most_similar_last=True)
-    assert forward == list(reversed(backward))
-    assert forward[0][0] == corpus[result.chosen_ids()[0]].source
-
-
 def test_export_and_load_results_roundtrip(tmp_path):
     corpus = make_synth_corpus(20, seed=91)
     queries = make_synth_corpus(4, seed=92, vocab=corpus.vocab)
@@ -318,3 +308,26 @@ def test_export_and_load_results_roundtrip(tmp_path):
     with open(path, encoding="utf-8") as f:
         first = json.loads(f.readline())
     assert first["stage1"] == "bm25" and first["stage2"] == "tree_kernel"
+
+
+def test_load_results_rejects_malformed_lines(tmp_path):
+    path = tmp_path / "selections.jsonl"
+    good = json.dumps({"query_id": 0, "chosen": [[1, 0.5], [2, 3]], "stage1_pool_size": 4})
+    path.write_text(good + "\n", encoding="utf-8")
+    assert load_results(str(path))[0].chosen == [(1, 0.5), (2, 3.0)]
+    bad_lines = [
+        good[:-5],  # truncated
+        "[1, 2]",
+        json.dumps({"chosen": [[1, 0.5]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": True, "chosen": [[1, 0.5]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": [[1.0, 0.5]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": [[1, "0.5"]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": [[1, 0.5, 2]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": [[False, 0.5]], "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": {"1": 0.5}, "stage1_pool_size": 4}),
+        json.dumps({"query_id": 0, "chosen": [[1, 0.5]]}),
+    ]
+    for bad in bad_lines:
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(MalformedSelection, match=r"selections\.jsonl line 2"):
+            load_results(str(path))

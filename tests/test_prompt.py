@@ -9,9 +9,7 @@ from synicl.prompt import (
     TagCollision,
     build_chat_prompt,
     build_completion_prompt,
-    extract_correction,
     extract_correction_flagged,
-    validate_chat_messages,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -55,7 +53,7 @@ def test_twenty_extraction_fixtures():
     assert len(EXTRACTION_FIXTURES) == 20
     for raw, expected in EXTRACTION_FIXTURES:
         want = TEST_SOURCE if expected is SRC else expected
-        assert extract_correction(raw, TEST_SOURCE) == want, raw
+        assert extract_correction_flagged(raw, TEST_SOURCE)[0] == want, raw
 
 
 def test_extraction_flags():
@@ -75,7 +73,7 @@ def test_completion_golden():
 
 def test_chat_golden():
     rendered = build_chat_prompt(FOUR_SHOT_EXAMPLES, TEST_SOURCE)
-    as_json = json.dumps([m.as_dict() for m in rendered], ensure_ascii=False, indent=2)
+    as_json = json.dumps(rendered, ensure_ascii=False, indent=2)
     with open(os.path.join(GOLDEN_DIR, "chat_4shot.json"), encoding="utf-8") as f:
         golden = f.read()
     assert as_json == golden
@@ -106,29 +104,13 @@ def test_chat_structure_counts_and_alternation():
     for k in range(0, 7):
         examples = [(f"bad {i}", f"good {i}") for i in range(k)]
         messages = build_chat_prompt(examples, "test sentence")
-        assert len(messages) == 2 * k + 2
-        validate_chat_messages(messages)
-        assert messages[0].role == "system"
-        assert messages[0].content == CHAT_SYSTEM
-        assert messages[-1].role == "user"
+        assert [m["role"] for m in messages] == ["system"] + ["user", "assistant"] * k + ["user"]
+        assert all(set(m) == {"role", "content"} for m in messages)
+        assert messages[0]["content"] == CHAT_SYSTEM
+        assert messages[-1]["content"] == "<erroneous sentence> test sentence </erroneous sentence>"
         for i, (source, target) in enumerate(examples):
-            assert messages[1 + 2 * i].content == f"<erroneous sentence> {source} </erroneous sentence>"
-            assert messages[2 + 2 * i].content == f"<corrected sentence> {target} </corrected sentence>"
-
-
-def test_validate_chat_rejects_bad_sequences():
-    from synicl.prompt import ChatMessage
-
-    with pytest.raises(ValueError):
-        validate_chat_messages([])
-    with pytest.raises(ValueError):
-        validate_chat_messages([ChatMessage("user", "x")])
-    with pytest.raises(ValueError):
-        validate_chat_messages([ChatMessage("system", "s"), ChatMessage("assistant", "a")])
-    with pytest.raises(ValueError):
-        validate_chat_messages(
-            [ChatMessage("system", "s"), ChatMessage("user", "u"), ChatMessage("assistant", "a")]
-        )
+            assert messages[1 + 2 * i]["content"] == f"<erroneous sentence> {source} </erroneous sentence>"
+            assert messages[2 + 2 * i]["content"] == f"<corrected sentence> {target} </corrected sentence>"
 
 
 def test_tag_collision_rejected():
@@ -148,4 +130,4 @@ def test_extraction_roundtrip_over_targets():
     ]
     for target in targets:
         echoed = f"<corrected sentence> {target} </corrected sentence>"
-        assert extract_correction(echoed, "unused source") == target
+        assert extract_correction_flagged(echoed, "unused source") == (target, None)
