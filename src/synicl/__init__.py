@@ -11,7 +11,7 @@ from .treebank import (  # noqa: F401
     load_corpus,
     parse_conllu,
 )
-from .treekernel import comp_sim, tree_kernel_similarity  # noqa: F401
+from .treekernel import tree_kernel_similarity  # noqa: F401
 from .treepoly import (  # noqa: F401
     Polynomial,
     WeightProfile,

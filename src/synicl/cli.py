@@ -2,6 +2,15 @@
 
 Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 3 remote-endpoint failure.
+
+`select`, `prompt` and `run` record in their manifest.json the content hash
+of each bundle's examples file. `prompt` and `run` first compare the
+bundles they are given with the hashes in the manifest.json beside the
+selections file, and exit 1 on a mismatch, before any prompt is built:
+selections index examples by position, so another bundle would silently
+give other examples. A selections file with no such manifest (written by
+hand, moved away from it, or written before the hashes were recorded) is
+used unchecked, after a warning on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import statistics
 import sys
 import time
 from datetime import datetime, timezone
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import __version__, gecscore, lexical, llmclient, pipeline, prompt, treebank
 
@@ -31,7 +40,8 @@ _STAGE2_FLAG_TO_METHOD = {
 }
 
 
-def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: List[str]) -> None:
+def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: List[str],
+                    bundle_hashes: Optional[Dict[str, str]] = None) -> None:
     manifest = {
         "tool": "synicl",
         "version": __version__,
@@ -40,6 +50,8 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace, inputs
         "input_hashes": {path: treebank.content_hash([path]) for path in inputs if os.path.isfile(path)},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    if bundle_hashes is not None:
+        manifest["bundle_hashes"] = bundle_hashes
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -51,6 +63,42 @@ def _load_bundles(train_dir: str, test_dir: str):
     train = treebank.load_bundle(train_dir, vocab)
     test = treebank.load_bundle(test_dir, vocab)
     return train, test
+
+
+def _bundle_hashes(args: argparse.Namespace) -> Dict[str, str]:
+    """Content hash of the examples file of the train and the test bundle."""
+    return {flag: treebank.content_hash([os.path.join(getattr(args, flag),
+                                                      treebank.BUNDLE_EXAMPLES)])
+            for flag in ("train_bundle", "test_bundle")}
+
+
+def _check_selection_bundles(args: argparse.Namespace) -> Dict[str, str]:
+    """The bundles' hashes, after checking them against the selections' manifest.
+
+    Raises MalformedSelection when a bundle differs from the one the
+    selections were made from; warns when no manifest records the hashes.
+    """
+    hashes = _bundle_hashes(args)
+    path = os.path.join(os.path.dirname(os.path.abspath(args.selections)), "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except FileNotFoundError:
+        manifest = {}
+    except ValueError as exc:
+        raise pipeline.MalformedSelection(f"{path}: not a JSON manifest ({exc})") from exc
+    recorded = manifest.get("bundle_hashes") if isinstance(manifest, dict) else None
+    if not isinstance(recorded, dict):
+        print(f"warning: no bundle hashes in {path}; {args.selections} is not checked against "
+              "the bundles", file=sys.stderr)
+        return hashes
+    for flag, digest in hashes.items():
+        if recorded.get(flag) != digest:
+            raise pipeline.MalformedSelection(
+                f"{args.selections} was selected from another --{flag.replace('_', '-')} than "
+                f"{getattr(args, flag)} (recorded hash {str(recorded.get(flag))[:12]}, "
+                f"this bundle {digest[:12]})")
+    return hashes
 
 
 def _selection_config(args: argparse.Namespace) -> pipeline.SelectionConfig:
@@ -82,6 +130,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
+    hashes = _bundle_hashes(args)
     config = _selection_config(args)
     selector = pipeline.Selector(train, config)
     queries = test.examples[: args.limit] if args.limit else test.examples
@@ -89,7 +138,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "selections.jsonl")
     pipeline.export_results(results, config, out_path)
-    _write_manifest(args.out, "select", args, [])
+    _write_manifest(args.out, "select", args, [], hashes)
     fallbacks = sum(len(r.fallbacks) for r in results)
     print(f"selected examples for {len(results)} queries -> {out_path}"
           + (f" ({fallbacks} fallbacks)" if fallbacks else ""))
@@ -97,6 +146,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
+    hashes = _check_selection_bundles(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     selections = pipeline.load_results(args.selections)
     prompts = llmclient.selection_prompts(selections, train, test, args.style,
@@ -112,12 +162,13 @@ def cmd_prompt(args: argparse.Namespace) -> int:
             for query, messages in prompts:
                 record = {"query_id": query.id, "messages": messages}
                 f.write(json.dumps(record, ensure_ascii=False) + "\n")
-    _write_manifest(args.out, "prompt", args, [args.selections])
+    _write_manifest(args.out, "prompt", args, [args.selections], hashes)
     print(f"dumped {len(selections)} {args.style} prompts to {args.out}")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    hashes = _check_selection_bundles(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     selections = pipeline.load_results(args.selections)
     os.makedirs(args.out, exist_ok=True)
@@ -138,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(hyp_path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(record.correction.replace("\n", " ") + "\n")
-    _write_manifest(args.out, "run", args, [args.selections])
+    _write_manifest(args.out, "run", args, [args.selections], hashes)
     failed = [r for r in records if r.error is not None]
     print(f"ran {len(records)} queries ({len(failed)} failed) -> {hyp_path}")
     if failed:
@@ -247,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render prompts for existing selections (no endpoint calls)")
     p.add_argument("--train-bundle", required=True)
     p.add_argument("--test-bundle", required=True)
-    p.add_argument("--selections", required=True, help="selections.jsonl from `synicl select`")
+    p.add_argument("--selections", required=True,
+                   help="selections.jsonl from `synicl select`; the bundles must be the ones "
+                   "its manifest.json records")
     p.add_argument("--style", required=True, choices=["completion", "chat"])
     p.add_argument("--most-similar-last", action="store_true",
                    help="put the most similar example nearest the test input")
@@ -258,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query a chat-completions endpoint for every selection")
     p.add_argument("--train-bundle", required=True)
     p.add_argument("--test-bundle", required=True)
-    p.add_argument("--selections", required=True)
+    p.add_argument("--selections", required=True,
+                   help="selections.jsonl from `synicl select`; the bundles must be the ones "
+                   "its manifest.json records")
     p.add_argument("--style", required=True, choices=["completion", "chat"])
     p.add_argument("--base-url", required=True, help="endpoint base URL")
     p.add_argument("--model", required=True, help="model name sent in requests")

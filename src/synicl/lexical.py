@@ -17,7 +17,7 @@ scores equal those of scoring each row with its own `np.dot`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,17 +44,21 @@ def tokenize(text: str) -> List[str]:
 
 @dataclass
 class Bm25Index:
-    """Inverted index with the statistics needed for Okapi scoring."""
+    """Inverted index holding each posting's Okapi term weight.
+
+    A posting's weight is its whole contribution to the document's score,
+    idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), computed
+    once here with the same operations in the same order as a per-query
+    evaluation, so a query only adds weights.
+    """
 
     n_docs: int
     doc_lengths: np.ndarray
     avg_doc_length: float
     k1: float
     b: float
-    postings: Dict[str, Tuple[np.ndarray, np.ndarray]]  # term -> (doc ids, tfs)
-    idf: Dict[str, float]
+    postings: Dict[str, Tuple[np.ndarray, np.ndarray]]  # term -> (doc ids, weights)
     tokenizer: Callable[[str], List[str]] = tokenize
-    _k1_norm: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     @classmethod
     def build(
@@ -70,37 +74,38 @@ class Bm25Index:
         lengths = np.array([len(doc) for doc in docs_tokens], dtype=np.float64)
         avgdl = float(sum(len(doc) for doc in docs_tokens)) / n
 
-        counts: Dict[str, Dict[int, int]] = {}
-        for doc_id, doc in enumerate(docs_tokens):
-            for token in doc:
-                per = counts.setdefault(token, {})
-                per[doc_id] = per.get(doc_id, 0) + 1
+        if avgdl > 0:
+            k1_norm = k1 * (1.0 - b + b * lengths / avgdl)
+        else:
+            # corpus of empty documents: every query scores 0 anyway
+            k1_norm = np.full(n, k1 * (1.0 - b))
+        # one (term, doc) key per token occurrence; counting the distinct keys
+        # gives every posting, sorted by term and then by doc id
+        term_ids: Dict[str, int] = {}
+        terms = [term_ids.setdefault(token, len(term_ids)) for doc in docs_tokens for token in doc]
+        docs = np.repeat(np.arange(n), lengths.astype(np.intp))
+        keys, tfs = np.unique(np.array(terms, dtype=np.intp) * n + docs, return_counts=True)
+        ids = keys % n
+        bounds = np.searchsorted(keys // n, np.arange(len(term_ids) + 1))
+        doc_freq = np.diff(bounds)
+        idf = [math.log(1.0 + (n - n_t + 0.5) / (n_t + 0.5)) for n_t in doc_freq.tolist()]
+        tfs = tfs.astype(np.float64)
+        # elementwise the operations of idf * ((tfs * (k1 + 1.0)) / (tfs + k1_norm[ids]))
+        # on one term's postings, so every weight has the same bits
+        weights = np.repeat(idf, doc_freq) * ((tfs * (k1 + 1.0)) / (tfs + k1_norm[ids]))
+        bounds = bounds.tolist()
+        postings = {token: (ids[bounds[t]:bounds[t + 1]], weights[bounds[t]:bounds[t + 1]])
+                    for token, t in term_ids.items()}
 
-        postings: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        idf: Dict[str, float] = {}
-        for token, per in counts.items():
-            ids = np.fromiter(sorted(per), dtype=np.intp, count=len(per))
-            tfs = np.array([per[i] for i in ids], dtype=np.float64)
-            postings[token] = (ids, tfs)
-            n_t = len(per)
-            idf[token] = math.log(1.0 + (n - n_t + 0.5) / (n_t + 0.5))
-
-        index = cls(
+        return cls(
             n_docs=n,
             doc_lengths=lengths,
             avg_doc_length=avgdl,
             k1=k1,
             b=b,
             postings=postings,
-            idf=idf,
             tokenizer=tokenizer,
         )
-        if avgdl > 0:
-            index._k1_norm = k1 * (1.0 - b + b * lengths / avgdl)
-        else:
-            # corpus of empty documents: every query scores 0 anyway
-            index._k1_norm = np.full(n, k1 * (1.0 - b))
-        return index
 
 
 def build_bm25(
@@ -116,15 +121,16 @@ def build_bm25(
 
 
 def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
-    """Okapi score of every document for `query` (dense vector, one per doc)."""
+    """Okapi score of every document for `query` (dense vector, one per doc).
+
+    A token that occurs twice in the query adds its weights twice.
+    """
     scores = np.zeros(index.n_docs)
-    k1 = index.k1
     for token in index.tokenizer(query):
         entry = index.postings.get(token)
-        if entry is None:
-            continue
-        ids, tfs = entry
-        scores[ids] += index.idf[token] * ((tfs * (k1 + 1.0)) / (tfs + index._k1_norm[ids]))
+        if entry is not None:
+            ids, weights = entry
+            scores[ids] += weights
     return scores
 
 

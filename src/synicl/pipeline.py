@@ -151,12 +151,11 @@ class Selector:
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]
     ) -> List[Tuple[int, float]]:
         assert self.polynomials is not None
-        for node in query.tree.iter_nodes():
-            if node.label >= self.d:
-                raise MissingPrecomputation(
-                    "query tree has labels outside the shared vocabulary; "
-                    "load both corpora with one LabelVocab"
-                )
+        if max(query.tree.labels) >= self.d:
+            raise MissingPrecomputation(
+                "query tree has labels outside the shared vocabulary; "
+                "load both corpora with one LabelVocab"
+            )
         try:
             query_poly = treepoly.tree_to_polynomial(
                 query.tree, self.corpus.vocab, self.config.term_budget

@@ -1,14 +1,27 @@
-"""Dependency treebank ingestion: CoNLL-U parsing and parallel corpus loading.
+"""Dependency treebank ingestion: CoNLL-U parsing, corpus loading and the forest.
 
 Trees are read from parser output only; this package never runs a parser.
 Node labels are the DEPREL strings (error-aware parsers encode error
 information there, e.g. the "S"/"R"/"M" labels), interned into a shared
 label vocabulary so that downstream similarity code works on small ints.
 
-CoNLL-U text and the JSON rows of a corpus bundle both reach a `DepTree`
-through `_build_tree`, so both pass the same structural checks (one root,
-no cycles, contiguous token indices), and both build their `Example`s
-through `_make_example`, which checks token counts and embedding widths.
+Every tree of a corpus lives in one `Forest`: a few flat lists of ints and
+one list of forms, with no Python object per token, so a loaded pool of
+hundreds of thousands of tokens gives the cyclic garbage collector a few
+objects per sentence to walk, not two per token. Per node the forest keeps
+the label, the head, the form, the child count and where its child groups
+start; per child group (the children of one label, the groups of a node in
+label order) the label, the number of leaves and the ids of the internal
+children, which is the shape the tree kernel merge-joins over. A `DepTree`
+is a view (forest, tree index, n_tokens, sentence_id). `DepTree.root`
+rebuilds `DepNode` objects only when asked, and `DepTree(root=DepNode…)`
+turns a hand-built graph into a one-tree forest.
+
+CoNLL-U text, the JSON rows of a corpus bundle and DepNode graphs all enter
+a forest through `_append_tree`, so all pass the same structural checks
+(one root, no cycles, contiguous token indices). CoNLL-U and bundles build
+their `Example`s through `_make_example`, which checks token counts and
+embedding widths.
 """
 
 from __future__ import annotations
@@ -94,23 +107,98 @@ class LabelVocab:
 
 @dataclass
 class DepNode:
-    """One token of a dependency tree; children kept in token order."""
+    """One token of a dependency tree; children kept in token order.
+
+    Trees are stored in a `Forest`; DepNodes are built only when a
+    `DepTree.root` is asked for, or by hand to make a `DepTree`.
+    """
 
     token_index: int
     form: str
     label: int
     children: List["DepNode"] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+
+class Forest:
+    """Every tree of a corpus in flat lists, with no object per token.
+
+    Node ids are positions in the per-node lists; the nodes of tree t are
+    `tree_start[t]` to `tree_start[t + 1] - 1`, in token order, and its root
+    is `roots[t]`. Per node: `labels`, `heads` (the head's token index, 0 at
+    the root), `forms`, `n_children`, and the groups
+    `group_start[v]` to `group_start[v + 1] - 1` of its children. A group
+    holds the children of one label, the groups of a node in label order:
+    `group_label`, `group_leaves` (how many of them are leaves) and the node
+    ids of the others, `kids[kid_start[g]:kid_start[g + 1]]`.
+    """
+
+    __slots__ = ("labels", "heads", "forms", "n_children", "group_start", "group_label",
+                 "group_leaves", "kid_start", "kids", "tree_start", "roots")
+
+    def __init__(self) -> None:
+        self.labels: List[int] = []
+        self.heads: List[int] = []
+        self.forms: List[str] = []
+        self.n_children: List[int] = []
+        self.group_start: List[int] = [0]
+        self.group_label: List[int] = []
+        self.group_leaves: List[int] = []
+        self.kid_start: List[int] = [0]
+        self.kids: List[int] = []
+        self.tree_start: List[int] = [0]
+        self.roots: List[int] = []
 
 
-@dataclass
 class DepTree:
-    root: DepNode
-    n_tokens: int
-    sentence_id: int = -1
+    """A view of one tree of a `Forest`: (forest, tree index, n_tokens, sentence_id).
+
+    `DepTree(root=DepNode, n_tokens, sentence_id)` checks a hand-built graph
+    like any parsed tree and stores it as a one-tree forest.
+    """
+
+    __slots__ = ("forest", "index", "n_tokens", "sentence_id")
+
+    def __init__(self, root: DepNode, n_tokens: int, sentence_id: int = -1):
+        tree = _append_tree(Forest(), _graph_rows(root, sentence_id), None, sentence_id)
+        if tree.n_tokens != n_tokens:
+            raise LengthMismatch(
+                f"sentence {sentence_id}: graph has {tree.n_tokens} nodes, not {n_tokens}")
+        self.forest, self.index = tree.forest, 0
+        self.n_tokens, self.sentence_id = n_tokens, sentence_id
+
+    def __repr__(self) -> str:
+        return f"DepTree({self.n_tokens} tokens, sentence {self.sentence_id})"
+
+    def _column(self, values: list) -> list:
+        base = self.forest.tree_start[self.index]
+        return values[base: base + self.n_tokens]
+
+    @property
+    def labels(self) -> List[int]:
+        """Label ids, in token order."""
+        return self._column(self.forest.labels)
+
+    @property
+    def heads(self) -> List[int]:
+        """Head token indices (0 at the root), in token order."""
+        return self._column(self.forest.heads)
+
+    @property
+    def forms(self) -> List[str]:
+        return self._column(self.forest.forms)
+
+    @property
+    def root(self) -> DepNode:
+        """The tree as freshly built DepNodes, children in token order."""
+        nodes = [DepNode(i, form, label)
+                 for i, form, label in zip(range(1, self.n_tokens + 1), self.forms, self.labels)]
+        root = nodes[0]
+        for node, head in zip(nodes, self.heads):
+            if head:
+                nodes[head - 1].children.append(node)
+            else:
+                root = node
+        return root
 
     def iter_nodes(self) -> Iterator[DepNode]:
         stack = [self.root]
@@ -176,64 +264,128 @@ def _block_rows(lines: List[str], sentence_id: int) -> List[Tuple[int, str, int,
     return rows
 
 
-def _build_tree(rows: Sequence[Sequence], vocab: LabelVocab, sentence_id: int) -> DepTree:
-    """Check that (token index, form, head, label) rows form one tree, then link it.
+def _index_error(indices: List[int], sentence_id: int) -> TreebankError:
+    """The error for sorted token indices that are not 1..n."""
+    if indices[0] < 1:
+        return MalformedLine(f"sentence {sentence_id}: token index {indices[0]} < 1")
+    for prev, index in zip(indices, indices[1:]):
+        if prev == index:
+            return MalformedLine(f"sentence {sentence_id}: duplicate token index {index}")
+    present = set(indices)
+    missing = next(i for i in range(1, len(indices) + 1) if i not in present)
+    return MissingToken(
+        f"sentence {sentence_id}: token index {missing} missing (have 1..{indices[-1]})")
+
+
+def _append_tree(
+    forest: Forest, rows: Sequence[Sequence], vocab: Optional[LabelVocab], sentence_id: int
+) -> DepTree:
+    """Check that (token index, form, head, label) rows form one tree, then add it to `forest`.
 
     The rows must be non-empty with indices 1..n (any order, no duplicates),
     exactly one head 0, every other head among the indices and no cycle.
-    Labels enter `vocab` in row order.
+    Labels are strings interned into `vocab` in row order, or label ids
+    already when `vocab` is None. Returns the view of the new tree.
     """
     if not rows:
         raise MalformedLine(f"sentence {sentence_id}: empty block")
     n = len(rows)
-    indices = sorted(row[0] for row in rows)
-    if indices != list(range(1, n + 1)):
-        if indices[0] < 1:
-            raise MalformedLine(f"sentence {sentence_id}: token index {indices[0]} < 1")
-        for prev, index in zip(indices, indices[1:]):
-            if prev == index:
-                raise MalformedLine(f"sentence {sentence_id}: duplicate token index {index}")
-        present = set(indices)
-        missing = next(i for i in range(1, n + 1) if i not in present)
-        raise MissingToken(f"sentence {sentence_id}: token index {missing} missing (have 1..{indices[-1]})")
+    expected = list(range(1, n + 1))
+    if [row[0] for row in rows] == expected:
+        ordered = rows
+    else:
+        ordered = sorted(rows, key=lambda row: row[0])
+        indices = [row[0] for row in ordered]
+        if indices != expected:
+            raise _index_error(indices, sentence_id)
 
-    nodes: List[DepNode] = [None] * (n + 1)  # type: ignore[list-item]
-    heads = [0] * (n + 1)
-    label_ids = vocab._index
-    for token_index, form, head, label in rows:
-        label_id = label_ids.get(label)
-        if label_id is None:
-            label_id = vocab.add(label)
-        nodes[token_index] = DepNode(token_index, form, label_id)
-        heads[token_index] = head
+    if vocab is None:
+        labels = [row[3] for row in ordered]
+    else:
+        label_ids = vocab._index
+        try:
+            labels = [label_ids[row[3]] for row in ordered]
+        except KeyError:
+            for row in rows:
+                vocab.add(row[3])
+            labels = [label_ids[row[3]] for row in ordered]
+    heads = [row[2] for row in ordered]
 
-    root = None
-    for token_index in range(1, n + 1):  # index order keeps every child list sorted
-        head = heads[token_index]
+    children: List[List[int]] = [[] for _ in range(n)]
+    root = -1
+    for i, head in enumerate(heads):
         if head == 0:
-            if root is not None:
+            if root >= 0:
                 raise MultipleRoots(f"sentence {sentence_id}: more than one node with head 0")
-            root = nodes[token_index]
+            root = i
         elif 0 < head <= n:
-            nodes[head].children.append(nodes[token_index])
+            children[head - 1].append(i)
         else:
             raise MalformedLine(
-                f"sentence {sentence_id}: head {head} of token {token_index} out of range"
-            )
-    if root is None:
+                f"sentence {sentence_id}: head {head} of token {i + 1} out of range")
+    if root < 0:
         # every node has a parent among the tokens, so the graph contains a cycle
         raise CyclicTree(f"sentence {sentence_id}: no root node (head 0) found")
-
     reached = 0
     stack = [root]
     while stack:
-        node = stack.pop()
         reached += 1
-        stack.extend(node.children)
+        stack.extend(children[stack.pop()])
     if reached != n:
         raise CyclicTree(f"sentence {sentence_id}: {n - reached} tokens unreachable from root")
 
-    return DepTree(root=root, n_tokens=n, sentence_id=sentence_id)
+    # each node's children grouped by label (stable sort: token order within a
+    # label), leaves counted and internal children listed by node id
+    f = forest
+    base = len(f.labels)
+    group_label, group_leaves, kids = f.group_label, f.group_leaves, f.kids
+    group_start, kid_start = f.group_start, f.kid_start
+    for node_children in children:
+        if not node_children:
+            group_start.append(group_start[-1])
+            continue
+        if len(node_children) > 1:
+            node_children.sort(key=labels.__getitem__)
+        prev = None
+        for child in node_children:
+            label = labels[child]
+            if label != prev:
+                if prev is not None:
+                    kid_start.append(len(kids))
+                group_label.append(label)
+                group_leaves.append(0)
+                prev = label
+            if children[child]:
+                kids.append(base + child)
+            else:
+                group_leaves[-1] += 1
+        kid_start.append(len(kids))
+        group_start.append(len(group_label))
+    f.n_children += map(len, children)
+    f.labels += labels
+    f.heads += heads
+    f.forms += [row[1] for row in ordered]
+    f.tree_start.append(base + n)
+    f.roots.append(base + root)
+    tree = object.__new__(DepTree)
+    tree.forest, tree.index, tree.n_tokens, tree.sentence_id = f, len(f.roots) - 1, n, sentence_id
+    return tree
+
+
+def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, int]]:
+    """(token index, form, head, label id) rows of the DepNode graph under `root`."""
+    rows = [(root.token_index, root.form, 0, root.label)]
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            if id(child) in seen:
+                raise CyclicTree(f"sentence {sentence_id}: node {child.token_index} reached twice")
+            seen.add(id(child))
+            rows.append((child.token_index, child.form, node.token_index, child.label))
+            stack.append(child)
+    return rows
 
 
 def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
@@ -242,8 +394,9 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     Accepts strict 10-column CoNLL-U (ID FORM ... HEAD DEPREL ...) or a
     minimal 4-column ID/FORM/HEAD/DEPREL layout. Comment lines start with
     '#'; multiword ("1-2") and empty-node ("1.1") ids are skipped. `vocab`
-    is extended in place with unseen labels.
+    is extended in place with unseen labels. The trees share one new forest.
     """
+    forest = Forest()
     trees = []
     current: List[str] = []
     sentence_id = 0
@@ -251,7 +404,8 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
         line = raw.rstrip("\r")
         if line.strip() == "":
             if current:
-                trees.append(_build_tree(_block_rows(current, sentence_id), vocab, sentence_id))
+                rows = _block_rows(current, sentence_id)
+                trees.append(_append_tree(forest, rows, vocab, sentence_id))
                 sentence_id += 1
                 current = []
             continue
@@ -259,21 +413,15 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
             continue
         current.append(line)
     if current:
-        trees.append(_build_tree(_block_rows(current, sentence_id), vocab, sentence_id))
+        trees.append(_append_tree(forest, _block_rows(current, sentence_id), vocab, sentence_id))
     return trees
 
 
 def _tree_rows(tree: DepTree, vocab: LabelVocab) -> List[List[object]]:
     """[token index, form, head, label string] rows of `tree`, in token order."""
-    rows = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, head = stack.pop()
-        rows.append([node.token_index, node.form, head, vocab.labels[node.label]])
-        for child in node.children:
-            stack.append((child, node.token_index))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    names = vocab.labels
+    return [[index, form, head, names[label]] for index, form, head, label
+            in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels)]
 
 
 def tree_to_conllu(tree: DepTree, vocab: LabelVocab) -> str:
@@ -364,9 +512,9 @@ def load_corpus(
 # Corpus bundles: a validated on-disk form produced by `synicl ingest`.
 # Labels are stored as strings so that bundles ingested separately can be
 # loaded later under one shared vocabulary. On load, the stored tree rows go
-# straight to `_build_tree` and pass the same structural checks as CoNLL-U,
-# and each example id must equal its line position, because selection and
-# prompt assembly index examples by position.
+# straight into the corpus's forest through `_append_tree` and pass the same
+# structural checks as CoNLL-U, and each example id must equal its line
+# position, because selection and prompt assembly index examples by position.
 # ---------------------------------------------------------------------------
 
 BUNDLE_EXAMPLES = "examples.jsonl"
@@ -406,6 +554,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     example ids must equal their line positions (0, 1, ...).
     """
     vocab = vocab if vocab is not None else LabelVocab()
+    forest = Forest()
     examples = []
     dim: Optional[int] = None
     path = os.path.join(bundle_dir, BUNDLE_EXAMPLES)
@@ -430,7 +579,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
                 raise MalformedLine(
                     f"{where}: tree rows must be [int index, str form, int head, str label]"
                 )
-            tree = _build_tree(rows, vocab, position)
+            tree = _append_tree(forest, rows, vocab, position)
             embedding = None
             if "embedding" in record:
                 embedding = _bundle_embedding(record["embedding"], where)

@@ -29,7 +29,7 @@ Polynomials with object rows go to an exact Python path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class WeightProfile:
             raise ValueError("all weights must be > 0")
 
     @classmethod
-    def ones(cls, d: int) -> "WeightProfile":
-        return cls(np.ones(2 * d + 1))
-
-    @classmethod
     def error_weighted(cls, vocab: LabelVocab, weight: float = 2.0) -> "WeightProfile":
         """Weight `weight` on x/y entries of the error labels, 1 elsewhere.
 
@@ -140,7 +136,14 @@ def tree_to_polynomial(
     tree: DepTree, vocab: LabelVocab, budget: Optional[int] = DEFAULT_TERM_BUDGET
 ) -> Polynomial:
     """Polynomial of the tree's root node; raises TermBudgetExceeded on blow-up."""
-    labels = [node.label for node in tree.iter_nodes()]
+    labels = tree.labels
+    children: List[List[int]] = [[] for _ in labels]
+    root = 0
+    for node, head in enumerate(tree.heads):  # token order: the products' term order follows it
+        if head:
+            children[head - 1].append(node)
+        else:
+            root = node
     used = sorted(set(labels))
     k = len(used)
     compact = {label: i for i, label in enumerate(used)}
@@ -150,27 +153,27 @@ def tree_to_polynomial(
 
     # iterative post-order so deep parse chains cannot hit the recursion limit
     result: Dict[int, Dict[int, int]] = {}
-    stack = [(tree.root, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
+        kids = children[node]
         if not expanded:
             stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
+            stack.extend((child, False) for child in kids)
             continue
-        if not node.children:
-            result[id(node)] = {1 << (bits * compact[node.label]): 1}
+        if not kids:
+            result[node] = {1 << (bits * compact[labels[node]]): 1}
             continue
-        prod = result.pop(id(node.children[0]))
-        for child in node.children[1:]:
-            prod = _multiply(prod, result.pop(id(child)), budget)
-        y = 1 << (bits * (k + compact[node.label]))
+        prod = result.pop(kids[0])
+        for child in kids[1:]:
+            prod = _multiply(prod, result.pop(child), budget)
+        y = 1 << (bits * (k + compact[labels[node]]))
         prod[y] = prod.get(y, 0) + 1
         if budget is not None and len(prod) > budget:
             raise TermBudgetExceeded(f"polynomial exceeded {budget} terms")
-        result[id(node)] = prod
+        result[node] = prod
 
-    terms = result[id(tree.root)]
+    terms = result[root]
     size = 2 * k * field.itemsize
     packed = b"".join(key.to_bytes(size, "little") for key in terms)
     compact_exps = np.frombuffer(packed, dtype=field).reshape(len(terms), 2 * k)

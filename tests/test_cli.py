@@ -288,6 +288,48 @@ def test_bad_selections_exit_1(bundles, mock_endpoint, capsys, command, case):
     assert server.requests == []
 
 
+def other_bundle(bundles, name, corpus):
+    src, tgt, trees = dump_corpus_files(corpus, str(bundles["tmp"] / name))
+    out = str(bundles["tmp"] / f"{name}_bundle")
+    assert main(["ingest", "--src", src, "--tgt", tgt, "--trees", trees, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("swapped", ["train", "test"])
+@pytest.mark.parametrize("command", ["prompt", "run"])
+def test_selections_need_their_own_bundles(bundles, mock_endpoint, capsys, command, swapped):
+    selections = select_for_prompts(bundles, "sel_own")
+    # as many or more examples from another seed: every chosen id is in range
+    size = {"train": 16, "test": 3}[swapped]
+    paths = {"train": bundles["train"], "test": bundles["test"]}
+    paths[swapped] = other_bundle(bundles, "other", make_synth_corpus(size, seed=102, max_tokens=8))
+    capsys.readouterr()
+    server = mock_endpoint(reply_fn=lambda body: "ok")
+    out = bundles["tmp"] / "out"
+    args = [command, "--train-bundle", paths["train"], "--test-bundle", paths["test"],
+            "--selections", selections, "--style", "chat", "--out", str(out)]
+    if command == "run":
+        args += ["--base-url", server.base_url, "--model", "mock"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"another --{swapped}-bundle" in err
+    assert server.requests == [] and not out.exists()
+    with open(os.path.join(os.path.dirname(selections), "manifest.json"), encoding="utf-8") as f:
+        assert sorted(json.load(f)["bundle_hashes"]) == ["test_bundle", "train_bundle"]
+
+
+def test_selections_without_manifest_run_unchecked(bundles, capsys):
+    selections = select_for_prompts(bundles, "sel_bare")
+    os.remove(os.path.join(os.path.dirname(selections), "manifest.json"))
+    capsys.readouterr()
+    out = bundles["tmp"] / "bare_prompts"
+    assert main(["prompt", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                 "--selections", selections, "--style", "chat", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("warning: no bundle hashes")
+    with open(out / "manifest.json", encoding="utf-8") as f:
+        assert sorted(json.load(f)["bundle_hashes"]) == ["test_bundle", "train_bundle"]
+
+
 def test_run_and_score_flow(bundles, mock_endpoint):
     sel_dir = str(bundles["tmp"] / "sel_r")
     main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],

@@ -10,6 +10,7 @@ from synicl.lexical import (
     DimensionMismatch,
     EmptyCorpus,
     ZeroVector,
+    bm25_scores,
     bm25_topk,
     build_bm25,
     build_dense,
@@ -133,6 +134,37 @@ def test_bm25_matches_oracle_random_corpora():
             got = bm25_topk(index, query, len(docs))
             expected = bm25_oracle(docs, tokenize(query))
             assert got == expected  # exact scores and order
+
+
+def per_query_bm25_scores(docs_tokens, query_tokens, k1=1.2, b=0.75):
+    """The per-query vector formula: term weights computed at query time."""
+    n = len(docs_tokens)
+    lengths = np.array([len(doc) for doc in docs_tokens], dtype=np.float64)
+    k1_norm = k1 * (1.0 - b + b * lengths / (float(lengths.sum()) / n))
+    scores = np.zeros(n)
+    for token in query_tokens:
+        ids = np.array([i for i, doc in enumerate(docs_tokens) if token in doc], dtype=np.intp)
+        if len(ids) == 0:
+            continue
+        tfs = np.array([docs_tokens[i].count(token) for i in ids], dtype=np.float64)
+        idf = math.log(1.0 + (n - len(ids) + 0.5) / (len(ids) + 0.5))
+        scores[ids] += idf * ((tfs * (k1 + 1.0)) / (tfs + k1_norm[ids]))
+    return scores
+
+
+def test_bm25_posting_weights_equal_per_query_formula():
+    rng = random.Random(43)
+    words = [f"t{i}" for i in range(40)]
+    for trial in range(5):
+        docs = [[rng.choice(words) for _ in range(rng.randint(1, 20))]
+                for _ in range(rng.randint(20, 400))]
+        index = Bm25Index.build(docs)
+        for _ in range(30):
+            query = [rng.choice(words[:8] + ["oov"]) for _ in range(rng.randint(1, 8))]
+            query += query[: rng.randint(0, len(query))]  # repeated tokens count again
+            got = bm25_scores(index, " ".join(query))
+            want = per_query_bm25_scores(docs, query)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bm25_scores_nonnegative():

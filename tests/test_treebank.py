@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -21,7 +22,7 @@ from synicl.treebank import (
     tree_to_conllu,
 )
 
-from conftest import build_tree, random_tree_spec
+from conftest import build_tree, make_synth_corpus, random_tree_spec
 
 # tree for "But there were no buyers ." with "were" as root
 BUYERS_BLOCK = """\
@@ -54,7 +55,7 @@ def test_parse_single_token():
     trees = parse_conllu("1\tHello\t0\tRoot\n", vocab)
     assert len(trees) == 1
     assert trees[0].n_tokens == 1
-    assert trees[0].root.is_leaf
+    assert trees[0].root.children == []
 
 
 def write_bundle(bundle_dir, records):
@@ -165,6 +166,31 @@ def test_roundtrip_random_trees():
             assert a.token_index == b.token_index
             assert vocab.labels[a.label] == vocab2.labels[b.label]
             assert [c.token_index for c in a.children] == [c.token_index for c in b.children]
+
+
+def test_tree_from_graph_is_checked_like_parsed_rows():
+    vocab = LabelVocab()
+    tree = build_tree(random_tree_spec(random.Random(3), 9, ["Root", "a", "b"]), vocab)
+    root = tree.root
+    assert tree_to_conllu(treebank.DepTree(root, 9), vocab) == tree_to_conllu(tree, vocab)
+    with pytest.raises(LengthMismatch):
+        treebank.DepTree(root, 8)
+    shared = treebank.DepNode(2, "b", 0)
+    with pytest.raises(CyclicTree):
+        treebank.DepTree(treebank.DepNode(1, "a", 0, [shared, shared]), 3)
+    with pytest.raises(MissingToken):
+        treebank.DepTree(treebank.DepNode(1, "a", 0, [treebank.DepNode(3, "c", 0)]), 2)
+
+
+def test_loaded_bundle_tracks_a_few_objects_per_example(tmp_path):
+    save_bundle(make_synth_corpus(2000, seed=4, min_tokens=10, max_tokens=30), str(tmp_path))
+    gc.collect()
+    before = len(gc.get_objects())
+    corpus = load_bundle(str(tmp_path))
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert sum(ex.tree.n_tokens for ex in corpus.examples) > 15 * len(corpus)
+    assert added < 10 * len(corpus)  # not one object or more per token
 
 
 def test_child_count_sum_property():

@@ -1,10 +1,10 @@
 import random
 from math import fsum, isfinite
 
-from synicl.treebank import LabelVocab
-from synicl.treekernel import comp_sim, tree_kernel_similarity
+from synicl.treebank import LabelVocab, load_bundle, parse_conllu, save_bundle, tree_to_conllu
+from synicl.treekernel import tree_kernel_similarity
 
-from conftest import build_tree, leaf, node, random_tree_spec
+from conftest import build_tree, leaf, make_synth_corpus, node, random_tree_spec
 
 
 def kernel_oracle(a, b):
@@ -30,7 +30,7 @@ def test_one_shared_leaf_over_two_by_two():
     vocab = LabelVocab()
     a = build_tree(node("r", leaf("x"), leaf("y")), vocab)
     b = build_tree(node("r", leaf("x"), leaf("z")), vocab)
-    assert comp_sim(a.root, b.root) == 0.25
+    assert tree_kernel_similarity(a, b) == 0.25
     assert kernel_oracle(a.root, b.root) == 0.25
 
 
@@ -38,7 +38,7 @@ def test_nested_identical_chain():
     vocab = LabelVocab()
     a = build_tree(node("r", node("m", leaf("x"))), vocab)
     b = build_tree(node("r", node("m", leaf("x"))), vocab)
-    assert comp_sim(a.root, b.root) == 1.0
+    assert tree_kernel_similarity(a, b) == 1.0
 
 
 def test_disjoint_labels_score_zero():
@@ -118,3 +118,41 @@ def test_relabel_invariance():
             build_tree(relabel_spec(spec2, mapping), vocab2),
         )
         assert base == mapped
+
+
+def assert_kernel_equals_oracle_bitwise(pairs):
+    for t1, t2 in pairs:
+        want = kernel_oracle(t1.root, t2.root)
+        assert tree_kernel_similarity(t1, t2).hex() == want.hex()
+        assert tree_kernel_similarity(t2, t1).hex() == want.hex()
+
+
+def test_forest_kernel_equals_oracle_within_and_across_forests(tmp_path):
+    vocab = LabelVocab()
+    corpora = [make_synth_corpus(150, seed=seed, min_tokens=1, max_tokens=25, vocab=vocab)
+               for seed in (11, 12)]
+    for i, corpus in enumerate(corpora):
+        save_bundle(corpus, str(tmp_path / f"b{i}"))
+    one, two = (load_bundle(str(tmp_path / f"b{i}"), vocab) for i in range(2))  # same label ids
+    assert one[0].tree.forest is one[1].tree.forest is not two[0].tree.forest
+    rng = random.Random(5)
+    idx = list(range(150))
+    within = [(one[rng.choice(idx)].tree, one[rng.choice(idx)].tree) for _ in range(300)]
+    across = [(one[rng.choice(idx)].tree, two[rng.choice(idx)].tree) for _ in range(300)]
+    graphs = [(corpora[0][rng.choice(idx)].tree, corpora[1][rng.choice(idx)].tree)
+              for _ in range(300)]
+    mixed = [(corpora[0][i].tree, one[i].tree) for i in idx]  # a graph and its loaded copy
+    assert_kernel_equals_oracle_bitwise(within + across + graphs + mixed)
+    assert all(tree_kernel_similarity(a, b) == tree_kernel_similarity(a, a) for a, b in mixed)
+
+
+def test_forest_kernel_equals_oracle_on_parsed_blocks():
+    rng = random.Random(6)
+    labels = ["a", "b", "c"]
+    vocab = LabelVocab()
+    graphs = [build_tree(random_tree_spec(rng, rng.randint(1, 14), labels), vocab)
+              for _ in range(200)]
+    parsed = parse_conllu("\n\n".join(tree_to_conllu(t, vocab) for t in graphs), vocab)
+    assert len({id(t.forest) for t in parsed}) == 1
+    pairs = [(rng.choice(parsed), rng.choice(parsed)) for _ in range(1000)]
+    assert_kernel_equals_oracle_bitwise(pairs + list(zip(graphs, parsed)))

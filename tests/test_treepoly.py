@@ -204,7 +204,7 @@ def test_distance_identical_is_zero():
     tree = build_tree(node("r", leaf("a"), node("b", leaf("c"))), vocab)
     poly = tree_to_polynomial(tree, vocab)
     assert poly_distance(poly, poly) == 0.0
-    assert poly_distance(poly, poly, WeightProfile.ones(vocab.d)) == 0.0
+    assert poly_distance(poly, poly, WeightProfile(np.ones(2 * vocab.d + 1))) == 0.0
 
 
 def test_distance_two_unit_leaves():
@@ -241,7 +241,7 @@ def test_distance_symmetry_and_weight_monotonicity():
     plain_labels = ["a", "b", "c"]
     vocab = LabelVocab(labels)
     weights = WeightProfile.error_weighted(vocab, 2.0)
-    ones = WeightProfile.ones(vocab.d)
+    ones = WeightProfile(np.ones(2 * vocab.d + 1))
     for i in range(500):
         pool = labels if i % 2 == 0 else plain_labels
         t1 = build_tree(random_tree_spec(rng, rng.randint(1, 10), pool), vocab)
