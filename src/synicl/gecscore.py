@@ -152,19 +152,6 @@ def extract_edits(source_tokens: Sequence[str], hypothesis_tokens: Sequence[str]
     return edits
 
 
-def apply_edits(source_tokens: Sequence[str], edits: Set[Edit]) -> List[str]:
-    """Apply non-overlapping span edits to the source token list."""
-    out: List[str] = []
-    pos = 0
-    for edit in sorted(edits):
-        out.extend(source_tokens[pos : edit.start])
-        if edit.replacement:
-            out.extend(edit.replacement.split(" "))
-        pos = edit.end
-    out.extend(source_tokens[pos:])
-    return out
-
-
 def f_beta(p: float, r: float, beta: float = 0.5) -> float:
     """F-beta of precision and recall; 0.0 when the denominator vanishes."""
     denom = beta * beta * p + r

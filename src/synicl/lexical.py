@@ -1,7 +1,8 @@
 """Stage-I retrieval: Okapi BM25 over source sentences, cosine over embeddings.
 
 BM25 uses the non-negative idf form ln(1 + (N - n + 0.5) / (n + 0.5)) with
-k1=1.2, b=0.75 by default. Embeddings are an external input (any encoder
+the module constants K1 = 1.2 and B = 0.75, and `tokenize` on both
+documents and queries. Embeddings are an external input (any encoder
 producing one vector per sentence); rows are L2-normalized at load so cosine
 similarity reduces to a dot product.
 
@@ -18,11 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .treebank import Corpus
+
+# Okapi term-frequency saturation and document-length normalisation
+K1 = 1.2
+B = 0.75
 
 
 class EmptyCorpus(ValueError):
@@ -47,27 +52,16 @@ class Bm25Index:
     """Inverted index holding each posting's Okapi term weight.
 
     A posting's weight is its whole contribution to the document's score,
-    idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), computed
+    idf * (tf * (K1 + 1)) / (tf + K1 * (1 - B + B * dl / avgdl)), computed
     once here with the same operations in the same order as a per-query
     evaluation, so a query only adds weights.
     """
 
     n_docs: int
-    doc_lengths: np.ndarray
-    avg_doc_length: float
-    k1: float
-    b: float
     postings: Dict[str, Tuple[np.ndarray, np.ndarray]]  # term -> (doc ids, weights)
-    tokenizer: Callable[[str], List[str]] = tokenize
 
     @classmethod
-    def build(
-        cls,
-        docs_tokens: List[List[str]],
-        k1: float = 1.2,
-        b: float = 0.75,
-        tokenizer: Callable[[str], List[str]] = tokenize,
-    ) -> "Bm25Index":
+    def build(cls, docs_tokens: List[List[str]]) -> "Bm25Index":
         if not docs_tokens:
             raise EmptyCorpus("cannot index an empty corpus")
         n = len(docs_tokens)
@@ -75,10 +69,10 @@ class Bm25Index:
         avgdl = float(sum(len(doc) for doc in docs_tokens)) / n
 
         if avgdl > 0:
-            k1_norm = k1 * (1.0 - b + b * lengths / avgdl)
+            k1_norm = K1 * (1.0 - B + B * lengths / avgdl)
         else:
             # corpus of empty documents: every query scores 0 anyway
-            k1_norm = np.full(n, k1 * (1.0 - b))
+            k1_norm = np.full(n, K1 * (1.0 - B))
         # one (term, doc) key per token occurrence; counting the distinct keys
         # gives every posting, sorted by term and then by doc id
         term_ids: Dict[str, int] = {}
@@ -90,34 +84,21 @@ class Bm25Index:
         doc_freq = np.diff(bounds)
         idf = [math.log(1.0 + (n - n_t + 0.5) / (n_t + 0.5)) for n_t in doc_freq.tolist()]
         tfs = tfs.astype(np.float64)
-        # elementwise the operations of idf * ((tfs * (k1 + 1.0)) / (tfs + k1_norm[ids]))
+        # elementwise the operations of idf * ((tfs * (K1 + 1.0)) / (tfs + k1_norm[ids]))
         # on one term's postings, so every weight has the same bits
-        weights = np.repeat(idf, doc_freq) * ((tfs * (k1 + 1.0)) / (tfs + k1_norm[ids]))
+        weights = np.repeat(idf, doc_freq) * ((tfs * (K1 + 1.0)) / (tfs + k1_norm[ids]))
         bounds = bounds.tolist()
         postings = {token: (ids[bounds[t]:bounds[t + 1]], weights[bounds[t]:bounds[t + 1]])
                     for token, t in term_ids.items()}
 
-        return cls(
-            n_docs=n,
-            doc_lengths=lengths,
-            avg_doc_length=avgdl,
-            k1=k1,
-            b=b,
-            postings=postings,
-            tokenizer=tokenizer,
-        )
+        return cls(n_docs=n, postings=postings)
 
 
-def build_bm25(
-    corpus: Corpus,
-    k1: float = 1.2,
-    b: float = 0.75,
-    tokenizer: Callable[[str], List[str]] = tokenize,
-) -> Bm25Index:
+def build_bm25(corpus: Corpus) -> Bm25Index:
     """Index the tokenized source sentences of `corpus`."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot index an empty corpus")
-    return Bm25Index.build([tokenizer(ex.source) for ex in corpus.examples], k1, b, tokenizer)
+    return Bm25Index.build([tokenize(ex.source) for ex in corpus.examples])
 
 
 def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
@@ -126,7 +107,7 @@ def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
     A token that occurs twice in the query adds its weights twice.
     """
     scores = np.zeros(index.n_docs)
-    for token in index.tokenizer(query):
+    for token in tokenize(query):
         entry = index.postings.get(token)
         if entry is not None:
             ids, weights = entry

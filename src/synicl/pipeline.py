@@ -165,8 +165,8 @@ class Selector:
             return self._rank_tree_kernel(query, pool)
 
         candidates = [self.polynomials[ex_id] for ex_id in pool]
-        cost = sum(treepoly.distance_cost(query_poly, poly) for poly in candidates if poly is not None)
-        if cost > treepoly.QUERY_PAIRS_CAP:
+        pairs = len(query_poly) * sum(len(poly) for poly in candidates if poly is not None)
+        if pairs > treepoly.QUERY_PAIRS_CAP:
             fallbacks.append({"kind": "query_pair_budget", "query_id": query.id})
             return self._rank_tree_kernel(query, pool)
         distances = []

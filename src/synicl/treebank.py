@@ -30,7 +30,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,24 +200,21 @@ class DepTree:
                 root = node
         return root
 
-    def iter_nodes(self) -> Iterator[DepNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
 
 @dataclass
 class Example:
-    """A parallel (erroneous, corrected) sentence pair with its source tree."""
+    """A parallel (erroneous, corrected) sentence pair with its source tree.
+
+    `source_tokens` is accepted for callers that still pass it and is never
+    read here: the tree's forms are the source's tokens.
+    """
 
     id: int
     source: str
     target: str
-    source_tokens: List[str]
     tree: DepTree
     embedding: Optional[np.ndarray] = None
+    source_tokens: Optional[List[str]] = None
 
 
 @dataclass
@@ -424,11 +421,6 @@ def _tree_rows(tree: DepTree, vocab: LabelVocab) -> List[List[object]]:
             in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels)]
 
 
-def tree_to_conllu(tree: DepTree, vocab: LabelVocab) -> str:
-    """Serialize a tree to the minimal 4-column TSV form (one block, no trailing blank)."""
-    return "\n".join("\t".join(map(str, row)) for row in _tree_rows(tree, vocab))
-
-
 def _read_lines(path: str) -> List[str]:
     with open(path, encoding="utf-8") as f:
         return [line.rstrip("\n").rstrip("\r") for line in f]
@@ -452,15 +444,12 @@ def _make_example(
     where: str,
 ) -> Example:
     """The one place an Example is built from loaded parts; `where` names it in errors."""
-    tokens = source.split()
-    if tree.n_tokens != len(tokens):
-        raise LengthMismatch(
-            f"{where}: tree has {tree.n_tokens} tokens but the source has {len(tokens)}"
-        )
+    n_words = len(source.split())
+    if tree.n_tokens != n_words:
+        raise LengthMismatch(f"{where}: tree has {tree.n_tokens} tokens but the source has {n_words}")
     if embedding is not None and embedding.shape[0] != dim:
         raise DimensionMismatch(f"{where}: embedding has length {embedding.shape[0]}, expected {dim}")
-    return Example(id=position, source=source, target=target, source_tokens=tokens, tree=tree,
-                   embedding=embedding)
+    return Example(id=position, source=source, target=target, tree=tree, embedding=embedding)
 
 
 def load_corpus(

@@ -5,16 +5,18 @@ and y_1..y_d (internal nodes), built recursively: a leaf with label l is x_l,
 an internal node with label l is y_l plus the product of its children's
 polynomials. Like terms are merged, so a polynomial is a set of terms, each an
 exponent vector of length 2d plus a positive integer coefficient, stored as
-one (n_terms, 2d+1) row array. Two polynomials are compared with a symmetric
-nearest-term Manhattan distance over these rows, optionally weighted per
-entry so that error labels count more.
+one (n_terms, 2d+1) int64 row array. Two polynomials are compared with a
+symmetric nearest-term Manhattan distance over these rows, optionally
+weighted per entry so that error labels count more.
 
 The expansion runs over the k labels that occur in the tree. A monomial is
 one Python int holding its 2k exponents in fixed-width bit fields, each wide
 enough for the tree's node count, which bounds every exponent, so no field
 carries into the next. Multiplying two monomials is then adding two ints,
 like terms merge as equal dict keys, and the Python-int coefficients stay
-exact. The root's monomials are decoded once into the shared 2d layout.
+exact. The root's monomials are decoded once into the shared 2d layout. A
+coefficient of 2**62 or more is refused with `TermBudgetExceeded`, like a
+term count past the budget, so every stored polynomial fits int64.
 
 `poly_distance` takes pairwise differences only in the columns where
 either polynomial is non-zero: a column where both are 0 adds 0 to every
@@ -23,7 +25,6 @@ ints so a sum past the int64 range does not wrap. Weighted ones equal the
 sum over all 2d+1 entries bit for bit whenever the weighted sums are exact
 in float64, as for dyadic weights such as the default 2.0 with entries
 below 2**53; other weights (0.3, say) can differ in the last bits.
-Polynomials with object rows go to an exact Python path.
 """
 
 from __future__ import annotations
@@ -37,24 +38,23 @@ from .treebank import DepTree, LabelVocab
 
 DEFAULT_TERM_BUDGET = 200_000
 
-# keep int64 Manhattan arithmetic safely away from overflow
+# a coefficient at or past this is refused, which keeps every entry and every
+# entry difference of the distance inside int64
 _INT64_SAFE_MAX = 2**62
 # a product with more term pairs than this is refused, whatever the budget
 _HARD_PAIRS_CAP = 40_000_000
-# A time bound: a selection query whose `distance_cost` summed over its
-# candidates passes this is not scored by polynomial distance (pipeline falls
-# back to the tree kernel). On one Xeon vCPU an int64 term pair took ~93 ns
-# unweighted and ~166 ns weighted (91 columns, 16-token trees), so the cap
-# allows about 0.4-0.7 s of distance work per query.
+# A time bound: a selection query whose term pairs (its term count times the
+# summed term counts of its candidates) pass this is not scored by polynomial
+# distance (pipeline falls back to the tree kernel). On one Xeon vCPU a term
+# pair took ~93 ns unweighted and ~166 ns weighted (91 columns, 16-token
+# trees), so the cap allows about 0.4-0.7 s of distance work per query.
 QUERY_PAIRS_CAP = 4_000_000
-# an object-row term pair (the exact Python path) took ~50 us on the same vCPU
-_OBJECT_PAIR_COST = 500
 # one block of the distance's |s-t| tensor has at most about this many entries
 _BLOCK_ENTRIES = 4_000_000
 
 
 class TermBudgetExceeded(RuntimeError):
-    """Raised when a polynomial expansion passes the configured term cap."""
+    """Raised when a polynomial passes the term cap or has a coefficient of 2**62 or more."""
 
 
 class EmptyPolynomial(ValueError):
@@ -64,17 +64,18 @@ class EmptyPolynomial(ValueError):
 class Polynomial:
     """Canonical term set of a tree polynomial.
 
-    `rows` is an (n_terms, 2d+1) array: the exponent vector (x-exponents,
-    then y-exponents) followed by the coefficient. It is int64, or object
-    (Python ints) when a coefficient reaches 2**62.
+    `rows` is an (n_terms, 2d+1) int64 array: the exponent vector
+    (x-exponents, then y-exponents) followed by the coefficient. A coefficient
+    of 2**62 or more raises TermBudgetExceeded.
     """
 
     __slots__ = ("d", "rows")
 
     def __init__(self, d: int, exps: np.ndarray, coeffs: Sequence[int]):
-        big = max(coeffs, default=0) >= _INT64_SAFE_MAX
+        if max(coeffs, default=0) >= _INT64_SAFE_MAX:
+            raise TermBudgetExceeded("a coefficient reached 2**62")
         self.d = d
-        self.rows = np.empty((len(coeffs), 2 * d + 1), dtype=object if big else np.int64)
+        self.rows = np.empty((len(coeffs), 2 * d + 1), dtype=np.int64)
         self.rows[:, :-1] = exps
         self.rows[:, -1] = coeffs
 
@@ -216,14 +217,6 @@ def _directional_min_sums(
     return row_min, col_min
 
 
-def distance_cost(p: Polynomial, q: Polynomial) -> int:
-    """The term pairs `poly_distance(p, q)` compares, in units of int64-row pairs."""
-    pairs = len(p) * len(q)
-    if p.rows.dtype == object or q.rows.dtype == object:
-        return pairs * _OBJECT_PAIR_COST
-    return pairs
-
-
 def poly_distance(
     p: Polynomial, q: Polynomial, weights: Optional[WeightProfile] = None
 ) -> float:
@@ -246,9 +239,6 @@ def poly_distance(
             raise ValueError(f"weight profile has {weights.weights.shape[0]} entries, need {expected}")
         if not np.all(weights.weights == 1.0):
             w = weights.weights
-    if p.rows.dtype == object or q.rows.dtype == object:
-        # coefficients outgrew int64; exact but slow Python arithmetic
-        return _poly_distance_exact(p, q, w)
     # a column where both polynomials are 0 adds 0 to every pair
     cols = np.flatnonzero(p.rows.any(axis=0) | q.rows.any(axis=0))
     row_min, col_min = _directional_min_sums(
@@ -260,28 +250,3 @@ def poly_distance(
     else:
         total = float(row_min.sum() + col_min.sum())
     return total / (len(p) + len(q))
-
-
-def _poly_distance_exact(
-    p: Polynomial, q: Polynomial, w: Optional[np.ndarray]
-) -> float:
-    p_rows = p.rows.tolist()
-    q_rows = q.rows.tolist()
-    wl = list(w) if w is not None else None
-
-    def one_way(rows, others):
-        total = 0
-        for s in rows:
-            best = None
-            for t in others:
-                if wl is None:
-                    dist = sum(abs(a - b) for a, b in zip(s, t))
-                else:
-                    dist = sum(abs(a - b) * wi for a, b, wi in zip(s, t, wl))
-                if best is None or dist < best:
-                    best = dist
-            total += best
-        return total
-
-    total = one_way(p_rows, q_rows) + one_way(q_rows, p_rows)
-    return float(total) / (len(p_rows) + len(q_rows))

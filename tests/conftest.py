@@ -33,6 +33,12 @@ def build_tree(spec, vocab, sentence_id=0):
     return DepTree(root=root, n_tokens=counter[0], sentence_id=sentence_id)
 
 
+def tree_to_conllu(tree, vocab):
+    """The tree as a 4-column CoNLL-U block (index, form, head, label), no trailing blank."""
+    return "\n".join(f"{index}\t{form}\t{head}\t{vocab.labels[label]}" for index, form, head, label
+                     in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels))
+
+
 def leaf(label):
     return (label, [])
 
@@ -123,8 +129,8 @@ def make_synth_corpus(n_examples, seed=0, min_tokens=3, max_tokens=40, embedding
         if embedding_dim:
             embedding = np_rng.normal(size=embedding_dim)
         examples.append(
-            Example(id=ex_id, source=source, target=" ".join(target_words),
-                    source_tokens=words, tree=tree, embedding=embedding)
+            Example(id=ex_id, source=source, target=" ".join(target_words), tree=tree,
+                    embedding=embedding)
         )
     return Corpus(examples=examples, vocab=vocab, embedding_dim=embedding_dim)
 

@@ -5,9 +5,8 @@ import pytest
 
 from synicl.cli import main
 from synicl.prompt import build_completion_prompt
-from synicl.treebank import tree_to_conllu
 
-from conftest import make_synth_corpus, mock_endpoint  # noqa: F401 (fixture)
+from conftest import make_synth_corpus, mock_endpoint, tree_to_conllu  # noqa: F401 (fixture)
 
 
 def m2_from_pairs(pairs):

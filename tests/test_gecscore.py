@@ -7,12 +7,24 @@ from synicl.gecscore import (
     Edit,
     LengthMismatch,
     MalformedBlock,
-    apply_edits,
     extract_edits,
     f_beta,
     parse_m2,
     score_corpus,
 )
+
+
+def apply_edits(source_tokens, edits):
+    """Apply non-overlapping span edits to the source token list."""
+    out = []
+    pos = 0
+    for edit in sorted(edits):
+        out.extend(source_tokens[pos : edit.start])
+        if edit.replacement:
+            out.extend(edit.replacement.split(" "))
+        pos = edit.end
+    out.extend(source_tokens[pos:])
+    return out
 
 
 def lev_oracle(a, b):

@@ -70,7 +70,7 @@ def test_build_from_corpus():
     corpus = make_synth_corpus(3, seed=1)
     index = build_bm25(corpus)
     assert index.n_docs == 3
-    assert index.avg_doc_length > 0
+    assert set(index.postings) == {token for ex in corpus.examples for token in tokenize(ex.source)}
 
 
 def test_topk_prefers_lexical_overlap():

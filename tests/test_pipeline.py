@@ -28,8 +28,7 @@ def toy_corpus(specs, vocab=None):
         tree = build_tree(spec, vocab, sentence_id=i)
         tokens = [f"s{i}w{j}" for j in range(tree.n_tokens)]
         examples.append(
-            Example(id=i, source=" ".join(tokens), target=" ".join(tokens),
-                    source_tokens=tokens, tree=tree)
+            Example(id=i, source=" ".join(tokens), target=" ".join(tokens), tree=tree)
         )
     return Corpus(examples=examples, vocab=vocab)
 
@@ -43,8 +42,7 @@ def random_corpus(n, seed, vocab, labels, max_nodes=8):
 def query_example(spec, vocab, qid=0):
     tree = build_tree(spec, vocab, sentence_id=qid)
     tokens = [f"q{qid}w{j}" for j in range(tree.n_tokens)]
-    return Example(id=qid, source=" ".join(tokens), target=" ".join(tokens),
-                   source_tokens=tokens, tree=tree)
+    return Example(id=qid, source=" ".join(tokens), target=" ".join(tokens), tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,7 @@ def test_stage2_ties_go_to_lower_id_whatever_the_stage1_order():
     corpus = toy_corpus([twin, twin, node("Root", leaf("a")), twin], vocab)
     # example 3 shares every word with the query, example 1 one word and 0 none,
     # so BM25 hands the three identical trees to stage II with the higher ids first
-    words = corpus[3].source_tokens
+    words = corpus[3].source.split()
     corpus.examples[1].source = f"{words[0]} x y z"
     query = query_example(twin, vocab, qid=9)
     query.source = " ".join(words)
@@ -241,6 +239,27 @@ def test_poly_budget_fallbacks():
     ]
     kernel_ranked.sort(key=lambda item: (-item[1], item[0]))
     assert result.chosen == kernel_ranked
+
+    # (y_a + x_b)^66 has a coefficient C(66, 33) >= 2**62: a fallback at the
+    # default term budget too, as a candidate and as a query
+    huge = node("r", *[node("a", leaf("b"))] * 66)
+    corpus = toy_corpus([small, huge, small], vocab)
+    huge_query = query_example(huge, vocab, qid=2)
+    for stage2 in ("poly", "weighted_poly"):
+        config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=3, shots=3)
+        selector = Selector(corpus, config)
+        assert selector.polynomials[1] is None
+        result = selector.select(query)
+        assert result.chosen_ids()[-1] == 1
+        assert result.chosen[-1][1] == math.inf
+        assert result.fallbacks == [{"kind": "candidate_poly_budget", "example_id": 1}]
+
+        result = selector.select(huge_query)
+        assert result.fallbacks == [{"kind": "query_poly_budget", "query_id": 2}]
+        kernel_ranked = sorted(
+            ((ex.id, treekernel.tree_kernel_similarity(huge_query.tree, ex.tree))
+             for ex in corpus.examples), key=lambda item: (-item[1], item[0]))
+        assert result.chosen == kernel_ranked
 
 
 def test_query_pair_budget_falls_back_to_tree_kernel(monkeypatch):

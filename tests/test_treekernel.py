@@ -1,10 +1,10 @@
 import random
 from math import fsum, isfinite
 
-from synicl.treebank import LabelVocab, load_bundle, parse_conllu, save_bundle, tree_to_conllu
+from synicl.treebank import LabelVocab, load_bundle, parse_conllu, save_bundle
 from synicl.treekernel import tree_kernel_similarity
 
-from conftest import build_tree, leaf, make_synth_corpus, node, random_tree_spec
+from conftest import build_tree, leaf, make_synth_corpus, node, random_tree_spec, tree_to_conllu
 
 
 def kernel_oracle(a, b):

@@ -144,26 +144,22 @@ def test_exponents_wider_than_16_bits():
     assert terms(poly) == {(0, 0, 1, 0): 1, (0, 70_000, 0, 0): 1}  # y_r + x_l^70000
 
 
-def test_coefficients_past_int64_stay_exact():
-    vocab = LabelVocab(["r", "a", "b", "S"])
-    spec = node("r", *[node("a", leaf("b"))] * 66)
-    poly = tree_to_polynomial(build_tree(spec, vocab), vocab)
-    # (y_a + x_b)^66 + y_r
-    expected = {(0, 0, 66 - j, 0, 0, j, 0, 0): math.comb(66, j) for j in range(67)}
-    expected[(0, 0, 0, 0, 1, 0, 0, 0)] = 1
+def test_expansion_coefficients_stop_below_2_62():
+    vocab = LabelVocab(["r", "a", "b"])
+    # (y_a + x_b)^65 + y_r: the largest coefficient C(65, 32) is still below 2**62
+    poly = tree_to_polynomial(build_tree(node("r", *[node("a", leaf("b"))] * 65), vocab), vocab)
+    expected = {(0, 0, 65 - j, 0, j, 0): math.comb(65, j) for j in range(66)}
+    expected[(0, 0, 0, 1, 0, 0)] = 1
+    assert max(expected.values()) < 2**62 and poly.rows.dtype == np.int64
     assert terms(poly) == expected
-    assert max(expected.values()) >= 2**62 and poly.rows.dtype == object
     assert poly_distance(poly, poly) == 0.0
 
-    weights = WeightProfile.error_weighted(vocab, 2.0)
-    perturbed = node("r", *[node("a", leaf("b"))] * 65, node("S", leaf("b")))
-    small = node("r", node("a", leaf("b")), leaf("S"))
-    for other_spec in (perturbed, small):
-        other = tree_to_polynomial(build_tree(other_spec, vocab), vocab)
-        for w, ws in ((None, [1] * 9), (weights, list(weights.weights))):
-            expected_distance = brute_force_distance(poly, other, ws)
-            assert poly_distance(poly, other, w) == pytest.approx(expected_distance, rel=1e-12)
-            assert poly_distance(other, poly, w) == pytest.approx(expected_distance, rel=1e-12)
+    # one copy more and C(66, 33) >= 2**62: refused like a term-budget overflow
+    over = build_tree(node("r", *[node("a", leaf("b"))] * 66), vocab)
+    assert math.comb(66, 33) >= 2**62
+    for budget in (treepoly.DEFAULT_TERM_BUDGET, None):
+        with pytest.raises(TermBudgetExceeded):
+            tree_to_polynomial(over, vocab, budget=budget)
 
 
 def test_pairs_cap_applies_without_budget(monkeypatch):
@@ -291,8 +287,6 @@ def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
     rng = random.Random(41)
     labels = ["r", "a", "b", "S", "R"]
     vocab = LabelVocab(labels)
-    huge = tree_to_polynomial(build_tree(node("r", *[node("a", leaf("b"))] * 66), vocab), vocab)
-    assert huge.rows.dtype == object
     profiles = [(None, [1] * (2 * vocab.d + 1), True)]
     for weight, dyadic in ((2.0, True), (0.3, False)):
         profile = WeightProfile.error_weighted(vocab, weight)
@@ -302,10 +296,9 @@ def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
         spec = random_tree_spec(rng, rng.randint(1, 9), labels)
         return tree_to_polynomial(build_tree(spec, vocab), vocab)
 
-    for trial in range(20):
-        query = huge if trial == 0 else random_poly()
+    for _ in range(20):
+        query = random_poly()
         candidates = [random_poly() for _ in range(rng.randint(1, 8))]
-        candidates.insert(rng.randrange(len(candidates) + 1), huge)
         for weights, ws, dyadic in profiles:
             for candidate in candidates:
                 value = poly_distance(query, candidate, weights)
@@ -314,9 +307,9 @@ def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
                 blocked = poly_distance(query, candidate, weights)
                 monkeypatch.undo()
                 want = brute_force_distance(query, candidate, ws)
-                if not dyadic or query.rows.dtype == object or candidate.rows.dtype == object:
-                    # sums with 0.3 or with huge coefficients are rounded, so the
-                    # order of the additions can show in the last bits
+                if not dyadic:
+                    # sums with 0.3 are rounded, so the order of the additions
+                    # can show in the last bits
                     assert value == pytest.approx(want, rel=1e-12)
                     assert blocked == pytest.approx(want, rel=1e-12)
                 else:
@@ -334,20 +327,11 @@ def test_int64_distance_sums_do_not_wrap():
     assert poly_distance(q, p) == want
 
 
-def test_distance_cost_counts_object_rows_at_their_cost():
-    vocab = LabelVocab(["r", "a", "b"])
-    small = tree_to_polynomial(build_tree(node("r", leaf("a"), leaf("b")), vocab), vocab)
-    huge = tree_to_polynomial(build_tree(node("r", *[node("a", leaf("b"))] * 66), vocab), vocab)
-    assert small.rows.dtype == np.int64 and huge.rows.dtype == object
-    assert treepoly.distance_cost(small, small) == len(small) ** 2
-    object_cost = len(small) * len(huge) * treepoly._OBJECT_PAIR_COST
-    assert treepoly.distance_cost(small, huge) == treepoly.distance_cost(huge, small) == object_cost
-
-
-def test_huge_coefficients_fall_back_to_exact_path():
-    p = make_poly(1, {(1, 0): 2**64})
-    q = make_poly(1, {(1, 0): 2**64 + 5})
-    assert poly_distance(p, q) == 5.0
+def test_polynomial_refuses_coefficients_from_2_62():
+    below = make_poly(1, {(1, 0): 2**62 - 1, (0, 1): 1})
+    assert below.rows.dtype == np.int64 and below.rows[0, -1] == 2**62 - 1
+    with pytest.raises(TermBudgetExceeded):
+        make_poly(1, {(1, 0): 2**62, (0, 1): 1})
 
 
 def test_weight_profile_validation():
