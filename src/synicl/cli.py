@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest / select / prompt / run / score / bench.
+"""Command-line entry point: ingest / select / prompt / run / score.
 
 Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 3 remote-endpoint failure.
@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
@@ -220,37 +218,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    train, test = _load_bundles(args.train_bundle, args.test_bundle)
-    config = _selection_config(args)
-    queries = test.examples[: args.queries]
-
-    stage1_times: List[float] = []
-    if config.stage1 == "bm25":
-        index = lexical.build_bm25(train)
-        for query in queries:
-            start = time.perf_counter()
-            lexical.bm25_topk(index, query.source, config.candidate_size)
-            stage1_times.append(time.perf_counter() - start)
-
-    selector = pipeline.Selector(train, config)
-    total_times: List[float] = []
-    for query in queries:
-        start = time.perf_counter()
-        selector.select(query)
-        total_times.append(time.perf_counter() - start)
-
-    def show(name: str, times: List[float]) -> None:
-        if not times:
-            return
-        print(f"{name}: median {statistics.median(times) * 1000:.1f} ms/query, "
-              f"mean {statistics.fmean(times) * 1000:.1f} ms/query over {len(times)} queries")
-
-    show("stage1", stage1_times)
-    show(f"select ({config.stage1}+{config.stage2})", total_times)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synicl",
@@ -334,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", required=True, help="gold M2 file")
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("bench", formatter_class=fmt,
-                       help="report per-query selection timings")
-    add_selection_flags(p)
-    p.add_argument("--queries", type=int, default=50, help="number of queries to time")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -6,6 +6,14 @@ similarity (tree kernel or polynomial distance) and keeps the top `shots`
 examples. Either stage can be disabled (but not both). All rankings break
 ties by lower example id, so results are deterministic and independent of
 worker parallelism.
+
+Whenever stage II can reach the tree kernel (`tree_kernel`, and the kernel
+fallback of `poly` and `weighted_poly`), the `Selector` builds a
+`treekernel.RootProfile` of the pool once. Kernel re-ranking then scores
+every candidate's root level in one numpy pass and calls the per-pair
+`treekernel.tree_kernel_similarity` only for the candidates whose root
+shares an internal-child label with the query's root; the scores are the
+per-pair kernel's, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import lexical, treekernel, treepoly
 from .treebank import Corpus, Example
@@ -108,6 +118,11 @@ class Selector:
                 raise MissingPrecomputation("dense stage I needs an embedding for every example")
             self.dense = lexical.build_dense(corpus)
 
+        # stage II reaches the kernel for tree_kernel, and as the fallback of poly
+        self.root_profile: Optional[treekernel.RootProfile] = None
+        if config.stage2 in ("tree_kernel", "poly", "weighted_poly"):
+            self.root_profile = treekernel.RootProfile(ex.tree for ex in corpus.examples)
+
         self.polynomials: Optional[List[Optional[treepoly.Polynomial]]] = None
         self.weights: Optional[treepoly.WeightProfile] = None
         if config.stage2 in ("poly", "weighted_poly"):
@@ -141,11 +156,12 @@ class Selector:
     # -- stage II -----------------------------------------------------------
 
     def _rank_tree_kernel(self, query: Example, pool: List[int]) -> List[Tuple[int, float]]:
-        scores = [
-            treekernel.tree_kernel_similarity(query.tree, self.corpus[ex_id].tree)
-            for ex_id in pool
-        ]
-        return lexical.top_k(scores, self.config.shots, pool)
+        assert self.root_profile is not None
+        ids = np.asarray(pool, dtype=np.intp)
+        scores, deeper = self.root_profile.scores(query.tree, ids)
+        for i in deeper.tolist():
+            scores[i] = treekernel.tree_kernel_similarity(query.tree, self.corpus[pool[i]].tree)
+        return lexical.top_k(scores, self.config.shots, ids)
 
     def _rank_poly(
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]

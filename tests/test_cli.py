@@ -421,15 +421,6 @@ def test_run_bad_journal_line_exits_1(bundles, mock_endpoint, capsys):
     assert server.requests == []
 
 
-def test_bench_smoke(bundles, capsys):
-    code = main(["bench", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
-                 "--stage1", "bm25", "--stage2", "tk", "--candidates", "12", "--shots", "2",
-                 "--queries", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "ms/query" in out
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from synicl import lexical, treekernel, treepoly
@@ -16,7 +17,7 @@ from synicl.pipeline import (
     export_results,
     load_results,
 )
-from synicl.treebank import Corpus, Example, LabelVocab
+from synicl.treebank import Corpus, Example, LabelVocab, load_bundle, save_bundle
 
 from conftest import build_tree, leaf, node, make_synth_corpus, random_tree_spec
 
@@ -130,6 +131,75 @@ def test_tree_kernel_ranking_matches_exhaustive_oracle():
     ]
     oracle.sort(key=lambda item: (-item[1], item[0]))
     assert result.chosen == oracle
+
+
+def kernel_selectors(corpus):
+    """A tree-kernel Selector over the whole corpus and one over a BM25 third of it.
+
+    `shots` equals the pool size, so `chosen` holds every candidate's score.
+    """
+    n = len(corpus)
+    return [Selector(corpus, SelectionConfig(stage1=stage1, stage2="tree_kernel",
+                                             candidate_size=size, shots=size))
+            for stage1, size in (("none", n), ("bm25", n // 3))]
+
+
+def assert_stage2_kernel_scores_bitwise(selectors, queries):
+    """Every stage-II score has the bits of tree_kernel_similarity, for every candidate."""
+    deeper = pairs = 0
+    for query in queries:
+        for selector in selectors:
+            chosen = selector.select(query).chosen
+            pool = selector._stage1_pool(query)
+            assert sorted(ex_id for ex_id, _ in chosen) == sorted(ex_id for ex_id, _ in pool)
+            for ex_id, score in chosen:
+                want = treekernel.tree_kernel_similarity(query.tree, selector.corpus[ex_id].tree)
+                assert score.hex() == want.hex(), (query.id, ex_id)
+            ids = np.array([ex_id for ex_id, _ in pool])
+            deeper += len(selector.root_profile.scores(query.tree, ids)[1])
+            pairs += len(ids)
+    assert 0 < deeper < pairs  # some pairs recurse, and some end at the root
+
+
+def test_tree_kernel_root_pass_equals_kernel_on_bundles(tmp_path):
+    vocab = LabelVocab()
+    for seed, out in ((61, "train"), (62, "test")):
+        save_bundle(make_synth_corpus(240, seed=seed, min_tokens=1, max_tokens=25, vocab=vocab),
+                    str(tmp_path / out))
+    shared = LabelVocab()
+    train = load_bundle(str(tmp_path / "train"), shared)
+    test = load_bundle(str(tmp_path / "test"), shared)
+    assert train[0].tree.forest is train[1].tree.forest
+    assert any(ex.tree.n_tokens == 1 for ex in train.examples)
+    singles = [ex for ex in test.examples if ex.tree.n_tokens == 1]
+    assert singles
+    assert_stage2_kernel_scores_bitwise(kernel_selectors(train), test.examples[:60] + singles)
+
+
+def test_tree_kernel_root_pass_equals_kernel_on_hand_built_trees():
+    vocab = LabelVocab()
+    labels = ["a", "b", "c", "d"]
+    rng = random.Random(63)
+    corpus = toy_corpus(
+        [leaf("a"), leaf("b"), node("r", leaf("a"), leaf("a"), node("a", leaf("b")))]
+        + [random_tree_spec(rng, rng.randint(1, 9), labels) for _ in range(90)],
+        vocab,
+    )
+    assert len({id(ex.tree.forest) for ex in corpus.examples}) == len(corpus)
+    selectors = kernel_selectors(corpus)
+    specs = [
+        leaf("a"),  # a single token
+        node("r", leaf("a"), leaf("b"), leaf("a")),  # a root with leaf children only
+        node("r", node("a", leaf("b")), node("c", leaf("a"), node("d", leaf("a")))),  # internal only
+        node("r", leaf("a"), node("a", leaf("a"), leaf("b")), leaf("d")),
+        # labels first seen after the Selectors were built
+        node("r", leaf("new"), leaf("a")),
+        node("r", node("newer", leaf("a")), leaf("new"), node("b", leaf("c"))),
+        node("newest", node("a", leaf("newer")), leaf("b")),
+    ] + [random_tree_spec(rng, 7, labels) for _ in range(20)]
+    queries = [query_example(spec, vocab, qid) for qid, spec in enumerate(specs)]
+    assert vocab.index("new") >= len(selectors[0].root_profile.leaves)
+    assert_stage2_kernel_scores_bitwise(selectors, queries)
 
 
 def test_stage2_ties_go_to_lower_id_whatever_the_stage1_order():
