@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 3 remote-endpoint failure.
 
 `select`, `prompt` and `run` record in their manifest.json the content hash
-of each bundle's examples file. `prompt` and `run` first compare the
+of each bundle's examples.npz file. `prompt` and `run` first compare the
 bundles they are given with the hashes in the manifest.json beside the
 selections file, and exit 1 on a mismatch, before any prompt is built:
 selections index examples by position, so another bundle would silently
@@ -64,9 +64,8 @@ def _load_bundles(train_dir: str, test_dir: str):
 
 
 def _bundle_hashes(args: argparse.Namespace) -> Dict[str, str]:
-    """Content hash of the examples file of the train and the test bundle."""
-    return {flag: treebank.content_hash([os.path.join(getattr(args, flag),
-                                                      treebank.BUNDLE_EXAMPLES)])
+    """Content hash of the bundle file of the train and the test bundle."""
+    return {flag: treebank.content_hash([treebank.bundle_file(getattr(args, flag))])
             for flag in ("train_bundle", "test_bundle")}
 
 
@@ -118,7 +117,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"error: cannot read {path}", file=sys.stderr)
             return EXIT_IO
     corpus = treebank.load_corpus(args.src, args.tgt, args.trees, args.embeddings)
-    os.makedirs(args.out, exist_ok=True)
     treebank.save_bundle(corpus, args.out)
     inputs = [args.src, args.tgt, args.trees] + ([args.embeddings] if args.embeddings else [])
     _write_manifest(args.out, "ingest", args, inputs)

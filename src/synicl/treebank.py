@@ -6,29 +6,31 @@ information there, e.g. the "S"/"R"/"M" labels), interned into a shared
 label vocabulary so that downstream similarity code works on small ints.
 
 Every tree of a corpus lives in one `Forest`: a few flat lists of ints and
-one list of forms, with no Python object per token, so a loaded pool of
-hundreds of thousands of tokens gives the cyclic garbage collector a few
-objects per sentence to walk, not two per token. Per node the forest keeps
-the label, the head, the form, the child count and where its child groups
-start; per child group (the children of one label, the groups of a node in
-label order) the label, the number of leaves and the ids of the internal
-children, which is the shape the tree kernel merge-joins over. A `DepTree`
-is a view (forest, tree index, n_tokens, sentence_id). `DepTree.root`
-rebuilds `DepNode` objects only when asked, and `DepTree(root=DepNode…)`
-turns a hand-built graph into a one-tree forest.
+one string of forms per tree, with no Python object per token, so a loaded
+pool of hundreds of thousands of tokens gives the cyclic garbage collector
+and the allocator a few objects per sentence, not two per token. Per node
+the forest keeps the label, the head, the child count and where its child
+groups start; per child group (the children of one label, the groups of a
+node in label order) the label, the number of leaves and the ids of the
+internal children, which is the shape the tree kernel merge-joins over. A
+`DepTree` is a view (forest, tree index, n_tokens, sentence_id).
+`DepTree.forms` and `DepTree.root` rebuild per-token objects only when
+asked, and `DepTree(root=DepNode…)` turns a hand-built graph into a
+one-tree forest.
 
-CoNLL-U text, the JSON rows of a corpus bundle and DepNode graphs all enter
-a forest through `_append_tree`, so all pass the same structural checks
-(one root, no cycles, contiguous token indices). CoNLL-U and bundles build
-their `Example`s through `_make_example`, which checks token counts and
-embedding widths.
+CoNLL-U text and DepNode graphs enter a forest through `_append_tree`,
+which checks each tree (one root, no cycles, contiguous token indices, no
+tab or newline in a form). A corpus bundle is one binary file,
+`examples.npz`, written by `save_bundle`; `load_bundle` runs the same
+structural checks on its arrays with numpy and fills the forest lists in
+blocks of trees, giving lists equal to what `_append_tree` builds.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -63,6 +65,10 @@ class LengthMismatch(TreebankError):
 
 class DimensionMismatch(TreebankError):
     pass
+
+
+class MalformedBundle(TreebankError):
+    """A bundle file that is not in the format `save_bundle` writes."""
 
 
 class LabelVocab:
@@ -124,8 +130,9 @@ class Forest:
 
     Node ids are positions in the per-node lists; the nodes of tree t are
     `tree_start[t]` to `tree_start[t + 1] - 1`, in token order, and its root
-    is `roots[t]`. Per node: `labels`, `heads` (the head's token index, 0 at
-    the root), `forms`, `n_children`, and the groups
+    is `roots[t]`. `forms[t]` holds the forms of tree t's tokens joined by
+    tabs (so a form holds no tab). Per node: `labels`, `heads` (the head's
+    token index, 0 at the root), `n_children`, and the groups
     `group_start[v]` to `group_start[v + 1] - 1` of its children. A group
     holds the children of one label, the groups of a node in label order:
     `group_label`, `group_leaves` (how many of them are leaves) and the node
@@ -138,7 +145,7 @@ class Forest:
     def __init__(self) -> None:
         self.labels: List[int] = []
         self.heads: List[int] = []
-        self.forms: List[str] = []
+        self.forms: List[str] = []  # one per tree
         self.n_children: List[int] = []
         self.group_start: List[int] = [0]
         self.group_label: List[int] = []
@@ -166,6 +173,13 @@ class DepTree:
         self.forest, self.index = tree.forest, 0
         self.n_tokens, self.sentence_id = n_tokens, sentence_id
 
+    @classmethod
+    def _view(cls, forest: Forest, index: int, n_tokens: int, sentence_id: int) -> "DepTree":
+        tree = object.__new__(cls)
+        tree.forest, tree.index = forest, index
+        tree.n_tokens, tree.sentence_id = n_tokens, sentence_id
+        return tree
+
     def __repr__(self) -> str:
         return f"DepTree({self.n_tokens} tokens, sentence {self.sentence_id})"
 
@@ -185,7 +199,8 @@ class DepTree:
 
     @property
     def forms(self) -> List[str]:
-        return self._column(self.forest.forms)
+        """Token forms, in token order."""
+        return self.forest.forms[self.index].split("\t")
 
     @property
     def root(self) -> DepNode:
@@ -280,9 +295,10 @@ def _append_tree(
     """Check that (token index, form, head, label) rows form one tree, then add it to `forest`.
 
     The rows must be non-empty with indices 1..n (any order, no duplicates),
-    exactly one head 0, every other head among the indices and no cycle.
-    Labels are strings interned into `vocab` in row order, or label ids
-    already when `vocab` is None. Returns the view of the new tree.
+    exactly one head 0, every other head among the indices and no cycle, and
+    no form may hold a tab or a newline. Labels are strings interned into
+    `vocab` in row order, or label ids already when `vocab` is None. Returns
+    the view of the new tree.
     """
     if not rows:
         raise MalformedLine(f"sentence {sentence_id}: empty block")
@@ -295,6 +311,10 @@ def _append_tree(
         indices = [row[0] for row in ordered]
         if indices != expected:
             raise _index_error(indices, sentence_id)
+
+    forms = "\t".join([row[1] for row in ordered])
+    if forms.count("\t") != n - 1 or "\n" in forms:
+        raise MalformedLine(f"sentence {sentence_id}: a form contains a tab or a newline")
 
     if vocab is None:
         labels = [row[3] for row in ordered]
@@ -361,12 +381,10 @@ def _append_tree(
     f.n_children += map(len, children)
     f.labels += labels
     f.heads += heads
-    f.forms += [row[1] for row in ordered]
+    f.forms.append(forms)
     f.tree_start.append(base + n)
     f.roots.append(base + root)
-    tree = object.__new__(DepTree)
-    tree.forest, tree.index, tree.n_tokens, tree.sentence_id = f, len(f.roots) - 1, n, sentence_id
-    return tree
+    return DepTree._view(f, len(f.roots) - 1, n, sentence_id)
 
 
 def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, int]]:
@@ -414,21 +432,22 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     return trees
 
 
-def _tree_rows(tree: DepTree, vocab: LabelVocab) -> List[List[object]]:
-    """[token index, form, head, label string] rows of `tree`, in token order."""
-    names = vocab.labels
-    return [[index, form, head, names[label]] for index, form, head, label
-            in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels)]
-
-
 def _read_lines(path: str) -> List[str]:
     with open(path, encoding="utf-8") as f:
         return [line.rstrip("\n").rstrip("\r") for line in f]
 
 
 def _parse_embeddings(path: str) -> List[np.ndarray]:
-    vectors = [np.asarray([float(v) for v in line.split()], dtype=np.float64)
-               for line in _read_lines(path)]
+    """One vector of finite floats per line of `path`."""
+    vectors = []
+    for i, line in enumerate(_read_lines(path)):
+        try:
+            vector = np.array([float(v) for v in line.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedLine(f"{path} line {i + 1}: not a list of numbers ({exc})") from exc
+        if not np.isfinite(vector).all():
+            raise MalformedLine(f"{path} line {i + 1}: embedding values must be finite numbers")
+        vectors.append(vector)
     if not vectors or vectors[0].shape[0] == 0:
         raise DimensionMismatch(f"{path}: no embedding values found")
     return vectors
@@ -443,7 +462,7 @@ def _make_example(
     dim: Optional[int],
     where: str,
 ) -> Example:
-    """The one place an Example is built from loaded parts; `where` names it in errors."""
+    """An Example of a loaded corpus, after its counts are checked; `where` names it in errors."""
     n_words = len(source.split())
     if tree.n_tokens != n_words:
         raise LengthMismatch(f"{where}: tree has {tree.n_tokens} tokens but the source has {n_words}")
@@ -498,84 +517,300 @@ def load_corpus(
 
 
 # ---------------------------------------------------------------------------
-# Corpus bundles: a validated on-disk form produced by `synicl ingest`.
-# Labels are stored as strings so that bundles ingested separately can be
-# loaded later under one shared vocabulary. On load, the stored tree rows go
-# straight into the corpus's forest through `_append_tree` and pass the same
-# structural checks as CoNLL-U, and each example id must equal its line
-# position, because selection and prompt assembly index examples by position.
+# Corpus bundles: the validated on-disk form that `synicl ingest` writes.
+#
+# One uncompressed `np.savez` file, examples.npz, of plain arrays (nothing
+# pickled). For T examples of N tokens in all:
+#   version      int64 scalar, BUNDLE_VERSION
+#   label_names  uint8 UTF-8 text, one label per line, in order of first use
+#   labels       int32 (N,), per token an index into label_names
+#   heads        int32 (N,), per token its head's token index, 0 at the root
+#   tree_start   int64 (T + 1,), example t has tokens tree_start[t] to
+#                tree_start[t + 1] - 1
+#   sources, targets
+#                uint8 UTF-8 text, one line per example
+#   forms        uint8 UTF-8 text, one line per example, its forms joined by tabs
+#   embeddings   float64 (T, dim), only when the examples carry embeddings
+# Labels are stored by name so that bundles written separately load under
+# one shared vocabulary. Example ids are positions, because selection and
+# prompt assembly index examples by position. One corpus always gives the
+# same bytes, and so the same `content_hash`.
 # ---------------------------------------------------------------------------
 
-BUNDLE_EXAMPLES = "examples.jsonl"
+BUNDLE_FILE = "examples.npz"
+BUNDLE_VERSION = 1
+_OLD_BUNDLE_FILE = "examples.jsonl"
+_BUNDLE_ARRAYS = {  # name: (dtype, number of dimensions); embeddings are optional
+    "version": (np.int64, 0), "label_names": (np.uint8, 1), "labels": (np.int32, 1),
+    "heads": (np.int32, 1), "tree_start": (np.int64, 1), "sources": (np.uint8, 1),
+    "targets": (np.uint8, 1), "forms": (np.uint8, 1), "embeddings": (np.float64, 2),
+}
+# Trees per block when a loaded bundle fills its forest. Small blocks keep
+# numpy's temporaries small, so a load's peak memory stays near what the
+# forest takes: loading a 35k-tree pool in one block peaked ~50 MB higher.
+_LOAD_BLOCK_TREES = 2048
+
+
+def _text(lines: Sequence[str]) -> np.ndarray:
+    """`lines` as UTF-8 text, each ending in a newline, in a uint8 array."""
+    return np.frombuffer("".join([line + "\n" for line in lines]).encode("utf-8"), dtype=np.uint8)
 
 
 def save_bundle(corpus: Corpus, out_dir: str) -> None:
+    """Write `corpus` to out_dir/examples.npz, the file `load_bundle` reads.
+
+    Refuses, before it writes anything, a corpus the file cannot give back:
+    an id that is not the example's position, a newline in a source, target
+    or label, a tab or newline in a form, and embeddings that are on some
+    examples only, of differing lengths or not finite.
+    """
+    examples = corpus.examples
+    with_embeddings = bool(examples) and examples[0].embedding is not None
+    dim = np.size(examples[0].embedding) if with_embeddings else 0
+    labels: List[int] = []
+    heads: List[int] = []
+    forms: List[str] = []
+    tree_start = [0]
+    vectors = []
+    for position, ex in enumerate(examples):
+        where = f"example {position}"
+        if ex.id != position:
+            raise MalformedBundle(f"{where}: id {ex.id} is not the example's position")
+        for name, text in (("source", ex.source), ("target", ex.target)):
+            if "\n" in text:
+                raise MalformedBundle(f"{where}: the {name} contains a newline")
+        tree = ex.tree
+        line = tree.forest.forms[tree.index]
+        if line.count("\t") != tree.n_tokens - 1 or "\n" in line:
+            raise MalformedBundle(f"{where}: a form contains a tab or a newline")
+        if (ex.embedding is not None) != with_embeddings:
+            raise DimensionMismatch(f"{where}: embeddings must be on every example or on none")
+        if with_embeddings:
+            vector = np.asarray(ex.embedding, dtype=np.float64)
+            if vector.shape != (dim,) or not dim:
+                raise DimensionMismatch(
+                    f"{where}: embedding has shape {vector.shape}; embeddings must be non-empty "
+                    f"vectors of one length ({dim} on example 0)")
+            if not np.isfinite(vector).all():
+                raise MalformedBundle(f"{where}: embedding values must be finite numbers")
+            vectors.append(vector)
+        labels += tree.labels
+        heads += tree.heads
+        forms.append(line)
+        tree_start.append(len(labels))
+    first_use = dict.fromkeys(labels)  # the corpus's label ids in order of first use
+    names = [corpus.vocab.labels[label] for label in first_use]
+    for name in names:
+        if "\n" in name:
+            raise MalformedBundle(f"label {name!r} contains a newline")
+    index = {label: i for i, label in enumerate(first_use)}
+    arrays = {
+        "version": np.int64(BUNDLE_VERSION),
+        "label_names": _text(names),
+        "labels": np.fromiter(map(index.__getitem__, labels), np.int32, len(labels)),
+        "heads": np.array(heads, dtype=np.int32),
+        "tree_start": np.array(tree_start, dtype=np.int64),
+        "sources": _text([ex.source for ex in examples]),
+        "targets": _text([ex.target for ex in examples]),
+        "forms": _text(forms),
+    }
+    if vectors:
+        arrays["embeddings"] = np.stack(vectors)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, BUNDLE_EXAMPLES), "w", encoding="utf-8") as f:
-        for ex in corpus.examples:
-            record = {
-                "id": ex.id,
-                "source": ex.source,
-                "target": ex.target,
-                "tree": _tree_rows(ex.tree, corpus.vocab),
-            }
-            if ex.embedding is not None:
-                record["embedding"] = [float(v) for v in ex.embedding]
-            f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    np.savez(os.path.join(out_dir, BUNDLE_FILE), **arrays)
 
 
-def _bundle_embedding(values: object, where: str) -> np.ndarray:
-    """A stored embedding: a non-empty flat list of finite int/float values (no bools)."""
+def bundle_file(bundle_dir: str) -> str:
+    """The path of the bundle file in `bundle_dir`.
+
+    Raises MalformedBundle when the directory holds only the examples.jsonl
+    that older versions wrote.
+    """
+    path = os.path.join(bundle_dir, BUNDLE_FILE)
+    if not os.path.exists(path) and os.path.exists(os.path.join(bundle_dir, _OLD_BUNDLE_FILE)):
+        raise MalformedBundle(
+            f"{bundle_dir} holds an {_OLD_BUNDLE_FILE} bundle, a format this version no longer "
+            f"reads; re-run `synicl ingest` to write {BUNDLE_FILE}")
+    return path
+
+
+def _read_bundle(path: str) -> dict:
+    """The arrays of the bundle file `path`, checked for name, dtype and dimensions."""
     try:
-        if type(values) is list and values and {int, float}.issuperset(map(type, values)):
-            embedding = np.asarray(values, dtype=np.float64)
-            if np.isfinite(embedding).all():
-                return embedding
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise MalformedLine(f"{where}: embedding must be a non-empty list of finite numbers")
+        # opened here, not by np.load, which leaves the file open when it is no zip archive
+        with open(path, "rb") as f:
+            data = np.load(f, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("one array, not an archive of arrays")
+            with data:
+                arrays = {name: data[name] for name in data.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise MalformedBundle(f"{path}: not a bundle file ({exc})") from exc
+    for name, (dtype, ndim) in _BUNDLE_ARRAYS.items():
+        array = arrays.get(name)
+        if array is None and name == "embeddings":
+            continue
+        if array is None or array.dtype != dtype or array.ndim != ndim:
+            raise MalformedBundle(f"{path}: no {ndim}-D {np.dtype(dtype).name} array {name!r}")
+    if int(arrays["version"]) != BUNDLE_VERSION:
+        raise MalformedBundle(
+            f"{path}: format version {int(arrays['version'])}, not {BUNDLE_VERSION}; "
+            "re-run `synicl ingest` to rebuild it")
+    return arrays
+
+
+def _lines(arrays: dict, name: str, path: str) -> List[str]:
+    """The lines of the text array `name`, each of which ends in a newline."""
+    try:
+        lines = arrays[name].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedBundle(f"{path}: {name} is not UTF-8 text ({exc})") from exc
+    if lines.pop():
+        raise MalformedBundle(f"{path}: {name} does not end with a newline")
+    return lines
+
+
+def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.ndarray,
+                  starts: np.ndarray, where: str, first: int) -> None:
+    """Check the trees of one block of a bundle with array operations, then add them to `forest`.
+
+    `labels` (vocab ids, below `n_labels`) and `heads` cover the block's
+    nodes; tree t of the block has nodes starts[t] to starts[t + 1] - 1 and
+    is example `first + t` in errors. The checks and the lists equal
+    `_append_tree`'s.
+    """
+    n = len(labels)
+    sizes = np.diff(starts)
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    base = starts[:-1][tree]  # the block position of each node's tree's first node
+    bad = np.flatnonzero((heads < 0) | (heads > sizes[tree]))
+    if bad.size:
+        i = bad[0]
+        raise MalformedLine(f"{where} example {first + tree[i]}: head {heads[i]} of token "
+                            f"{i - base[i] + 1} out of range")
+    is_root = heads == 0
+    n_roots = np.bincount(tree[is_root], minlength=len(sizes))
+    if (n_roots != 1).any():
+        t = np.flatnonzero(n_roots != 1)[0]
+        if n_roots[t]:
+            raise MultipleRoots(f"{where} example {first + t}: more than one node with head 0")
+        raise CyclicTree(f"{where} example {first + t}: no root node (head 0) found")
+    node = np.arange(n)
+    parent = np.where(is_root, node, base + heads - 1)
+    # pointer jumping: after k rounds each node points 2**k steps up, or at its
+    # root, so nodes that do not reach a root after log2(size) rounds lie on a cycle
+    up = parent
+    for _ in range(int(sizes.max()).bit_length()):
+        up = up[up]
+    unreached = np.bincount(tree[~is_root[up]], minlength=len(sizes))
+    if unreached.any():
+        t = np.flatnonzero(unreached)[0]
+        raise CyclicTree(
+            f"{where} example {first + t}: {unreached[t]} tokens unreachable from root")
+
+    # children grouped by (head, label, token): each node's groups in label
+    # order, a group's children in token order (a stable sort of the tokens)
+    child = node[~is_root]
+    child = child[np.argsort(parent[child] * n_labels + labels[child], kind="stable")]
+    head, label = parent[child], labels[child]
+    new_group = np.ones(len(child), dtype=bool)
+    new_group[1:] = (head[1:] != head[:-1]) | (label[1:] != label[:-1])
+    group = np.cumsum(new_group) - 1
+    n_groups = len(group) and int(group[-1]) + 1
+    n_children = np.bincount(head, minlength=n)
+    internal = n_children[child] > 0
+    f = forest
+    node0, group0, kid0 = len(f.labels), len(f.group_label), len(f.kids)
+    f.labels += labels.tolist()
+    f.heads += heads.tolist()
+    f.n_children += n_children.tolist()
+    f.group_start += _shared_run_list(group0 + np.cumsum(np.bincount(head[new_group], minlength=n)))
+    f.group_label += label[new_group].tolist()
+    f.group_leaves += np.bincount(group[~internal], minlength=n_groups).tolist()
+    f.kids += (node0 + child[internal]).tolist()
+    f.kid_start += (kid0 + np.cumsum(np.bincount(group[internal], minlength=n_groups))).tolist()
+    f.tree_start += (node0 + starts[1:]).tolist()
+    f.roots += (node0 + node[is_root]).tolist()
+
+
+def _shared_run_list(values: np.ndarray) -> List[int]:
+    """`values.tolist()`, with one int object for each run of equal values.
+
+    `_append_tree` repeats the previous `group_start` entry for a node
+    without children. Sharing those objects here as well halves the int
+    objects of that list, which saves memory and the cache lines the tree
+    kernel reads.
+    """
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    objects = np.empty(int(first.sum()), dtype=object)
+    objects[:] = values[first].tolist()
+    return objects[np.cumsum(first) - 1].tolist()
 
 
 def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     """Load a bundle written by save_bundle, extending `vocab` (shared across bundles).
 
-    Every tree passes the same structural checks as parsed CoNLL-U, and the
-    example ids must equal their line positions (0, 1, ...).
+    Every tree passes the structural checks of parsed CoNLL-U, each source
+    must have as many words as its tree has tokens, and embeddings must be
+    finite. Failures raise a TreebankError that names the file and example.
     """
     vocab = vocab if vocab is not None else LabelVocab()
+    path = bundle_file(bundle_dir)
+    arrays = _read_bundle(path)
+    label_names = _lines(arrays, "label_names", path)
+    sources, targets, forms = (_lines(arrays, name, path) for name in ("sources", "targets", "forms"))
+    labels, heads, tree_start = arrays["labels"], arrays["heads"], arrays["tree_start"]
+    n_trees = len(tree_start) - 1
+    if (n_trees < 0 or tree_start[0] != 0 or tree_start[-1] != len(labels)
+            or len(heads) != len(labels)):
+        raise MalformedBundle(f"{path}: tree_start does not split the {len(labels)} labels "
+                              f"and {len(heads)} heads into trees")
+    sizes = np.diff(tree_start)
+    if (sizes < 1).any():
+        raise MalformedBundle(f"{path} example {np.flatnonzero(sizes < 1)[0]}: empty tree")
+    for name, lines in (("sources", sources), ("targets", targets), ("forms", forms)):
+        if len(lines) != n_trees:
+            raise LengthMismatch(f"{path}: {len(lines)} lines of {name} for {n_trees} trees")
+    for what, counts in (
+        ("forms", [line.count("\t") + 1 for line in forms]),
+        ("source words", [len(source.split()) for source in sources]),
+    ):
+        bad = np.flatnonzero(np.array(counts, dtype=np.int64) != sizes)
+        if bad.size:
+            t = bad[0]
+            raise LengthMismatch(
+                f"{path} example {t}: tree has {sizes[t]} tokens but {counts[t]} {what}")
+    bad = np.flatnonzero((labels < 0) | (labels >= len(label_names)))
+    if bad.size:
+        t = np.searchsorted(tree_start, bad[0], side="right") - 1
+        raise MalformedBundle(f"{path} example {t}: label id {labels[bad[0]]} out of range "
+                              f"({len(label_names)} labels)")
+    embeddings = arrays.get("embeddings")
+    if embeddings is not None:
+        if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
+            raise DimensionMismatch(
+                f"{path}: embeddings have shape {embeddings.shape}, for {n_trees} examples")
+        finite = np.isfinite(embeddings).all(axis=1)
+        if not finite.all():
+            raise MalformedBundle(f"{path} example {np.flatnonzero(~finite)[0]}: "
+                                  "embedding values must be finite numbers")
+
+    vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
     forest = Forest()
-    examples = []
-    dim: Optional[int] = None
-    path = os.path.join(bundle_dir, BUNDLE_EXAMPLES)
-    with open(path, encoding="utf-8") as f:
-        for position, line in enumerate(f):
-            where = f"{path} line {position + 1}"
-            try:
-                record = json.loads(line)
-                ex_id, source, target = record["id"], record["source"], record["target"]
-                rows = record["tree"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedLine(f"{where}: not an example record ({exc})") from exc
-            if type(ex_id) is not int or ex_id != position:
-                raise MalformedLine(f"{where}: example id {ex_id!r} != its position {position}")
-            if type(source) is not str or type(target) is not str:
-                raise MalformedLine(f"{where}: source and target must be strings")
-            if type(rows) is not list or not all(
-                type(row) is list and len(row) == 4 and type(row[0]) is int
-                and type(row[1]) is str and type(row[2]) is int and type(row[3]) is str
-                for row in rows
-            ):
-                raise MalformedLine(
-                    f"{where}: tree rows must be [int index, str form, int head, str label]"
-                )
-            tree = _append_tree(forest, rows, vocab, position)
-            embedding = None
-            if "embedding" in record:
-                embedding = _bundle_embedding(record["embedding"], where)
-                if dim is None:
-                    dim = embedding.shape[0]
-            examples.append(_make_example(position, source, target, tree, embedding, dim, where))
-    return Corpus(examples=examples, vocab=vocab, embedding_dim=dim)
+    forest.forms = forms
+    for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
+        t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
+        a, b = tree_start[t0], tree_start[t1]
+        _append_trees(forest, vocab_ids[labels[a:b]], len(vocab), heads[a:b].astype(np.int64),
+                      tree_start[t0:t1 + 1] - a, path, t0)
+    examples = [
+        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
+                embedding=None if embeddings is None else embeddings[t])
+        for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
+    ]
+    return Corpus(examples=examples, vocab=vocab,
+                  embedding_dim=None if embeddings is None else embeddings.shape[1])
 
 
 def content_hash(paths: Sequence[str]) -> str:

@@ -55,7 +55,7 @@ def bundles(tmp_path):
 
 def test_ingest_creates_bundle_and_manifest(bundles):
     out = bundles["train"]
-    assert os.path.isfile(os.path.join(out, "examples.jsonl"))
+    assert os.path.isfile(os.path.join(out, "examples.npz"))
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as f:
         manifest = json.load(f)
     assert manifest["command"] == "ingest"
@@ -102,16 +102,46 @@ def test_select_invalid_config_exits_1(bundles, capsys):
 
 
 def test_select_truncated_bundle_exits_1(bundles, capsys):
-    path = os.path.join(bundles["train"], "examples.jsonl")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text[: len(text) - 10])  # the last line is cut short
+    path = os.path.join(bundles["train"], "examples.npz")
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[: len(data) - 10])  # the write was cut short
     code = main(["select", "--train-bundle", bundles["train"],
                  "--test-bundle", bundles["test"], "--out", str(bundles["tmp"] / "sel")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{path} line 12" in err
+    assert err.startswith("error: ") and f"{path}: not a bundle file" in err
+
+
+def test_ingest_non_finite_embedding_exits_1(tmp_path, capsys):
+    corpus = make_synth_corpus(3, seed=5, max_tokens=6)
+    src, tgt, trees = dump_corpus_files(corpus, str(tmp_path / "c"))
+    emb = tmp_path / "c.emb"
+    emb.write_text("0.1 0.2\n0.1 nan\n0.3 0.4\n", encoding="utf-8")
+    code = main(["ingest", "--src", src, "--tgt", tgt, "--trees", trees,
+                 "--embeddings", str(emb), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{emb} line 2: embedding values must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["select", "prompt", "run"])
+def test_old_bundle_layout_exits_1(bundles, mock_endpoint, capsys, command):
+    selections = select_for_prompts(bundles, "sel_old")
+    os.remove(os.path.join(bundles["train"], "examples.npz"))
+    with open(os.path.join(bundles["train"], "examples.jsonl"), "w", encoding="utf-8") as f:
+        f.write('{"id": 0, "source": "a", "target": "a", "tree": [[1, "a", 0, "Root"]]}\n')
+    capsys.readouterr()
+    args = [command, "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+            "--out", str(bundles["tmp"] / "out")]
+    if command != "select":
+        args += ["--selections", selections, "--style", "chat"]
+    if command == "run":
+        args += ["--base-url", mock_endpoint().base_url, "--model", "m"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "re-run `synicl ingest`" in err
 
 
 def test_select_writes_selections(bundles):

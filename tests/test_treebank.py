@@ -1,5 +1,4 @@
 import gc
-import json
 import random
 
 import numpy as np
@@ -66,17 +65,32 @@ def test_parse_single_token():
     assert trees[0].root.children == []
 
 
-def write_bundle(bundle_dir, records):
+def bundle_arrays(trees, sources=None):
+    """The arrays of a bundle file holding `trees`, lists of [index, form, head, label] rows."""
+    names = list(dict.fromkeys(row[3] for rows in trees for row in rows))
+    if sources is None:
+        sources = [" ".join(str(row[1]) for row in rows) for rows in trees]
+    return {
+        "version": np.int64(treebank.BUNDLE_VERSION),
+        "label_names": text_array(names),
+        "labels": np.array([names.index(row[3]) for rows in trees for row in rows], np.int32),
+        "heads": np.array([row[2] for rows in trees for row in rows], np.int32),
+        "tree_start": np.cumsum([0] + [len(rows) for rows in trees], dtype=np.int64),
+        "sources": text_array(sources),
+        "targets": text_array(sources),
+        "forms": text_array(["\t".join(str(row[1]) for row in rows) for rows in trees]),
+    }
+
+
+def text_array(lines):
+    return np.frombuffer("".join(line + "\n" for line in lines).encode("utf-8"), np.uint8)
+
+
+def write_arrays(bundle_dir, arrays):
+    """Write `arrays`, possibly malformed, as the bundle file of `bundle_dir`."""
     bundle_dir.mkdir(parents=True)
-    (bundle_dir / "examples.jsonl").write_text(
-        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    np.savez(bundle_dir / treebank.BUNDLE_FILE, **arrays)
     return str(bundle_dir)
-
-
-def tree_record(ex_id, rows, source=None):
-    if source is None:
-        source = " ".join(str(row[1]) for row in rows)
-    return {"id": ex_id, "source": source, "target": source, "tree": rows}
 
 
 def assert_both_readers_reject(tmp_path, rows, error):
@@ -84,8 +98,8 @@ def assert_both_readers_reject(tmp_path, rows, error):
     text = "\n".join("\t".join(map(str, row)) for row in rows) + "\n"
     with pytest.raises(error):
         parse_conllu(text, LabelVocab())
-    with pytest.raises(error):
-        load_bundle(write_bundle(tmp_path / "bundle", [tree_record(0, rows)]))
+    with pytest.raises(error, match=r"examples\.npz example 0"):
+        load_bundle(write_arrays(tmp_path / "bundle", bundle_arrays([rows])))
 
 
 def test_parse_no_root_is_cyclic(tmp_path):
@@ -103,9 +117,10 @@ def test_parse_cycle_below_root(tmp_path):
     assert_both_readers_reject(tmp_path, rows, CyclicTree)
 
 
-def test_parse_missing_token_index(tmp_path):
-    rows = [[1, "a", 0, "Root"], [3, "c", 1, "dep"]]
-    assert_both_readers_reject(tmp_path, rows, MissingToken)
+def test_parse_missing_token_index():
+    # a bundle stores no token indices: a token's index is its position
+    with pytest.raises(MissingToken):
+        parse_conllu("1\ta\t0\tRoot\n3\tc\t1\tdep\n", LabelVocab())
 
 
 def test_parse_malformed_lines(tmp_path):
@@ -114,25 +129,100 @@ def test_parse_malformed_lines(tmp_path):
         parse_conllu("1\ta\t0\tRoot\textra\n", vocab)  # 5 columns is neither layout
     with pytest.raises(MalformedLine):
         parse_conllu("1\ta\tX\tRoot\n", vocab)  # non-integer head
-    duplicate = [[1, "a", 0, "Root"], [1, "b", 1, "dep"]]
-    assert_both_readers_reject(tmp_path / "duplicate", duplicate, MalformedLine)
+    with pytest.raises(MalformedLine):
+        parse_conllu("1\ta\t0\tRoot\n1\tb\t1\tdep\n", vocab)  # duplicate index
     out_of_range = [[1, "a", 5, "Root"]]
     assert_both_readers_reject(tmp_path / "out_of_range", out_of_range, MalformedLine)
+    negative = [[1, "a", 0, "Root"], [2, "b", -1, "dep"]]
+    assert_both_readers_reject(tmp_path / "negative", negative, MalformedLine)
 
 
-@pytest.mark.parametrize("rows", [
-    [[1, "a", 0]],  # 3-item row
-    [[1, "a", "0", "Root"]],  # string head
-    [[True, "a", 0, "Root"]],  # bool index
-    [[1, "a", 0, 7]],  # non-string label
-    [[1, "a", 0, "Root", "extra"]],  # 5-item row
-    "1 a 0 Root",  # not a list of rows
+def chain(n):
+    """Rows of a tree of n tokens, each token the head of the next."""
+    return [[i, "w", i - 1, "Root" if i == 1 else "dep"] for i in range(1, n + 1)]
+
+
+def test_cycles_are_found_in_every_tree_of_a_block(tmp_path):
+    good = chain(3)
+    cycle = [[1, "a", 0, "Root"], [2, "b", 4, "dep"], [3, "c", 2, "dep"], [4, "d", 3, "dep"]]
+    trees = [good] * 5 + [cycle] + [good] * 3
+    with pytest.raises(CyclicTree, match=r"examples\.npz example 5: 3 tokens unreachable"):
+        load_bundle(write_arrays(tmp_path / "bundle", bundle_arrays(trees)))
+    # a chain is the deepest tree of its size, and the largest tree of a block
+    # sets the number of pointer-jumping rounds
+    for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 18, 255, 256, 257, 258]:
+        corpus = load_bundle(write_arrays(tmp_path / f"chain{n}", bundle_arrays([chain(n)])))
+        assert corpus[0].tree.heads == list(range(n))
+
+
+# each id names a fault of the old row-per-token layout; the port stores the
+# same fault in the array it now lives in
+@pytest.mark.parametrize("name, array", [
+    ("labels", np.array([], np.int32)),  # a token without its label
+    ("heads", np.array(["0"])),  # heads stored as text
+    ("tree_start", np.array([False, True])),  # tree bounds stored as bools
+    ("label_names", np.array([7], np.int32)),  # label names stored as ids
+    ("heads", np.array([[0, 0]], np.int32)),  # a token with two heads
+    ("heads", np.array(["1 a 0 Root"], dtype=object)),  # a pickled object, never loaded
 ], ids=["short-row", "string-head", "bool-index", "int-label", "long-row", "text-tree"])
-def test_bundle_rejects_malformed_rows(tmp_path, rows):
-    record = tree_record(0, [[1, "a", 0, "Root"]])
-    record["tree"] = rows
-    with pytest.raises(MalformedLine, match="examples.jsonl line 1"):
-        load_bundle(write_bundle(tmp_path / "bundle", [record]))
+def test_bundle_rejects_malformed_rows(tmp_path, name, array):
+    arrays = bundle_arrays([[[1, "a", 0, "Root"]]])
+    arrays[name] = array
+    with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz"):
+        load_bundle(write_arrays(tmp_path / "bundle", arrays))
+
+
+@pytest.mark.parametrize("name, array", [
+    ("version", np.int64(0)),
+    ("tree_start", np.array([0, 2, 2], np.int64)),  # an empty tree
+    ("tree_start", np.array([1, 2], np.int64)),
+    ("tree_start", np.array([], np.int64)),
+    ("forms", np.frombuffer(b"a\tb", np.uint8)),  # no newline at the end
+    ("sources", np.frombuffer(b"\xff\n", np.uint8)),  # not UTF-8
+    ("labels", np.array([0, 5], np.int32)),  # label id out of range
+    ("labels", np.array([0, -1], np.int32)),
+    ("forms", None),
+], ids=["version", "empty-tree", "start-not-0", "no-start", "unterminated", "not-utf8",
+        "label-too-large", "label-negative", "missing-array"])
+def test_bundle_rejects_malformed_arrays(tmp_path, name, array):
+    arrays = bundle_arrays([[[1, "a", 0, "Root"], [2, "b", 1, "dep"]]])
+    if array is None:
+        del arrays[name]
+    else:
+        arrays[name] = array
+    with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz"):
+        load_bundle(write_arrays(tmp_path / "bundle", arrays))
+
+
+def test_bundle_string_counts_must_match_the_trees(tmp_path):
+    trees = [[[1, "a", 0, "Root"]], [[1, "b", 0, "Root"], [2, "c", 1, "dep"]]]
+    for i, (name, lines) in enumerate([("sources", ["a"]), ("targets", ["a", "b c", "d"]),
+                                       ("forms", ["a"])]):
+        arrays = bundle_arrays(trees)
+        arrays[name] = text_array(lines)
+        with pytest.raises(LengthMismatch, match=rf"examples\.npz: \d lines of {name} for 2 trees"):
+            load_bundle(write_arrays(tmp_path / f"bundle{i}", arrays))
+    arrays = bundle_arrays(trees)
+    arrays["forms"] = text_array(["a", "b c"])  # two tokens, one form
+    with pytest.raises(LengthMismatch, match=r"examples\.npz example 1: tree has 2 tokens but 1 forms"):
+        load_bundle(write_arrays(tmp_path / "forms", arrays))
+
+
+def test_bundle_file_layout(tmp_path):
+    rows = [[[1, "a", 0, "Root"]], [[1, "b", 2, "dep"], [2, "c", 0, "Root"]],
+            [[1, "d", 0, "Root"], [2, "e", 1, "dep"], [3, "f", 1, "S"]]]
+    vocab = LabelVocab(["unused", "S"])
+    corpus = treebank.Corpus([], vocab)
+    for i, tree in enumerate(parse_conllu(THREE_TREES, vocab)):
+        source = " ".join(tree.forms)
+        corpus.examples.append(treebank.Example(id=i, source=source, target=source, tree=tree))
+    save_bundle(corpus, str(tmp_path))
+    with np.load(tmp_path / treebank.BUNDLE_FILE) as data:
+        saved = {name: data[name] for name in data.files}
+    expected = bundle_arrays(rows)
+    assert list(saved) == list(expected)
+    for name, array in expected.items():
+        assert saved[name].dtype == array.dtype and np.array_equal(saved[name], array), name
 
 
 def test_parse_ten_column_and_comments_and_mwt():
@@ -277,9 +367,9 @@ def test_load_corpus_token_count_mismatch(tmp_path):
     with pytest.raises(LengthMismatch):
         load_corpus(src, tgt, trees)
     # the same pair stored in a bundle
-    record = tree_record(0, [[1, "a", 0, "Root"]], source="a extra")
-    with pytest.raises(LengthMismatch, match="examples.jsonl line 1"):
-        load_bundle(write_bundle(tmp_path / "bundle", [record]))
+    arrays = bundle_arrays([[[1, "a", 0, "Root"]]], sources=["a extra"])
+    with pytest.raises(LengthMismatch, match=r"examples\.npz example 0: tree has 1 tokens but 2 "):
+        load_bundle(write_arrays(tmp_path / "bundle", arrays))
 
 
 def test_load_corpus_embedding_dim_mismatch(tmp_path):
@@ -291,26 +381,44 @@ def test_load_corpus_embedding_dim_mismatch(tmp_path):
 
 
 def test_load_bundle_embedding_dim_mismatch(tmp_path):
-    records = [tree_record(i, [[1, "a", 0, "Root"]]) for i in range(2)]
-    records[0]["embedding"] = [0.1, 0.2]
-    records[1]["embedding"] = [0.1, 0.2, 0.3]
-    with pytest.raises(DimensionMismatch, match="examples.jsonl line 2"):
-        load_bundle(write_bundle(tmp_path / "bundle", records))
+    trees = [[[1, "a", 0, "Root"]]] * 2
+    for i, shape in enumerate([(3, 2), (1, 2), (2, 0)]):  # rows must match the trees, width >= 1
+        arrays = bundle_arrays(trees)
+        arrays["embeddings"] = np.zeros(shape)
+        with pytest.raises(DimensionMismatch, match=r"examples\.npz: embeddings have shape"):
+            load_bundle(write_arrays(tmp_path / f"bundle{i}", arrays))
 
 
 def test_load_bundle_rejects_malformed_embeddings(tmp_path):
-    bad = [5, "x", [], ["x"], [[1.0], [2.0]], [1.0, True], [1.0, None], [10**400],
-           [float("nan")], [1.0, float("inf")], [-float("inf")], {"0": 1.0}]
-    for i, embedding in enumerate(bad):
-        record = tree_record(0, [[1, "a", 0, "Root"]])
-        record["embedding"] = embedding
-        with pytest.raises(MalformedLine, match=r"examples\.jsonl line 1: embedding"):
-            load_bundle(write_bundle(tmp_path / f"bundle{i}", [record]))
-    record = tree_record(0, [[1, "a", 0, "Root"]])
-    record["embedding"] = [1, -2.5, 0]
-    corpus = load_bundle(write_bundle(tmp_path / "good", [record]))
+    trees = [[[1, "a", 0, "Root"]]] * 2
+    bad = [[[0.5, 1.0], [float("nan"), 0.0]], [[0.5, 1.0], [1.0, float("inf")]],
+           [[0.5, 1.0], [-float("inf"), 0.0]]]
+    for i, embeddings in enumerate(bad):
+        arrays = bundle_arrays(trees)
+        arrays["embeddings"] = np.array(embeddings)
+        with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz example 1: embedding"):
+            load_bundle(write_arrays(tmp_path / f"bundle{i}", arrays))
+    for i, embeddings in enumerate([np.ones((2, 2), np.float32), np.ones((2, 2), np.int64),
+                                    np.ones(2), np.ones((2, 2, 1))]):
+        arrays = bundle_arrays(trees)
+        arrays["embeddings"] = embeddings
+        with pytest.raises(treebank.MalformedBundle, match=r"array 'embeddings'"):
+            load_bundle(write_arrays(tmp_path / f"type{i}", arrays))
+    arrays = bundle_arrays(trees)
+    arrays["embeddings"] = np.array([[1, -2.5, 0], [0, 0, 1e-300]])
+    corpus = load_bundle(write_arrays(tmp_path / "good", arrays))
     assert corpus.embedding_dim == 3
     assert corpus[0].embedding.tolist() == [1.0, -2.5, 0.0]
+    assert corpus[1].embedding.tolist() == [0.0, 0.0, 1e-300]
+
+
+@pytest.mark.parametrize("line", ["0.1 nan", "inf 0.2", "0.1 -1e999", "0.1 x"])
+def test_load_corpus_rejects_non_finite_embeddings(tmp_path, line):
+    src, tgt, trees, emb = write_corpus_files(
+        tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES,
+        embeddings=[[0.1, 0.2], [line], [1.0, 0.0]])
+    with pytest.raises(MalformedLine, match=r"corpus\.emb line 2: "):
+        load_corpus(src, tgt, trees, emb)
 
 
 def test_load_corpus_with_embeddings(tmp_path):
@@ -372,18 +480,108 @@ def saved_bundle(tmp_path):
 
 
 def test_bundle_ids_must_equal_positions(tmp_path):
-    out = saved_bundle(tmp_path)
-    path = out / "examples.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[1:]), encoding="utf-8")  # every id is now its position + 1
-    with pytest.raises(TreebankError, match=r"examples\.jsonl line 1: example id 1 != its position 0"):
-        load_bundle(str(out))
+    # a bundle stores no ids: an example's id is its position
+    src, tgt, trees, _ = write_corpus_files(
+        tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES)
+    corpus = load_corpus(src, tgt, trees)
+    corpus.examples = corpus.examples[1:]  # every id is now its position + 1
+    with pytest.raises(TreebankError, match=r"example 0: id 1 is not the example's position"):
+        save_bundle(corpus, str(tmp_path / "bundle"))
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_bundle_truncated_line_is_malformed(tmp_path):
     out = saved_bundle(tmp_path)
-    path = out / "examples.jsonl"
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: len(text) - 20], encoding="utf-8")  # a write cut short
-    with pytest.raises(MalformedLine, match=r"examples\.jsonl line 3"):
+    path = out / treebank.BUNDLE_FILE
+    data = path.read_bytes()
+    for i, cut in enumerate([20, len(data) // 2, len(data) - 1]):  # a write cut short
+        path.write_bytes(data[:cut])
+        with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz: not a bundle file"):
+            load_bundle(str(out))
+    path.write_bytes(b"")
+    with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz: not a bundle file"):
         load_bundle(str(out))
+    np.save(path.with_suffix(".npy"), np.zeros(3))
+    path.with_suffix(".npy").rename(path)  # one array, not an archive
+    with pytest.raises(treebank.MalformedBundle, match=r"examples\.npz: not a bundle file"):
+        load_bundle(str(out))
+
+
+def test_old_jsonl_bundle_asks_for_a_new_ingest(tmp_path):
+    (tmp_path / "examples.jsonl").write_text('{"id": 0}\n', encoding="utf-8")
+    with pytest.raises(TreebankError, match=r"examples\.jsonl bundle.*re-run `synicl ingest`"):
+        load_bundle(str(tmp_path))
+    with pytest.raises(FileNotFoundError):  # no bundle at all stays an I/O error
+        load_bundle(str(tmp_path / "missing"))
+
+
+def test_save_bundle_twice_gives_identical_bytes(tmp_path):
+    corpus = make_synth_corpus(50, seed=2, embedding_dim=4)
+    for name in ("one", "two"):
+        save_bundle(corpus, str(tmp_path / name))
+    one, two = (tmp_path / name / treebank.BUNDLE_FILE for name in ("one", "two"))
+    assert one.read_bytes() == two.read_bytes()
+    assert treebank.content_hash([str(one)]) == treebank.content_hash([str(two)])
+
+
+def test_loaded_forest_equals_parsed_forest(tmp_path):
+    # more trees than one load block, so the block offsets are checked too
+    corpus = make_synth_corpus(treebank._LOAD_BLOCK_TREES + 300, seed=6, min_tokens=1,
+                               max_tokens=14)
+    save_bundle(corpus, str(tmp_path))
+    loaded = load_bundle(str(tmp_path))
+    vocab = LabelVocab()
+    text = "\n\n".join(tree_to_conllu(ex.tree, corpus.vocab) for ex in corpus.examples)
+    parsed = parse_conllu(text, vocab)
+    assert loaded.vocab.labels == vocab.labels
+    forest, reference = loaded[0].tree.forest, parsed[0].forest
+    for name in treebank.Forest.__slots__:
+        assert getattr(forest, name) == getattr(reference, name), name
+    # a node without children shares its group_start int with the node before,
+    # as in _append_tree (up to one more object where a load block starts)
+    assert len(set(map(id, forest.group_start))) <= len(set(map(id, reference.group_start))) + 1
+    for ex, tree in zip(loaded.examples, parsed):
+        assert (ex.tree.forest, ex.tree.index, ex.tree.n_tokens) == (forest, tree.index, tree.n_tokens)
+        assert ex.tree.sentence_id == ex.id
+
+
+def one_token_corpus(n, **fields):
+    """n one-token examples; `fields` maps a field name to a value per example."""
+    vocab = LabelVocab()
+    examples = []
+    for i in range(n):
+        tree = treebank.DepTree(treebank.DepNode(1, f"w{i}", vocab.add("Root")), 1, i)
+        ex = treebank.Example(id=i, source=f"w{i}", target=f"w{i}", tree=tree)
+        for name, values in fields.items():
+            setattr(ex, name, values[i])
+        examples.append(ex)
+    return treebank.Corpus(examples, vocab)
+
+
+@pytest.mark.parametrize("fields, error, where", [
+    ({"embedding": [np.ones(2), None]}, DimensionMismatch, "example 1"),
+    ({"embedding": [None, np.ones(2)]}, DimensionMismatch, "example 1"),
+    ({"embedding": [np.ones(2), np.ones(3)]}, DimensionMismatch, "example 1"),
+    ({"embedding": [np.ones((1, 2)), np.ones((1, 2))]}, DimensionMismatch, "example 0"),
+    ({"embedding": [np.ones(0), np.ones(0)]}, DimensionMismatch, "example 0"),
+    ({"embedding": [np.ones(2), np.array([1.0, np.nan])]}, TreebankError, "example 1"),
+    ({"source": ["w0", "w1\nw2"]}, TreebankError, "example 1: the source"),
+    ({"target": ["a\nb", "w1"]}, TreebankError, "example 0: the target"),
+], ids=["missing", "extra", "ragged", "matrix", "empty", "nan", "source-newline",
+        "target-newline"])
+def test_save_bundle_refuses_what_it_cannot_round_trip(tmp_path, fields, error, where):
+    with pytest.raises(error, match=where):
+        save_bundle(one_token_corpus(2, **fields), str(tmp_path / "bundle"))
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_forms_hold_no_tab_or_newline(tmp_path):
+    for form in ("a\tb", "a\nb"):
+        with pytest.raises(MalformedLine, match="sentence 4: a form contains"):
+            treebank.DepTree(treebank.DepNode(1, form, 0), 1, 4)
+    # a forest changed by hand after its trees were checked
+    corpus = one_token_corpus(2)
+    corpus[1].tree.forest.forms[0] = "w1\tx"
+    with pytest.raises(TreebankError, match="example 1: a form contains a tab"):
+        save_bundle(corpus, str(tmp_path / "bundle"))
+    assert not (tmp_path / "bundle").exists()
