@@ -125,6 +125,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise pipeline.InvalidConfig(f"--limit must be >= 0 (0 = all queries), got {args.limit}")
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     hashes = _bundle_hashes(args)
     config = _selection_config(args)
@@ -164,6 +166,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.max_retries < 0:
+        raise pipeline.InvalidConfig(f"--max-retries must be >= 0, got {args.max_retries}")
     hashes = _check_selection_bundles(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     selections = pipeline.load_results(args.selections)

@@ -18,17 +18,20 @@ internal children, which is the shape the tree kernel merge-joins over. A
 asked, and `DepTree(root=DepNode…)` turns a hand-built graph into a
 one-tree forest.
 
-CoNLL-U text and DepNode graphs enter a forest through `_append_tree`,
-which checks each tree (one root, no cycles, contiguous token indices, no
-tab or newline in a form). A corpus bundle is one binary file,
-`examples.npz`, written by `save_bundle`; `load_bundle` runs the same
-structural checks on its arrays with numpy and fills the forest lists in
-blocks of trees, giving lists equal to what `_append_tree` builds.
+CoNLL-U text, DepNode graphs and corpus bundles all fill a forest through
+`_append_trees`, which checks blocks of trees with numpy (one root, no
+cycles, heads and label ids in range) and is the only writer of the child
+groups. Text and graphs first pass their rows through `_append_rows`,
+which sorts each tree's rows by token index and checks what needs the rows
+themselves (contiguous token indices, no tab or newline in a form). A
+corpus bundle is one binary file, `examples.npz`, written by `save_bundle`;
+`load_bundle` hands its arrays to `_append_trees` block by block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -166,11 +169,12 @@ class DepTree:
     __slots__ = ("forest", "index", "n_tokens", "sentence_id")
 
     def __init__(self, root: DepNode, n_tokens: int, sentence_id: int = -1):
-        tree = _append_tree(Forest(), _graph_rows(root, sentence_id), None, sentence_id)
-        if tree.n_tokens != n_tokens:
+        forest = Forest()
+        _append_rows(forest, [_graph_rows(root, sentence_id)], sentence_id, _LABEL_LIMIT)
+        if forest.tree_start[1] != n_tokens:
             raise LengthMismatch(
-                f"sentence {sentence_id}: graph has {tree.n_tokens} nodes, not {n_tokens}")
-        self.forest, self.index = tree.forest, 0
+                f"sentence {sentence_id}: graph has {forest.tree_start[1]} nodes, not {n_tokens}")
+        self.forest, self.index = forest, 0
         self.n_tokens, self.sentence_id = n_tokens, sentence_id
 
     @classmethod
@@ -253,8 +257,12 @@ def _split_columns(line: str) -> List[str]:
     return line.split()
 
 
-def _block_rows(lines: List[str], sentence_id: int) -> List[Tuple[int, str, int, str]]:
-    """Split the token lines of one block into (token index, form, head, label) rows."""
+def _block_rows(lines: List[str], sentence_id: int,
+                vocab: LabelVocab) -> List[Tuple[int, str, int, int]]:
+    """Split the token lines of one block into (token index, form, head, label id) rows.
+
+    Labels are interned into `vocab` in line order.
+    """
     rows = []
     for line in lines:
         cols = _split_columns(line)
@@ -270,9 +278,10 @@ def _block_rows(lines: List[str], sentence_id: int) -> List[Tuple[int, str, int,
             # multiword token / empty node lines carry no tree structure
             continue
         try:
-            rows.append((int(id_col), form, int(head_col), deprel))
+            index, head = int(id_col), int(head_col)
         except ValueError as exc:
             raise MalformedLine(f"sentence {sentence_id}: non-integer ID/HEAD: {line!r}") from exc
+        rows.append((index, form, head, vocab.add(deprel)))
     return rows
 
 
@@ -289,102 +298,46 @@ def _index_error(indices: List[int], sentence_id: int) -> TreebankError:
         f"sentence {sentence_id}: token index {missing} missing (have 1..{indices[-1]})")
 
 
-def _append_tree(
-    forest: Forest, rows: Sequence[Sequence], vocab: Optional[LabelVocab], sentence_id: int
-) -> DepTree:
-    """Check that (token index, form, head, label) rows form one tree, then add it to `forest`.
+def _int64(values: List[int]) -> np.ndarray:
+    """`values` as an int64 array; a value past its range, out of range anyway, is clamped."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values], dtype=np.int64)
 
-    The rows must be non-empty with indices 1..n (any order, no duplicates),
-    exactly one head 0, every other head among the indices and no cycle, and
-    no form may hold a tab or a newline. Labels are strings interned into
-    `vocab` in row order, or label ids already when `vocab` is None. Returns
-    the view of the new tree.
+
+def _append_rows(forest: Forest, trees: Sequence[Sequence[Tuple[int, str, int, int]]],
+                 first: int, n_labels: int) -> None:
+    """Add trees given as (token index, form, head, label id) rows to `forest`.
+
+    Tree t is sentence `first + t` in errors. Here each tree's rows are put
+    in token order and checked for what needs them: they must be non-empty
+    with indices 1..n (any order, no duplicates), and no form may hold a tab
+    or a newline. `_append_trees` checks the rest, with label ids below
+    `n_labels`.
     """
-    if not rows:
-        raise MalformedLine(f"sentence {sentence_id}: empty block")
-    n = len(rows)
-    expected = list(range(1, n + 1))
-    if [row[0] for row in rows] == expected:
-        ordered = rows
-    else:
-        ordered = sorted(rows, key=lambda row: row[0])
-        indices = [row[0] for row in ordered]
-        if indices != expected:
-            raise _index_error(indices, sentence_id)
-
-    forms = "\t".join([row[1] for row in ordered])
-    if forms.count("\t") != n - 1 or "\n" in forms:
-        raise MalformedLine(f"sentence {sentence_id}: a form contains a tab or a newline")
-
-    if vocab is None:
-        labels = [row[3] for row in ordered]
-    else:
-        label_ids = vocab._index
-        try:
-            labels = [label_ids[row[3]] for row in ordered]
-        except KeyError:
-            for row in rows:
-                vocab.add(row[3])
-            labels = [label_ids[row[3]] for row in ordered]
-    heads = [row[2] for row in ordered]
-
-    children: List[List[int]] = [[] for _ in range(n)]
-    root = -1
-    for i, head in enumerate(heads):
-        if head == 0:
-            if root >= 0:
-                raise MultipleRoots(f"sentence {sentence_id}: more than one node with head 0")
-            root = i
-        elif 0 < head <= n:
-            children[head - 1].append(i)
-        else:
-            raise MalformedLine(
-                f"sentence {sentence_id}: head {head} of token {i + 1} out of range")
-    if root < 0:
-        # every node has a parent among the tokens, so the graph contains a cycle
-        raise CyclicTree(f"sentence {sentence_id}: no root node (head 0) found")
-    reached = 0
-    stack = [root]
-    while stack:
-        reached += 1
-        stack.extend(children[stack.pop()])
-    if reached != n:
-        raise CyclicTree(f"sentence {sentence_id}: {n - reached} tokens unreachable from root")
-
-    # each node's children grouped by label (stable sort: token order within a
-    # label), leaves counted and internal children listed by node id
-    f = forest
-    base = len(f.labels)
-    group_label, group_leaves, kids = f.group_label, f.group_leaves, f.kids
-    group_start, kid_start = f.group_start, f.kid_start
-    for node_children in children:
-        if not node_children:
-            group_start.append(group_start[-1])
-            continue
-        if len(node_children) > 1:
-            node_children.sort(key=labels.__getitem__)
-        prev = None
-        for child in node_children:
-            label = labels[child]
-            if label != prev:
-                if prev is not None:
-                    kid_start.append(len(kids))
-                group_label.append(label)
-                group_leaves.append(0)
-                prev = label
-            if children[child]:
-                kids.append(base + child)
-            else:
-                group_leaves[-1] += 1
-        kid_start.append(len(kids))
-        group_start.append(len(group_label))
-    f.n_children += map(len, children)
-    f.labels += labels
-    f.heads += heads
-    f.forms.append(forms)
-    f.tree_start.append(base + n)
-    f.roots.append(base + root)
-    return DepTree._view(f, len(f.roots) - 1, n, sentence_id)
+    labels: List[int] = []
+    heads: List[int] = []
+    starts = [0]
+    for sentence_id, rows in enumerate(trees, first):
+        n = len(rows)
+        if not n:
+            raise MalformedLine(f"sentence {sentence_id}: empty block")
+        expected = list(range(1, n + 1))
+        if [row[0] for row in rows] != expected:
+            rows = sorted(rows, key=lambda row: row[0])
+            indices = [row[0] for row in rows]
+            if indices != expected:
+                raise _index_error(indices, sentence_id)
+        forms = "\t".join([row[1] for row in rows])
+        if forms.count("\t") != n - 1 or "\n" in forms:
+            raise MalformedLine(f"sentence {sentence_id}: a form contains a tab or a newline")
+        forest.forms.append(forms)
+        labels += [row[3] for row in rows]
+        heads += [row[2] for row in rows]
+        starts.append(len(labels))
+    _append_trees(forest, _int64(labels), n_labels, _int64(heads), np.array(starts, dtype=np.int64),
+                  "sentence ", first)
 
 
 def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, int]]:
@@ -410,26 +363,34 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     minimal 4-column ID/FORM/HEAD/DEPREL layout. Comment lines start with
     '#'; multiword ("1-2") and empty-node ("1.1") ids are skipped. `vocab`
     is extended in place with unseen labels. The trees share one new forest.
+
+    Sentences are checked in blocks of `_LOAD_BLOCK_TREES`: first each
+    sentence's lines and token indices, then the structure of the whole
+    block. In a text with several faults, the one reported may therefore
+    come from a later sentence of the same block than the first fault.
     """
     forest = Forest()
-    trees = []
+    pending: List[List[Tuple[int, str, int, int]]] = []  # rows of the trees not yet in `forest`
     current: List[str] = []
-    sentence_id = 0
-    for raw in text.split("\n"):
+    first = 0  # the sentence id of the first pending tree
+    for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
         line = raw.rstrip("\r")
         if line.strip() == "":
             if current:
-                rows = _block_rows(current, sentence_id)
-                trees.append(_append_tree(forest, rows, vocab, sentence_id))
-                sentence_id += 1
+                pending.append(_block_rows(current, first + len(pending), vocab))
                 current = []
+                if len(pending) == _LOAD_BLOCK_TREES:
+                    _append_rows(forest, pending, first, len(vocab))
+                    first += len(pending)
+                    pending = []
             continue
         if line.lstrip().startswith("#"):
             continue
         current.append(line)
-    if current:
-        trees.append(_append_tree(forest, _block_rows(current, sentence_id), vocab, sentence_id))
-    return trees
+    if pending:
+        _append_rows(forest, pending, first, len(vocab))
+    starts = forest.tree_start
+    return [DepTree._view(forest, t, starts[t + 1] - starts[t], t) for t in range(len(starts) - 1)]
 
 
 def _read_lines(path: str) -> List[str]:
@@ -545,10 +506,13 @@ _BUNDLE_ARRAYS = {  # name: (dtype, number of dimensions); embeddings are option
     "heads": (np.int32, 1), "tree_start": (np.int64, 1), "sources": (np.uint8, 1),
     "targets": (np.uint8, 1), "forms": (np.uint8, 1), "embeddings": (np.float64, 2),
 }
-# Trees per block when a loaded bundle fills its forest. Small blocks keep
-# numpy's temporaries small, so a load's peak memory stays near what the
-# forest takes: loading a 35k-tree pool in one block peaked ~50 MB higher.
+# Trees per block when a forest is filled. Small blocks keep numpy's
+# temporaries small, so peak memory stays near what the forest takes:
+# loading a 35k-tree pool in one block peaked ~50 MB higher.
 _LOAD_BLOCK_TREES = 2048
+# The bound on the label ids of a DepNode graph, which comes without its
+# vocab: a bundle stores label ids as int32.
+_LABEL_LIMIT = 2 ** 31
 
 
 def _text(lines: Sequence[str]) -> np.ndarray:
@@ -671,30 +635,41 @@ def _lines(arrays: dict, name: str, path: str) -> List[str]:
 
 
 def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.ndarray,
-                  starts: np.ndarray, where: str, first: int) -> None:
-    """Check the trees of one block of a bundle with array operations, then add them to `forest`.
+                  starts: np.ndarray, where: str, first: int,
+                  label_ids: Optional[np.ndarray] = None,
+                  label_error: type = MalformedLine) -> None:
+    """Check one block of trees with array operations, then add them to `forest`.
 
-    `labels` (vocab ids, below `n_labels`) and `heads` cover the block's
-    nodes; tree t of the block has nodes starts[t] to starts[t + 1] - 1 and
-    is example `first + t` in errors. The checks and the lists equal
-    `_append_tree`'s.
+    `labels` and `heads` cover the block's nodes; tree t has nodes starts[t]
+    to starts[t + 1] - 1 and is `{where}{first + t}` in errors. Labels must
+    lie in 0..n_labels - 1 (else `label_error`); they are vocab ids, or
+    indices into `label_ids`, the vocab id of each. Heads are token indices
+    within the tree, 0 at the root. This is the one writer of the forest's
+    child groups.
     """
     n = len(labels)
     sizes = np.diff(starts)
     tree = np.repeat(np.arange(len(sizes)), sizes)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_labels))
+    if bad.size:
+        i = bad[0]
+        raise label_error(f"{where}{first + tree[i]}: label id {labels[i]} out of range "
+                          f"({n_labels} labels)")
+    if label_ids is not None:
+        labels = label_ids[labels]
     base = starts[:-1][tree]  # the block position of each node's tree's first node
     bad = np.flatnonzero((heads < 0) | (heads > sizes[tree]))
     if bad.size:
         i = bad[0]
-        raise MalformedLine(f"{where} example {first + tree[i]}: head {heads[i]} of token "
+        raise MalformedLine(f"{where}{first + tree[i]}: head {heads[i]} of token "
                             f"{i - base[i] + 1} out of range")
     is_root = heads == 0
     n_roots = np.bincount(tree[is_root], minlength=len(sizes))
     if (n_roots != 1).any():
         t = np.flatnonzero(n_roots != 1)[0]
         if n_roots[t]:
-            raise MultipleRoots(f"{where} example {first + t}: more than one node with head 0")
-        raise CyclicTree(f"{where} example {first + t}: no root node (head 0) found")
+            raise MultipleRoots(f"{where}{first + t}: more than one node with head 0")
+        raise CyclicTree(f"{where}{first + t}: no root node (head 0) found")
     node = np.arange(n)
     parent = np.where(is_root, node, base + heads - 1)
     # pointer jumping: after k rounds each node points 2**k steps up, or at its
@@ -705,13 +680,13 @@ def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.n
     unreached = np.bincount(tree[~is_root[up]], minlength=len(sizes))
     if unreached.any():
         t = np.flatnonzero(unreached)[0]
-        raise CyclicTree(
-            f"{where} example {first + t}: {unreached[t]} tokens unreachable from root")
+        raise CyclicTree(f"{where}{first + t}: {unreached[t]} tokens unreachable from root")
 
     # children grouped by (head, label, token): each node's groups in label
     # order, a group's children in token order (a stable sort of the tokens)
     child = node[~is_root]
-    child = child[np.argsort(parent[child] * n_labels + labels[child], kind="stable")]
+    child = child[np.argsort(parent[child] * (int(labels.max()) + 1) + labels[child],
+                             kind="stable")]
     head, label = parent[child], labels[child]
     new_group = np.ones(len(child), dtype=bool)
     new_group[1:] = (head[1:] != head[:-1]) | (label[1:] != label[:-1])
@@ -736,10 +711,10 @@ def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.n
 def _shared_run_list(values: np.ndarray) -> List[int]:
     """`values.tolist()`, with one int object for each run of equal values.
 
-    `_append_tree` repeats the previous `group_start` entry for a node
-    without children. Sharing those objects here as well halves the int
-    objects of that list, which saves memory and the cache lines the tree
-    kernel reads.
+    A node without children repeats the `group_start` entry of the node
+    before it. Sharing one object per run halves the int objects of that
+    list, which saves memory and the cache lines the tree kernel reads:
+    select-tk `select_p50_ms` read ~5% higher with an object per entry.
     """
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -781,11 +756,6 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
             t = bad[0]
             raise LengthMismatch(
                 f"{path} example {t}: tree has {sizes[t]} tokens but {counts[t]} {what}")
-    bad = np.flatnonzero((labels < 0) | (labels >= len(label_names)))
-    if bad.size:
-        t = np.searchsorted(tree_start, bad[0], side="right") - 1
-        raise MalformedBundle(f"{path} example {t}: label id {labels[bad[0]]} out of range "
-                              f"({len(label_names)} labels)")
     embeddings = arrays.get("embeddings")
     if embeddings is not None:
         if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
@@ -802,8 +772,8 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
         t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
         a, b = tree_start[t0], tree_start[t1]
-        _append_trees(forest, vocab_ids[labels[a:b]], len(vocab), heads[a:b].astype(np.int64),
-                      tree_start[t0:t1 + 1] - a, path, t0)
+        _append_trees(forest, labels[a:b], len(label_names), heads[a:b].astype(np.int64),
+                      tree_start[t0:t1 + 1] - a, f"{path} example ", t0, vocab_ids, MalformedBundle)
     examples = [
         Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
                 embedding=None if embeddings is None else embeddings[t])

@@ -1,5 +1,6 @@
 """Shared builders: hand-built trees, random trees, synthetic corpora, mock endpoint."""
 
+import itertools
 import json
 import random
 import threading
@@ -8,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from synicl.treebank import Corpus, DepNode, DepTree, Example, LabelVocab
+from synicl.treebank import Corpus, DepNode, DepTree, Example, Forest, LabelVocab
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +38,42 @@ def tree_to_conllu(tree, vocab):
     """The tree as a 4-column CoNLL-U block (index, form, head, label), no trailing blank."""
     return "\n".join(f"{index}\t{form}\t{head}\t{vocab.labels[label]}" for index, form, head, label
                      in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels))
+
+
+def reference_forest(trees, vocab):
+    """The `Forest` lists of `trees`, built one node at a time as a reference.
+
+    `trees` holds (forms, label names, heads) per tree, in token order. A
+    node's children are grouped by (label id in `vocab`, token index); each
+    group counts its leaves and lists the node ids of its internal children.
+    Returns a dict from each `Forest.__slots__` name to its list.
+    """
+    f = {name: [] for name in Forest.__slots__}
+    f["group_start"], f["kid_start"], f["tree_start"] = [0], [0], [0]
+    for forms, names, heads in trees:
+        base = len(f["labels"])
+        labels = [vocab.index(name) for name in names]
+        children = [[] for _ in heads]
+        for i, head in enumerate(heads):
+            if head:
+                children[head - 1].append(i)
+            else:
+                f["roots"].append(base + i)
+        for kids in children:
+            kids = sorted(kids, key=lambda child: (labels[child], child))
+            for label, group in itertools.groupby(kids, key=labels.__getitem__):
+                group = list(group)
+                f["group_label"].append(label)
+                f["group_leaves"].append(sum(not children[child] for child in group))
+                f["kids"] += [base + child for child in group if children[child]]
+                f["kid_start"].append(len(f["kids"]))
+            f["group_start"].append(len(f["group_label"]))
+        f["labels"] += labels
+        f["heads"] += heads
+        f["n_children"] += [len(kids) for kids in children]
+        f["forms"].append("\t".join(forms))
+        f["tree_start"].append(len(f["labels"]))
+    return f
 
 
 def leaf(label):

@@ -101,6 +101,19 @@ def test_select_invalid_config_exits_1(bundles, capsys):
     assert "none" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("select", "--limit"), ("run", "--max-retries")])
+def test_negative_count_exits_1_before_loading(tmp_path, capsys, command, flag):
+    # the bundles do not exist: a check made after loading them would exit 2
+    args = [command, "--train-bundle", str(tmp_path / "train"),
+            "--test-bundle", str(tmp_path / "test"), flag, "-1", "--out", str(tmp_path / "out")]
+    if command == "run":
+        args += ["--selections", str(tmp_path / "selections.jsonl"), "--style", "chat",
+                 "--base-url", "http://127.0.0.1:9", "--model", "m"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_select_truncated_bundle_exits_1(bundles, capsys):
     path = os.path.join(bundles["train"], "examples.npz")
     with open(path, "rb") as f:

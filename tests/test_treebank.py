@@ -20,7 +20,8 @@ from synicl.treebank import (
     save_bundle,
 )
 
-from conftest import build_tree, make_synth_corpus, random_tree_spec, tree_to_conllu
+from conftest import (build_tree, make_synth_corpus, random_tree_spec, reference_forest,
+                      tree_to_conllu)
 
 
 def iter_nodes(tree):
@@ -129,12 +130,28 @@ def test_parse_malformed_lines(tmp_path):
         parse_conllu("1\ta\t0\tRoot\textra\n", vocab)  # 5 columns is neither layout
     with pytest.raises(MalformedLine):
         parse_conllu("1\ta\tX\tRoot\n", vocab)  # non-integer head
+    with pytest.raises(MalformedLine, match="head 9223372036854775807 of token 1 out of range"):
+        parse_conllu("1\ta\t99999999999999999999\tRoot\n", vocab)  # past int64
     with pytest.raises(MalformedLine):
         parse_conllu("1\ta\t0\tRoot\n1\tb\t1\tdep\n", vocab)  # duplicate index
     out_of_range = [[1, "a", 5, "Root"]]
     assert_both_readers_reject(tmp_path / "out_of_range", out_of_range, MalformedLine)
     negative = [[1, "a", 0, "Root"], [2, "b", -1, "dep"]]
     assert_both_readers_reject(tmp_path / "negative", negative, MalformedLine)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("1\ta\t0\tRoot\n2\tb\t0\tRoot\n3\tc\t1\tdep", MultipleRoots),
+    ("1\ta\t0\tRoot\n2\tb\t3\tdep\n3\tc\t2\tdep", CyclicTree),
+    ("1\ta\t0\tRoot\n2\tb\t4\tdep\n3\tc\t1\tdep", MalformedLine),
+    ("1\ta\t0\tRoot\n2\tb\t1\tdep\n2\tc\t1\tdep", MalformedLine),
+], ids=["two-roots", "cycle-below-root", "head-out-of-range", "duplicate-index"])
+def test_faults_past_the_first_block_name_their_sentence(fault, error):
+    assert treebank._LOAD_BLOCK_TREES < 2050
+    sentences = ["1\ta\t0\tRoot\n2\tb\t1\tdep\n3\tc\t1\tdep"] * 2100
+    sentences[2050] = fault
+    with pytest.raises(error, match=r"^sentence 2050: "):
+        parse_conllu("\n\n".join(sentences) + "\n", LabelVocab())
 
 
 def chain(n):
@@ -524,25 +541,59 @@ def test_save_bundle_twice_gives_identical_bytes(tmp_path):
     assert treebank.content_hash([str(one)]) == treebank.content_hash([str(two)])
 
 
+def random_rows(rng, n):
+    """[index, form, head, label] rows of a random tree of n tokens, in token order.
+
+    Nodes hang off random earlier nodes, and token indices are shuffled, so
+    a head may come before or after its dependents. Few labels, so that
+    siblings often share one.
+    """
+    position = list(range(1, n + 1))
+    rng.shuffle(position)
+    heads = [0] + [position[rng.randrange(i)] for i in range(1, n)]
+    labels = ["Root"] + [rng.choice(["dep", "amod", "S"]) for _ in range(1, n)]
+    rows = sorted((position[i], f"w{position[i]}", heads[i], labels[i]) for i in range(n))
+    return [list(row) for row in rows]
+
+
 def test_loaded_forest_equals_parsed_forest(tmp_path):
-    # more trees than one load block, so the block offsets are checked too
-    corpus = make_synth_corpus(treebank._LOAD_BLOCK_TREES + 300, seed=6, min_tokens=1,
-                               max_tokens=14)
-    save_bundle(corpus, str(tmp_path))
-    loaded = load_bundle(str(tmp_path))
+    # more trees than one block, so the block offsets are checked too
+    rng = random.Random(6)
+    trees = [random_rows(rng, rng.choice([1, rng.randint(1, 14)]))  # half with one token
+             for _ in range(treebank._LOAD_BLOCK_TREES + 300)]
+    assert sum(len(rows) == 1 for rows in trees) > 100
+    blocks = []
+    for rows in trees:
+        lines = ["\t".join(map(str, row)) for row in rows]
+        if rng.random() < 0.2:
+            rng.shuffle(lines)  # CoNLL-U rows need not come in token order
+        blocks.append("\n".join(lines))
     vocab = LabelVocab()
-    text = "\n\n".join(tree_to_conllu(ex.tree, corpus.vocab) for ex in corpus.examples)
-    parsed = parse_conllu(text, vocab)
-    assert loaded.vocab.labels == vocab.labels
-    forest, reference = loaded[0].tree.forest, parsed[0].forest
-    for name in treebank.Forest.__slots__:
-        assert getattr(forest, name) == getattr(reference, name), name
-    # a node without children shares its group_start int with the node before,
-    # as in _append_tree (up to one more object where a load block starts)
-    assert len(set(map(id, forest.group_start))) <= len(set(map(id, reference.group_start))) + 1
-    for ex, tree in zip(loaded.examples, parsed):
-        assert (ex.tree.forest, ex.tree.index, ex.tree.n_tokens) == (forest, tree.index, tree.n_tokens)
-        assert ex.tree.sentence_id == ex.id
+    parsed = parse_conllu("\n\n".join(blocks) + "\n", vocab)
+    loaded = load_bundle(write_arrays(tmp_path / "bundle", bundle_arrays(trees)))
+    columns = [([row[1] for row in rows], [row[3] for row in rows], [row[2] for row in rows])
+               for rows in trees]
+    for forest, forest_vocab in ((parsed[0].forest, vocab), (loaded[0].tree.forest, loaded.vocab)):
+        reference = reference_forest(columns, forest_vocab)
+        for name in treebank.Forest.__slots__:
+            assert getattr(forest, name) == reference[name], name
+        # a node without children shares its group_start int with the node
+        # before it (up to one more object where the second block starts)
+        assert len(set(map(id, forest.group_start))) <= len(set(forest.group_start)) + 1
+    for t, (tree, ex) in enumerate(zip(parsed, loaded.examples)):
+        assert (tree.index, tree.n_tokens, tree.sentence_id) == (t, len(trees[t]), t)
+        assert (ex.tree.index, ex.tree.n_tokens, ex.tree.sentence_id, ex.id) == (t, len(trees[t]), t, t)
+    # a hand-built graph goes through the same writer
+    for rows, tree_columns in zip(trees[:50], columns):
+        nodes = [treebank.DepNode(index, form, vocab.index(label)) for index, form, _, label in rows]
+        for node, (_, _, head, _) in zip(nodes, rows):
+            if head:
+                nodes[head - 1].children.append(node)
+            else:
+                root = node
+        forest = treebank.DepTree(root, len(rows)).forest
+        reference = reference_forest([tree_columns], vocab)
+        assert {name: getattr(forest, name) for name in treebank.Forest.__slots__} == reference
 
 
 def one_token_corpus(n, **fields):
@@ -573,6 +624,17 @@ def test_save_bundle_refuses_what_it_cannot_round_trip(tmp_path, fields, error, 
     with pytest.raises(error, match=where):
         save_bundle(one_token_corpus(2, **fields), str(tmp_path / "bundle"))
     assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("label", [-1, -7, treebank._LABEL_LIMIT, 10 ** 30])
+def test_graph_labels_must_be_label_ids(label):
+    # RootProfile indexes rows by label id: a negative one would silently
+    # take the pool's highest label
+    with pytest.raises(MalformedLine, match="sentence 4: label id .* out of range"):
+        treebank.DepTree(treebank.DepNode(1, "a", label), 1, 4)
+    child = treebank.DepNode(2, "b", label)
+    with pytest.raises(MalformedLine, match="sentence 4: label id .* out of range"):
+        treebank.DepTree(treebank.DepNode(1, "a", 0, [child]), 2, 4)
 
 
 def test_forms_hold_no_tab_or_newline(tmp_path):
