@@ -8,12 +8,14 @@ ties by lower example id, so results are deterministic and independent of
 worker parallelism.
 
 Whenever stage II can reach the tree kernel (`tree_kernel`, and the kernel
-fallback of `poly` and `weighted_poly`), the `Selector` builds a
-`treekernel.RootProfile` of the pool once. Kernel re-ranking then scores
-every candidate's root level in one numpy pass and calls the per-pair
-`treekernel.tree_kernel_similarity` only for the candidates whose root
-shares an internal-child label with the query's root; the scores are the
-per-pair kernel's, bit for bit.
+fallback of `poly` and `weighted_poly`), the `Selector` copies the pool's
+forests into a `treekernel.PoolForest` once. Kernel re-ranking then scores
+every stage-I candidate of a query in one level-by-level numpy pass, from
+the root pairs down to the deepest matching node pairs. The pass is exact:
+leaf matches and child-count products are integers below 2**53, a pair with
+at most one nested score takes one correctly rounded IEEE operation per
+step, and a pair with two or more sums them with `math.fsum`, so every
+score has the bits of the per-pair `treekernel.tree_kernel_similarity`.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ class Selector:
             self.dense = lexical.build_dense(corpus)
 
         # stage II reaches the kernel for tree_kernel, and as the fallback of poly
-        self.root_profile: Optional[treekernel.RootProfile] = None
+        self.kernel_pool: Optional[treekernel.PoolForest] = None
         if config.stage2 in ("tree_kernel", "poly", "weighted_poly"):
-            self.root_profile = treekernel.RootProfile(ex.tree for ex in corpus.examples)
+            self.kernel_pool = treekernel.PoolForest([ex.tree for ex in corpus.examples])
 
         self.polynomials: Optional[List[Optional[treepoly.Polynomial]]] = None
         self.weights: Optional[treepoly.WeightProfile] = None
@@ -156,12 +158,9 @@ class Selector:
     # -- stage II -----------------------------------------------------------
 
     def _rank_tree_kernel(self, query: Example, pool: List[int]) -> List[Tuple[int, float]]:
-        assert self.root_profile is not None
+        assert self.kernel_pool is not None
         ids = np.asarray(pool, dtype=np.intp)
-        scores, deeper = self.root_profile.scores(query.tree, ids)
-        for i in deeper.tolist():
-            scores[i] = treekernel.tree_kernel_similarity(query.tree, self.corpus[pool[i]].tree)
-        return lexical.top_k(scores, self.config.shots, ids)
+        return lexical.top_k(self.kernel_pool.scores(query.tree, ids), self.config.shots, ids)
 
     def _rank_poly(
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]

@@ -30,6 +30,7 @@ corpus bundle is one binary file, `examples.npz`, written by `save_bundle`;
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import os
@@ -769,16 +770,25 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
     forest = Forest()
     forest.forms = forms
-    for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
-        t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
-        a, b = tree_start[t0], tree_start[t1]
-        _append_trees(forest, labels[a:b], len(label_names), heads[a:b].astype(np.int64),
-                      tree_start[t0:t1 + 1] - a, f"{path} example ", t0, vocab_ids, MalformedBundle)
-    examples = [
-        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
-                embedding=None if embeddings is None else embeddings[t])
-        for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
-    ]
+    # The objects made here hold no reference cycles, and each collection that
+    # making them triggers would walk the forest's multi-million-entry lists.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
+            t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
+            a, b = tree_start[t0], tree_start[t1]
+            _append_trees(forest, labels[a:b], len(label_names), heads[a:b].astype(np.int64),
+                          tree_start[t0:t1 + 1] - a, f"{path} example ", t0, vocab_ids,
+                          MalformedBundle)
+        examples = [
+            Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
+                    embedding=None if embeddings is None else embeddings[t])
+            for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
+        ]
+    finally:
+        if collecting:
+            gc.enable()
     return Corpus(examples=examples, vocab=vocab,
                   embedding_dim=None if embeddings is None else embeddings.shape[1])
 

@@ -7,35 +7,42 @@ and the accumulated sum is normalized by the product of the child counts
 labels of the two root nodes themselves never participate.
 
 Both trees are read from their `treebank.Forest`s, where each node's
-children are grouped by label and the groups sorted by label. The kernel
-merge-joins the two nodes' group lists: a label present on both sides adds
-its leaf count times the other's, and one recursion per pair of its internal
-children. Nothing is allocated per node unless internal children match.
+children are grouped by label and the groups sorted by label.
+`tree_kernel_similarity` scores one pair: it merge-joins the two nodes'
+group lists, where a label present on both sides adds its leaf count times
+the other's, and one recursion per pair of its internal children.
 Contributions are added with exact summation (`fsum`, leaf matches as one
 integer), so each score is the correctly rounded sum whatever the order:
 the same bits as comparing every pair of children one by one, and exactly
-symmetric.
+symmetric. It is the per-pair reference.
 
-Re-ranking a pool scores one query against many trees, and most pairs end
-at the root: unless the two roots have an internal child of a common label,
-nothing recurses and the score is the root's leaf matches over the product
-of the child counts. `RootProfile` holds the root level of every pool tree
-as arrays (leaf children counted by label, the labels of internal children,
-the child count), and `RootProfile.scores` scores all candidates of a query
-in one numpy pass, naming the few that share an internal-child label with
-the query's root; only those go through `tree_kernel_similarity`, which
-stays the one recursive path. The root pass is exact: the leaf matches are
-an integer sum of integer products, as in `_node_similarity`, and both they
-and the product of the child counts stay below 2**53 (for roots of fewer
-than 2**26 children), so the score is one IEEE division of two exactly
-representable numbers: the correctly rounded quotient, which is what
-Python's `leaves / size` gives.
+Re-ranking scores one query against many pool trees. `PoolForest` holds
+the pool's forests as int32 arrays and scores all candidates of a query in
+one pass, level by level from the root pairs down, in numpy: only node
+pairs that can match are visited, found by label as in Moschitti's fast
+tree kernel ("Making tree kernels practical for natural language
+learning", EACL 2006). Each frontier pair (query node, pool node) is
+expanded to the pool node's child groups; a group adds the query node's
+leaf count of its label times its own, and crosses the query node's
+internal children of its label with its own, which makes the next
+frontier. Going back up, a pair scores `(nested + leaves) / size`.
+
+The pass gives `tree_kernel_similarity`'s bits for every pair:
+
+- `leaves` is a sum of integer products and `size` a product of two child
+  counts, all below 2**53 (for nodes of fewer than 2**26 children), so
+  both are exact in float64 whatever the order of summation;
+- with no nested value the score is one IEEE division of exact operands,
+  and with one nested value `x`, `x + leaves` is one IEEE addition: each
+  is the correctly rounded result, which is what `fsum` gives;
+- a pair with two or more nested values sums them and `leaves` with
+  `math.fsum`, as the per-pair kernel does.
 """
 
 from __future__ import annotations
 
 from math import fsum
-from typing import Iterable, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -81,65 +88,124 @@ def tree_kernel_similarity(t1: DepTree, t2: DepTree) -> float:
     return _node_similarity(f1, f1.roots[t1.index], f2, f2.roots[t2.index])
 
 
-class RootProfile:
-    """The root level of every tree of a pool, as label-major arrays.
+def _segments(counts: np.ndarray) -> np.ndarray:
+    """For segments of `counts` items laid end to end, each item's segment."""
+    return np.repeat(np.arange(len(counts)), counts)
 
-    `leaves[l, t]` counts the leaf children of label l under tree t's root
-    (int32), `internal[l, t]` says whether that root has an internal child
-    of label l, and `sizes[t]` is the root's child count, or 1 for a single
-    token. The width (rows) is one past the largest root-child label of the
-    pool; label-major rows make a query's few labels cheap to gather.
+
+class PoolForest:
+    """The forests of a pool's trees as int32 arrays, for `scores`.
+
+    The arrays are the `treebank.Forest` lists of every forest the trees
+    live in, laid end to end with their node, group and kid ids shifted by
+    the sizes of the forests before them; `roots[t]` is the root of the
+    pool's tree t. `width` is one past the largest child label.
     """
 
-    __slots__ = ("leaves", "internal", "sizes")
+    __slots__ = ("group_start", "group_label", "group_leaves", "kid_start", "kids",
+                 "n_children", "roots", "width")
 
-    def __init__(self, trees: Iterable[DepTree]):
-        leaf_trees, leaf_labels, leaf_counts = [], [], []
-        inner_trees, inner_labels = [], []
-        sizes = []
-        for t, tree in enumerate(trees):
-            f = tree.forest
-            root = f.roots[tree.index]
-            sizes.append(f.n_children[root] or 1)
-            group_label, group_leaves, kid_start = f.group_label, f.group_leaves, f.kid_start
-            for g in range(f.group_start[root], f.group_start[root + 1]):
-                if group_leaves[g]:
-                    leaf_trees.append(t)
-                    leaf_labels.append(group_label[g])
-                    leaf_counts.append(group_leaves[g])
-                if kid_start[g] < kid_start[g + 1]:
-                    inner_trees.append(t)
-                    inner_labels.append(group_label[g])
-        width = 1 + max(max(leaf_labels, default=-1), max(inner_labels, default=-1))
-        self.leaves = np.zeros((width, len(sizes)), dtype=np.int32)
-        self.leaves[leaf_labels, leaf_trees] = leaf_counts
-        self.internal = np.zeros((width, len(sizes)), dtype=bool)
-        self.internal[inner_labels, inner_trees] = True
-        self.sizes = np.array(sizes, dtype=np.int64)
+    def __init__(self, trees: Sequence[DepTree]):
+        forests: Dict[int, Forest] = {}  # id -> forest, in order of first use
+        for tree in trees:
+            forests.setdefault(id(tree.forest), tree.forest)
+        # where each forest's node, group and kid ids start in the joined arrays
+        starts = np.cumsum([[0, 0, 0]] + [[len(f.labels), len(f.group_label), len(f.kids)]
+                                          for f in forests.values()], axis=0)
+        shift = dict(zip(forests, starts.tolist()))
 
-    def scores(self, query: DepTree, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Root-level scores of `query` against the pool trees `ids`, and where to recurse.
+        def joined(name: str, by: int = -1, offsets: bool = False) -> np.ndarray:
+            """One Forest list of every forest, ids shifted by column `by` of `starts`.
 
-        Returns float64 scores in the order of `ids` and the positions in
-        `ids` whose root shares an internal-child label with the query's
-        root. Every other score equals `tree_kernel_similarity(query, tree)`
-        bit for bit; the returned positions must be scored by it instead.
-        A query label at or past the width matches no pool tree's label.
+            An `offsets` list (n + 1 entries) drops each forest's last entry
+            and ends with the total instead.
+            """
+            parts = []
+            for key, f in forests.items():
+                values = getattr(f, name)
+                part = np.fromiter(values, dtype=np.int32, count=len(values) - offsets)
+                if by >= 0 and shift[key][by]:
+                    part += shift[key][by]
+                parts.append(part)
+            if offsets:
+                parts.append(starts[-1:, by].astype(np.int32))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        self.group_start = joined("group_start", 1, offsets=True)
+        self.group_label = joined("group_label")
+        self.group_leaves = joined("group_leaves")
+        self.kid_start = joined("kid_start", 2, offsets=True)
+        self.kids = joined("kids", 0)
+        self.n_children = joined("n_children")
+        self.roots = np.fromiter((shift[id(tree.forest)][0] + tree.forest.roots[tree.index]
+                                  for tree in trees), dtype=np.int32, count=len(trees))
+        self.width = 1 + int(self.group_label.max(initial=-1))
+
+    def scores(self, query: DepTree, ids: np.ndarray) -> np.ndarray:
+        """`tree_kernel_similarity(query, tree)` for the pool trees `ids`, bit for bit.
+
+        Returns float64 scores in the order of `ids`. Query labels the pool
+        never uses are allowed; they match nothing.
         """
-        f = query.forest
-        root = f.roots[query.index]
-        width = len(self.leaves)
-        leaf_labels, leaf_counts, inner_labels = [], [], []
-        for g in range(f.group_start[root], f.group_start[root + 1]):
-            label = f.group_label[g]
-            if label < width:
-                if f.group_leaves[g]:
-                    leaf_labels.append(label)
-                    leaf_counts.append(f.group_leaves[g])
-                if f.kid_start[g] < f.kid_start[g + 1]:
-                    inner_labels.append(label)
-        matched = np.array(leaf_counts, dtype=np.int64) @ self.leaves[leaf_labels].take(ids, axis=1)
-        scores = matched / (self.sizes.take(ids) * (f.n_children[root] or 1))
-        if not inner_labels:
-            return scores, np.empty(0, dtype=np.intp)
-        return scores, np.flatnonzero(self.internal[inner_labels].take(ids, axis=1).any(axis=0))
+        f, t = query.forest, query.index
+        v0, v1 = f.tree_start[t], f.tree_start[t + 1]
+        g0, g1 = f.group_start[v0], f.group_start[v1]
+        k0, k1 = f.kid_start[g0], f.kid_start[g1]
+        q_groups = np.diff(np.array(f.group_start[v0:v1 + 1]))
+        q_label = np.array(f.group_label[g0:g1], dtype=np.intp)
+        q_kid_start = np.array(f.kid_start[g0:g1 + 1]) - k0
+        q_kids = np.array(f.kids[k0:k1]) - v0
+        q_size = np.maximum(np.array(f.n_children[v0:v1]), 1)
+        # per (query node, label): leaf count, and the query's internal kids there
+        width = max(self.width, 1 + int(q_label.max(initial=-1)))
+        cell = _segments(q_groups) * width + q_label
+        q_leaves = np.zeros((v1 - v0) * width)
+        q_leaves[cell] = f.group_leaves[g0:g1]
+        q_inner = np.zeros((v1 - v0) * width, dtype=np.intp)
+        q_inner[cell] = np.diff(q_kid_start)
+        q_first = np.zeros((v1 - v0) * width, dtype=np.intp)
+        q_first[cell] = q_kid_start[:-1]
+
+        # down: each level's leaf sums, sizes, and the parent of each of its pairs
+        levels = []
+        qa = np.full(len(ids), f.roots[t] - v0, dtype=np.intp)
+        pb = self.roots[ids]
+        parent = None
+        while True:
+            first = self.group_start[pb]
+            count = self.group_start[pb + 1] - first
+            pair = _segments(count)
+            g = np.arange(len(pair)) + np.repeat(first - (np.cumsum(count) - count), count)
+            key = qa[pair] * width + self.group_label[g]
+            leaves = np.bincount(pair, q_leaves[key] * self.group_leaves[g], len(pb))
+            levels.append((leaves, q_size[qa] * np.maximum(self.n_children[pb], 1), parent))
+            # cross the matched internal kids into the next frontier
+            p_first = self.kid_start[g]
+            p_count = self.kid_start[g + 1] - p_first
+            cross = q_inner[key] * p_count
+            m = np.flatnonzero(cross)
+            if not len(m):
+                break
+            cross = cross[m]
+            within = np.arange(cross.sum()) - np.repeat(np.cumsum(cross) - cross, cross)
+            p_each = np.repeat(p_count[m], cross)
+            qa = q_kids[np.repeat(q_first[key[m]], cross) + within // p_each]
+            pb = self.kids[np.repeat(p_first[m], cross) + within % p_each]
+            parent = np.repeat(pair[m], cross)
+
+        # up: a pair's score is (nested + leaves) / size
+        scores = below = None  # the scores of the level below, and their parents here
+        for leaves, size, parent in reversed(levels):
+            total = leaves
+            if scores is not None:
+                n_nested = np.bincount(below, minlength=len(leaves))
+                total = np.bincount(below, scores, len(leaves)) + leaves
+                many = np.flatnonzero(n_nested > 1)
+                if len(many):
+                    nested = scores.tolist()
+                    ends = np.cumsum(n_nested)
+                    for p, start, end in zip(many.tolist(), (ends - n_nested)[many].tolist(),
+                                             ends[many].tolist()):
+                        total[p] = fsum(nested[start:end] + [leaves[p]])
+            scores, below = total / size, parent
+        return scores

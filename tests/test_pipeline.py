@@ -144,24 +144,44 @@ def kernel_selectors(corpus):
             for stage1, size in (("none", n), ("bm25", n // 3))]
 
 
+def nested_shape(a, b):
+    """(depth, most nested values) of the kernel's recursion under DepNodes `a` and `b`.
+
+    Depth 0: the pair has no equal-label internal children. The second item
+    is the largest number of nested scores any pair down there sums.
+    """
+    nested = [nested_shape(ka, kb) for ka in a.children for kb in b.children
+              if ka.label == kb.label and ka.children and kb.children]
+    if not nested:
+        return 0, 0
+    return 1 + max(depth for depth, _ in nested), max([len(nested)] + [n for _, n in nested])
+
+
 def assert_stage2_kernel_scores_bitwise(selectors, queries):
-    """Every stage-II score has the bits of tree_kernel_similarity, for every candidate."""
-    deeper = pairs = 0
-    for query in queries:
-        for selector in selectors:
-            chosen = selector.select(query).chosen
-            pool = selector._stage1_pool(query)
-            assert sorted(ex_id for ex_id, _ in chosen) == sorted(ex_id for ex_id, _ in pool)
-            for ex_id, score in chosen:
-                want = treekernel.tree_kernel_similarity(query.tree, selector.corpus[ex_id].tree)
+    """Every stage-II score has the bits of tree_kernel_similarity, for every candidate.
+
+    Also checks `select_batch(jobs=2)` against one `select` at a time, and
+    that the pairs reach two levels below the roots and sum several nested
+    scores with `fsum`.
+    """
+    shapes = []
+    for selector in selectors:
+        results = [selector.select(query) for query in queries]
+        assert selector.select_batch(queries, jobs=2) == results
+        for query, result in zip(queries, results):
+            pool = sorted(ex_id for ex_id, _ in selector._stage1_pool(query))
+            assert sorted(ex_id for ex_id, _ in result.chosen) == pool
+            for ex_id, score in result.chosen:
+                tree = selector.corpus[ex_id].tree
+                want = treekernel.tree_kernel_similarity(query.tree, tree)
                 assert score.hex() == want.hex(), (query.id, ex_id)
-            ids = np.array([ex_id for ex_id, _ in pool])
-            deeper += len(selector.root_profile.scores(query.tree, ids)[1])
-            pairs += len(ids)
-    assert 0 < deeper < pairs  # some pairs recurse, and some end at the root
+                shapes.append(nested_shape(query.tree.root, tree.root))
+    assert min(shapes) == (0, 0)  # some pairs end at the root
+    assert max(depth for depth, _ in shapes) >= 2
+    assert max(most for _, most in shapes) >= 2
 
 
-def test_tree_kernel_root_pass_equals_kernel_on_bundles(tmp_path):
+def test_tree_kernel_level_pass_equals_kernel_on_bundles(tmp_path):
     vocab = LabelVocab()
     for seed, out in ((61, "train"), (62, "test")):
         save_bundle(make_synth_corpus(240, seed=seed, min_tokens=1, max_tokens=25, vocab=vocab),
@@ -176,7 +196,7 @@ def test_tree_kernel_root_pass_equals_kernel_on_bundles(tmp_path):
     assert_stage2_kernel_scores_bitwise(kernel_selectors(train), test.examples[:60] + singles)
 
 
-def test_tree_kernel_root_pass_equals_kernel_on_hand_built_trees():
+def test_tree_kernel_level_pass_equals_kernel_on_hand_built_trees():
     vocab = LabelVocab()
     labels = ["a", "b", "c", "d"]
     rng = random.Random(63)
@@ -198,8 +218,29 @@ def test_tree_kernel_root_pass_equals_kernel_on_hand_built_trees():
         node("newest", node("a", leaf("newer")), leaf("b")),
     ] + [random_tree_spec(rng, 7, labels) for _ in range(20)]
     queries = [query_example(spec, vocab, qid) for qid, spec in enumerate(specs)]
-    assert vocab.index("new") >= len(selectors[0].root_profile.leaves)
+    assert vocab.index("new") >= selectors[0].kernel_pool.width
     assert_stage2_kernel_scores_bitwise(selectors, queries)
+
+
+def test_tree_kernel_level_pass_sums_nested_scores_exactly():
+    vocab = LabelVocab()
+    # the roots' "a" children score 3/7 and 29/56 and their "b" leaves match twice:
+    # (3/7 + 29/56 + 2) / (4 * 2) is not correctly rounded in any order of plain addition
+    first, second = node("a", *[leaf("y")] * 3), node("a", *[leaf("x")] * 5, *[leaf("y")] * 3)
+    pool_a = node("a", *[leaf("x")] * 4, *[leaf("y")] * 3)
+    corpus = toy_corpus([node("r", pool_a, leaf("b")), node("r", leaf("b"), leaf("y"))], vocab)
+    query = query_example(node("r", first, second, leaf("b"), leaf("b")), vocab)
+    nested = [treekernel.tree_kernel_similarity(build_tree(child, vocab), build_tree(pool_a, vocab))
+              for child in (first, second)]
+    assert nested == [3 / 7, 29 / 56]
+    want = treekernel.tree_kernel_similarity(query.tree, corpus[0].tree)
+    assert want == math.fsum(nested + [2]) / 8
+    for order in itertools.permutations(nested + [2.0]):
+        assert (order[0] + order[1] + order[2]) / 8 != want
+    config = SelectionConfig(stage1="none", stage2="tree_kernel", candidate_size=2, shots=2)
+    chosen = Selector(corpus, config).select(query).chosen
+    assert [(ex_id, score.hex()) for ex_id, score in chosen] == [
+        (0, want.hex()), (1, (2 / 8).hex())]
 
 
 def test_stage2_ties_go_to_lower_id_whatever_the_stage1_order():

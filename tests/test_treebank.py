@@ -308,6 +308,26 @@ def test_loaded_bundle_tracks_a_few_objects_per_example(tmp_path):
     assert added < 2.5 * len(corpus)  # not one object or more per token
 
 
+def test_load_bundle_leaves_the_collector_as_it_found_it(tmp_path):
+    good = write_arrays(tmp_path / "good", bundle_arrays([[[1, "a", 0, "Root"]]]))
+    cyclic = write_arrays(tmp_path / "cyclic",
+                          bundle_arrays([[[1, "a", 2, "dep"], [2, "b", 1, "dep"]]]))
+    assert gc.isenabled()
+    load_bundle(good)
+    assert gc.isenabled()
+    with pytest.raises(CyclicTree):  # raised while the collector is paused
+        load_bundle(cyclic)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_bundle(good)
+        with pytest.raises(CyclicTree):
+            load_bundle(cyclic)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_child_count_sum_property():
     rng = random.Random(1)
     labels = ["Root", "x", "y"]
@@ -628,8 +648,8 @@ def test_save_bundle_refuses_what_it_cannot_round_trip(tmp_path, fields, error, 
 
 @pytest.mark.parametrize("label", [-1, -7, treebank._LABEL_LIMIT, 10 ** 30])
 def test_graph_labels_must_be_label_ids(label):
-    # RootProfile indexes rows by label id: a negative one would silently
-    # take the pool's highest label
+    # the tree kernel's level pass indexes its tables by (node, label id): a
+    # negative id would silently land in another node's cell
     with pytest.raises(MalformedLine, match="sentence 4: label id .* out of range"):
         treebank.DepTree(treebank.DepNode(1, "a", label), 1, 4)
     child = treebank.DepNode(2, "b", label)
