@@ -127,9 +127,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise pipeline.InvalidConfig(f"--limit must be >= 0 (0 = all queries), got {args.limit}")
+    config = _selection_config(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     hashes = _bundle_hashes(args)
-    config = _selection_config(args)
     selector = pipeline.Selector(train, config)
     queries = test.examples[: args.limit] if args.limit else test.examples
     results = selector.select_batch(queries, jobs=args.jobs)

@@ -8,8 +8,9 @@ ties by lower example id, so results are deterministic and independent of
 worker parallelism.
 
 Whenever stage II can reach the tree kernel (`tree_kernel`, and the kernel
-fallback of `poly` and `weighted_poly`), the `Selector` copies the pool's
-forests into a `treekernel.PoolForest` once. Kernel re-ranking then scores
+fallback of `poly` and `weighted_poly`), the `Selector` builds a
+`treekernel.PoolForest` once, which reads the pool's forest in place (a
+loaded bundle holds all its trees in one). Kernel re-ranking then scores
 every stage-I candidate of a query in one level-by-level numpy pass, from
 the root pairs down to the deepest matching node pairs. The pass is exact:
 leaf matches and child-count products are integers below 2**53, a pair with
@@ -80,8 +81,9 @@ class SelectionConfig:
             raise InvalidConfig("shots must be >= 1")
         if self.candidate_size < self.shots:
             raise InvalidConfig("candidate_size must be >= shots")
-        if self.error_weight <= 0:
-            raise InvalidConfig("error_weight must be > 0")
+        if not (math.isfinite(self.error_weight) and self.error_weight > 0):
+            raise InvalidConfig(
+                f"error_weight must be a finite number > 0, got {self.error_weight}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ Node labels are the DEPREL strings (error-aware parsers encode error
 information there, e.g. the "S"/"R"/"M" labels), interned into a shared
 label vocabulary so that downstream similarity code works on small ints.
 
-Every tree of a corpus lives in one `Forest`: a few flat lists of ints and
+Every tree of a corpus lives in one `Forest`: a few flat int32 arrays and
 one string of forms per tree, with no Python object per token, so a loaded
 pool of hundreds of thousands of tokens gives the cyclic garbage collector
 and the allocator a few objects per sentence, not two per token. Per node
@@ -18,19 +18,20 @@ internal children, which is the shape the tree kernel merge-joins over. A
 asked, and `DepTree(root=DepNode…)` turns a hand-built graph into a
 one-tree forest.
 
-CoNLL-U text, DepNode graphs and corpus bundles all fill a forest through
-`_append_trees`, which checks blocks of trees with numpy (one root, no
-cycles, heads and label ids in range) and is the only writer of the child
-groups. Text and graphs first pass their rows through `_append_rows`,
-which sorts each tree's rows by token index and checks what needs the rows
-themselves (contiguous token indices, no tab or newline in a form). A
-corpus bundle is one binary file, `examples.npz`, written by `save_bundle`;
-`load_bundle` hands its arrays to `_append_trees` block by block.
+CoNLL-U text, DepNode graphs and corpus bundles all make their forest
+through `_block_forest`, which checks a block of trees with numpy (one
+root, no cycles, heads and label ids in range), is the only writer of the
+child groups and returns the block as a forest of its own. Text and graphs
+first pass their rows through `_rows_forest`, which sorts each tree's rows
+by token index and checks what needs the rows themselves (contiguous token
+indices, no tab or newline in a form). `join_forests` then lays the blocks
+end to end, once, when the whole corpus is read. A corpus bundle is one
+binary file, `examples.npz`, written by `save_bundle`; `load_bundle` hands
+its arrays to `_block_forest` block by block.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import itertools
 import os
@@ -129,10 +130,20 @@ class DepNode:
     children: List["DepNode"] = field(default_factory=list)
 
 
-class Forest:
-    """Every tree of a corpus in flat lists, with no object per token.
+# The int32 arrays of a Forest: name -> (the ids it holds, which `join_forests`
+# shifts: 0 node, 1 group, 2 kid ids, None for plain values; whether it is an
+# offset array, with one entry more than the items it splits).
+_FOREST_ARRAYS = {
+    "labels": (None, False), "heads": (None, False), "n_children": (None, False),
+    "group_start": (1, True), "group_label": (None, False), "group_leaves": (None, False),
+    "kid_start": (2, True), "kids": (0, False), "tree_start": (0, True), "roots": (0, False),
+}
 
-    Node ids are positions in the per-node lists; the nodes of tree t are
+
+class Forest:
+    """Every tree of a corpus in flat int32 arrays, with no object per token.
+
+    Node ids are positions in the per-node arrays; the nodes of tree t are
     `tree_start[t]` to `tree_start[t + 1] - 1`, in token order, and its root
     is `roots[t]`. `forms[t]` holds the forms of tree t's tokens joined by
     tabs (so a form holds no tab). Per node: `labels`, `heads` (the head's
@@ -140,24 +151,41 @@ class Forest:
     `group_start[v]` to `group_start[v + 1] - 1` of its children. A group
     holds the children of one label, the groups of a node in label order:
     `group_label`, `group_leaves` (how many of them are leaves) and the node
-    ids of the others, `kids[kid_start[g]:kid_start[g + 1]]`.
+    ids of the others, `kids[kid_start[g]:kid_start[g + 1]]`. A new Forest
+    holds no tree.
     """
 
-    __slots__ = ("labels", "heads", "forms", "n_children", "group_start", "group_label",
-                 "group_leaves", "kid_start", "kids", "tree_start", "roots")
+    __slots__ = ("forms", *_FOREST_ARRAYS)
 
     def __init__(self) -> None:
-        self.labels: List[int] = []
-        self.heads: List[int] = []
         self.forms: List[str] = []  # one per tree
-        self.n_children: List[int] = []
-        self.group_start: List[int] = [0]
-        self.group_label: List[int] = []
-        self.group_leaves: List[int] = []
-        self.kid_start: List[int] = [0]
-        self.kids: List[int] = []
-        self.tree_start: List[int] = [0]
-        self.roots: List[int] = []
+        for name, (_, offsets) in _FOREST_ARRAYS.items():
+            setattr(self, name, np.zeros(int(offsets), dtype=np.int32))
+
+
+def join_forests(forests: Sequence[Forest]) -> Forest:
+    """One forest of the trees of `forests` in order, their ids shifted past the forests before.
+
+    A single forest is returned as it is, not copied.
+    """
+    forests = list(forests) or [Forest()]
+    if len(forests) == 1:
+        return forests[0]
+    sizes = [[0, 0, 0]] + [[len(f.labels), len(f.group_label), len(f.kids)] for f in forests]
+    starts = np.cumsum(sizes, axis=0)  # where each forest's node, group and kid ids start
+    if starts[-1, 0] >= 2 ** 31:
+        raise TreebankError(f"{starts[-1, 0]} nodes are too many for one forest's int32 ids")
+    joined = Forest()
+    joined.forms = [form for f in forests for form in f.forms]
+    for name, (by, offsets) in _FOREST_ARRAYS.items():
+        # an offset array drops each forest's last entry and ends with the total instead
+        parts = [getattr(f, name)[:len(getattr(f, name)) - offsets] for f in forests]
+        if by is not None:
+            parts = [part + start for part, start in zip(parts, starts[:, by].tolist())]
+        if offsets:
+            parts.append(starts[-1:, by])
+        setattr(joined, name, np.concatenate(parts).astype(np.int32))
+    return joined
 
 
 class DepTree:
@@ -170,11 +198,10 @@ class DepTree:
     __slots__ = ("forest", "index", "n_tokens", "sentence_id")
 
     def __init__(self, root: DepNode, n_tokens: int, sentence_id: int = -1):
-        forest = Forest()
-        _append_rows(forest, [_graph_rows(root, sentence_id)], sentence_id, _LABEL_LIMIT)
-        if forest.tree_start[1] != n_tokens:
+        forest = _rows_forest([_graph_rows(root, sentence_id)], sentence_id, _LABEL_LIMIT)
+        if len(forest.labels) != n_tokens:
             raise LengthMismatch(
-                f"sentence {sentence_id}: graph has {forest.tree_start[1]} nodes, not {n_tokens}")
+                f"sentence {sentence_id}: graph has {len(forest.labels)} nodes, not {n_tokens}")
         self.forest, self.index = forest, 0
         self.n_tokens, self.sentence_id = n_tokens, sentence_id
 
@@ -188,9 +215,9 @@ class DepTree:
     def __repr__(self) -> str:
         return f"DepTree({self.n_tokens} tokens, sentence {self.sentence_id})"
 
-    def _column(self, values: list) -> list:
+    def _column(self, values: np.ndarray) -> List[int]:
         base = self.forest.tree_start[self.index]
-        return values[base: base + self.n_tokens]
+        return values[base: base + self.n_tokens].tolist()
 
     @property
     def labels(self) -> List[int]:
@@ -307,18 +334,19 @@ def _int64(values: List[int]) -> np.ndarray:
         return np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values], dtype=np.int64)
 
 
-def _append_rows(forest: Forest, trees: Sequence[Sequence[Tuple[int, str, int, int]]],
-                 first: int, n_labels: int) -> None:
-    """Add trees given as (token index, form, head, label id) rows to `forest`.
+def _rows_forest(trees: Sequence[Sequence[Tuple[int, str, int, int]]], first: int,
+                 n_labels: int) -> Forest:
+    """The forest of trees given as (token index, form, head, label id) rows.
 
     Tree t is sentence `first + t` in errors. Here each tree's rows are put
     in token order and checked for what needs them: they must be non-empty
     with indices 1..n (any order, no duplicates), and no form may hold a tab
-    or a newline. `_append_trees` checks the rest, with label ids below
+    or a newline. `_block_forest` checks the rest, with label ids below
     `n_labels`.
     """
     labels: List[int] = []
     heads: List[int] = []
+    forms: List[str] = []
     starts = [0]
     for sentence_id, rows in enumerate(trees, first):
         n = len(rows)
@@ -330,15 +358,15 @@ def _append_rows(forest: Forest, trees: Sequence[Sequence[Tuple[int, str, int, i
             indices = [row[0] for row in rows]
             if indices != expected:
                 raise _index_error(indices, sentence_id)
-        forms = "\t".join([row[1] for row in rows])
-        if forms.count("\t") != n - 1 or "\n" in forms:
+        line = "\t".join([row[1] for row in rows])
+        if line.count("\t") != n - 1 or "\n" in line:
             raise MalformedLine(f"sentence {sentence_id}: a form contains a tab or a newline")
-        forest.forms.append(forms)
+        forms.append(line)
         labels += [row[3] for row in rows]
         heads += [row[2] for row in rows]
         starts.append(len(labels))
-    _append_trees(forest, _int64(labels), n_labels, _int64(heads), np.array(starts, dtype=np.int64),
-                  "sentence ", first)
+    return _block_forest(forms, _int64(labels), n_labels, _int64(heads),
+                         np.array(starts, dtype=np.int64), "sentence ", first)
 
 
 def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, int]]:
@@ -370,8 +398,8 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     block. In a text with several faults, the one reported may therefore
     come from a later sentence of the same block than the first fault.
     """
-    forest = Forest()
-    pending: List[List[Tuple[int, str, int, int]]] = []  # rows of the trees not yet in `forest`
+    blocks: List[Forest] = []
+    pending: List[List[Tuple[int, str, int, int]]] = []  # rows of the trees not yet in `blocks`
     current: List[str] = []
     first = 0  # the sentence id of the first pending tree
     for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
@@ -381,7 +409,7 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
                 pending.append(_block_rows(current, first + len(pending), vocab))
                 current = []
                 if len(pending) == _LOAD_BLOCK_TREES:
-                    _append_rows(forest, pending, first, len(vocab))
+                    blocks.append(_rows_forest(pending, first, len(vocab)))
                     first += len(pending)
                     pending = []
             continue
@@ -389,9 +417,10 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
             continue
         current.append(line)
     if pending:
-        _append_rows(forest, pending, first, len(vocab))
-    starts = forest.tree_start
-    return [DepTree._view(forest, t, starts[t + 1] - starts[t], t) for t in range(len(starts) - 1)]
+        blocks.append(_rows_forest(pending, first, len(vocab)))
+    forest = join_forests(blocks)
+    sizes = np.diff(forest.tree_start).tolist()
+    return [DepTree._view(forest, t, n, t) for t, n in enumerate(sizes)]
 
 
 def _read_lines(path: str) -> List[str]:
@@ -635,18 +664,18 @@ def _lines(arrays: dict, name: str, path: str) -> List[str]:
     return lines
 
 
-def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.ndarray,
+def _block_forest(forms: List[str], labels: np.ndarray, n_labels: int, heads: np.ndarray,
                   starts: np.ndarray, where: str, first: int,
                   label_ids: Optional[np.ndarray] = None,
-                  label_error: type = MalformedLine) -> None:
-    """Check one block of trees with array operations, then add them to `forest`.
+                  label_error: type = MalformedLine) -> Forest:
+    """Check one block of trees with array operations, and return it as a forest.
 
     `labels` and `heads` cover the block's nodes; tree t has nodes starts[t]
-    to starts[t + 1] - 1 and is `{where}{first + t}` in errors. Labels must
-    lie in 0..n_labels - 1 (else `label_error`); they are vocab ids, or
-    indices into `label_ids`, the vocab id of each. Heads are token indices
-    within the tree, 0 at the root. This is the one writer of the forest's
-    child groups.
+    to starts[t + 1] - 1, the forms `forms[t]`, and is `{where}{first + t}`
+    in errors. Labels must lie in 0..n_labels - 1 (else `label_error`); they
+    are vocab ids, or indices into `label_ids`, the vocab id of each. Heads
+    are token indices within the tree, 0 at the root. This is the one writer
+    of a forest's child groups.
     """
     n = len(labels)
     sizes = np.diff(starts)
@@ -695,33 +724,23 @@ def _append_trees(forest: Forest, labels: np.ndarray, n_labels: int, heads: np.n
     n_groups = len(group) and int(group[-1]) + 1
     n_children = np.bincount(head, minlength=n)
     internal = n_children[child] > 0
-    f = forest
-    node0, group0, kid0 = len(f.labels), len(f.group_label), len(f.kids)
-    f.labels += labels.tolist()
-    f.heads += heads.tolist()
-    f.n_children += n_children.tolist()
-    f.group_start += _shared_run_list(group0 + np.cumsum(np.bincount(head[new_group], minlength=n)))
-    f.group_label += label[new_group].tolist()
-    f.group_leaves += np.bincount(group[~internal], minlength=n_groups).tolist()
-    f.kids += (node0 + child[internal]).tolist()
-    f.kid_start += (kid0 + np.cumsum(np.bincount(group[internal], minlength=n_groups))).tolist()
-    f.tree_start += (node0 + starts[1:]).tolist()
-    f.roots += (node0 + node[is_root]).tolist()
+    block = Forest()
+    block.forms = forms
+    for name, values in (
+        ("labels", labels), ("heads", heads), ("n_children", n_children),
+        ("group_start", _offsets(np.bincount(head[new_group], minlength=n))),
+        ("group_label", label[new_group]),
+        ("group_leaves", np.bincount(group[~internal], minlength=n_groups)),
+        ("kid_start", _offsets(np.bincount(group[internal], minlength=n_groups))),
+        ("kids", child[internal]), ("tree_start", starts), ("roots", node[is_root]),
+    ):
+        setattr(block, name, values.astype(np.int32))
+    return block
 
 
-def _shared_run_list(values: np.ndarray) -> List[int]:
-    """`values.tolist()`, with one int object for each run of equal values.
-
-    A node without children repeats the `group_start` entry of the node
-    before it. Sharing one object per run halves the int objects of that
-    list, which saves memory and the cache lines the tree kernel reads:
-    select-tk `select_p50_ms` read ~5% higher with an object per entry.
-    """
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    objects = np.empty(int(first.sum()), dtype=object)
-    objects[:] = values[first].tolist()
-    return objects[np.cumsum(first) - 1].tolist()
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of the segments of `counts` items laid end to end starts, and the total."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
@@ -768,27 +787,19 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
                                   "embedding values must be finite numbers")
 
     vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
-    forest = Forest()
-    forest.forms = forms
-    # The objects made here hold no reference cycles, and each collection that
-    # making them triggers would walk the forest's multi-million-entry lists.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
-            t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
-            a, b = tree_start[t0], tree_start[t1]
-            _append_trees(forest, labels[a:b], len(label_names), heads[a:b].astype(np.int64),
-                          tree_start[t0:t1 + 1] - a, f"{path} example ", t0, vocab_ids,
-                          MalformedBundle)
-        examples = [
-            Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
-                    embedding=None if embeddings is None else embeddings[t])
-            for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
-        ]
-    finally:
-        if collecting:
-            gc.enable()
+    blocks = []
+    for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
+        t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
+        a, b = tree_start[t0], tree_start[t1]
+        blocks.append(_block_forest(forms[t0:t1], labels[a:b], len(label_names),
+                                    heads[a:b].astype(np.int64), tree_start[t0:t1 + 1] - a,
+                                    f"{path} example ", t0, vocab_ids, MalformedBundle))
+    forest = join_forests(blocks)
+    examples = [
+        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
+                embedding=None if embeddings is None else embeddings[t])
+        for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
+    ]
     return Corpus(examples=examples, vocab=vocab,
                   embedding_dim=None if embeddings is None else embeddings.shape[1])
 

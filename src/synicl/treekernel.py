@@ -6,32 +6,34 @@ and the accumulated sum is normalized by the product of the child counts
 (taken as 1 when a node has no children). Only children are compared; the
 labels of the two root nodes themselves never participate.
 
-Both trees are read from their `treebank.Forest`s, where each node's
-children are grouped by label and the groups sorted by label.
-`tree_kernel_similarity` scores one pair: it merge-joins the two nodes'
-group lists, where a label present on both sides adds its leaf count times
-the other's, and one recursion per pair of its internal children.
-Contributions are added with exact summation (`fsum`, leaf matches as one
-integer), so each score is the correctly rounded sum whatever the order:
-the same bits as comparing every pair of children one by one, and exactly
-symmetric. It is the per-pair reference.
+Both trees are read from the int32 arrays of their `treebank.Forest`s,
+where each node's children are grouped by label and the groups sorted by
+label. `tree_kernel_similarity` scores one pair: it merge-joins the two
+nodes' group lists, where a label present on both sides adds its leaf count
+times the other's, and one recursion per pair of its internal children.
+It reads the arrays as Python ints, so no product wraps. Contributions are
+added with exact summation (`fsum`, leaf matches as one integer), so each
+score is the correctly rounded sum whatever the order: the same bits as
+comparing every pair of children one by one, and exactly symmetric. It is
+the per-pair reference.
 
-Re-ranking scores one query against many pool trees. `PoolForest` holds
-the pool's forests as int32 arrays and scores all candidates of a query in
-one pass, level by level from the root pairs down, in numpy: only node
-pairs that can match are visited, found by label as in Moschitti's fast
-tree kernel ("Making tree kernels practical for natural language
-learning", EACL 2006). Each frontier pair (query node, pool node) is
-expanded to the pool node's child groups; a group adds the query node's
-leaf count of its label times its own, and crosses the query node's
-internal children of its label with its own, which makes the next
+Re-ranking scores one query against many pool trees. `PoolForest` reads
+the forest that holds the pool's trees, without copying it, and scores all
+candidates of a query in one pass, level by level from the root pairs
+down, in numpy: only node pairs that can match are visited, found by label
+as in Moschitti's fast tree kernel ("Making tree kernels practical for
+natural language learning", EACL 2006). Each frontier pair (query node,
+pool node) is expanded to the pool node's child groups; a group adds the
+query node's leaf count of its label times its own, and crosses the query
+node's internal children of its label with its own, which makes the next
 frontier. Going back up, a pair scores `(nested + leaves) / size`.
 
 The pass gives `tree_kernel_similarity`'s bits for every pair:
 
 - `leaves` is a sum of integer products and `size` a product of two child
-  counts, all below 2**53 (for nodes of fewer than 2**26 children), so
-  both are exact in float64 whatever the order of summation;
+  counts (taken in float64 and int64, not in the forest's int32), all
+  below 2**53 (for nodes of fewer than 2**26 children), so both are exact
+  in float64 whatever the order of summation;
 - with no nested value the score is one IEEE division of exact operands,
   and with one nested value `x`, `x + leaves` is one IEEE addition: each
   is the correctly rounded result, which is what `fsum` gives;
@@ -46,36 +48,37 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .treebank import DepTree, Forest
+from .treebank import DepTree, Forest, join_forests
 
 
 def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
     """Similarity of the subtrees under node `a` of `fa` and node `b` of `fb`."""
-    ga, ga_end = fa.group_start[a], fa.group_start[a + 1]
-    gb, gb_end = fb.group_start[b], fb.group_start[b + 1]
-    labels_a, labels_b = fa.group_label, fb.group_label
+    ga, ga_end = fa.group_start[a: a + 2].tolist()
+    gb, gb_end = fb.group_start[b: b + 2].tolist()
+    labels_a, labels_b = fa.group_label[ga: ga_end].tolist(), fb.group_label[gb: gb_end].tolist()
     leaves = 0
     nested = None
-    while ga < ga_end and gb < gb_end:
-        label_a, label_b = labels_a[ga], labels_b[gb]
+    i = j = 0
+    while i < len(labels_a) and j < len(labels_b):
+        label_a, label_b = labels_a[i], labels_b[j]
         if label_a < label_b:
-            ga += 1
+            i += 1
         elif label_a > label_b:
-            gb += 1
+            j += 1
         else:
-            leaves += fa.group_leaves[ga] * fb.group_leaves[gb]
-            kids_a = fa.kids[fa.kid_start[ga]: fa.kid_start[ga + 1]]
-            if kids_a:
-                kids_b = fb.kids[fb.kid_start[gb]: fb.kid_start[gb + 1]]
-                if kids_b:
-                    if nested is None:
-                        nested = []
-                    for ka in kids_a:
-                        for kb in kids_b:
-                            nested.append(_node_similarity(fa, ka, fb, kb))
-            ga += 1
-            gb += 1
-    size = (fa.n_children[a] or 1) * (fb.n_children[b] or 1)
+            leaves += int(fa.group_leaves[ga + i]) * int(fb.group_leaves[gb + j])
+            ka0, ka1 = fa.kid_start[ga + i: ga + i + 2].tolist()
+            kb0, kb1 = fb.kid_start[gb + j: gb + j + 2].tolist()
+            if ka0 < ka1 and kb0 < kb1:
+                if nested is None:
+                    nested = []
+                kids_b = fb.kids[kb0: kb1].tolist()
+                for ka in fa.kids[ka0: ka1].tolist():
+                    for kb in kids_b:
+                        nested.append(_node_similarity(fa, ka, fb, kb))
+            i += 1
+            j += 1
+    size = (int(fa.n_children[a]) or 1) * (int(fb.n_children[b]) or 1)
     if nested is None:
         return leaves / size
     nested.append(leaves)
@@ -85,7 +88,7 @@ def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
 def tree_kernel_similarity(t1: DepTree, t2: DepTree) -> float:
     """Kernel score of two trees: the similarity of their root nodes."""
     f1, f2 = t1.forest, t2.forest
-    return _node_similarity(f1, f1.roots[t1.index], f2, f2.roots[t2.index])
+    return _node_similarity(f1, int(f1.roots[t1.index]), f2, int(f2.roots[t2.index]))
 
 
 def _segments(counts: np.ndarray) -> np.ndarray:
@@ -94,52 +97,28 @@ def _segments(counts: np.ndarray) -> np.ndarray:
 
 
 class PoolForest:
-    """The forests of a pool's trees as int32 arrays, for `scores`.
+    """A pool's trees in one `treebank.Forest`, for `scores`.
 
-    The arrays are the `treebank.Forest` lists of every forest the trees
-    live in, laid end to end with their node, group and kid ids shifted by
-    the sizes of the forests before them; `roots[t]` is the root of the
-    pool's tree t. `width` is one past the largest child label.
+    When every tree lives in one forest (a loaded bundle, one
+    `parse_conllu` result), `forest` is that forest, shared and not
+    copied; trees from several forests are joined into a new one.
+    `roots[t]` is the root of the pool's tree t in `forest`, and `width`
+    one past the largest child label.
     """
 
-    __slots__ = ("group_start", "group_label", "group_leaves", "kid_start", "kids",
-                 "n_children", "roots", "width")
+    __slots__ = ("forest", "roots", "width")
 
     def __init__(self, trees: Sequence[DepTree]):
         forests: Dict[int, Forest] = {}  # id -> forest, in order of first use
         for tree in trees:
             forests.setdefault(id(tree.forest), tree.forest)
-        # where each forest's node, group and kid ids start in the joined arrays
-        starts = np.cumsum([[0, 0, 0]] + [[len(f.labels), len(f.group_label), len(f.kids)]
-                                          for f in forests.values()], axis=0)
-        shift = dict(zip(forests, starts.tolist()))
-
-        def joined(name: str, by: int = -1, offsets: bool = False) -> np.ndarray:
-            """One Forest list of every forest, ids shifted by column `by` of `starts`.
-
-            An `offsets` list (n + 1 entries) drops each forest's last entry
-            and ends with the total instead.
-            """
-            parts = []
-            for key, f in forests.items():
-                values = getattr(f, name)
-                part = np.fromiter(values, dtype=np.int32, count=len(values) - offsets)
-                if by >= 0 and shift[key][by]:
-                    part += shift[key][by]
-                parts.append(part)
-            if offsets:
-                parts.append(starts[-1:, by].astype(np.int32))
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        self.group_start = joined("group_start", 1, offsets=True)
-        self.group_label = joined("group_label")
-        self.group_leaves = joined("group_leaves")
-        self.kid_start = joined("kid_start", 2, offsets=True)
-        self.kids = joined("kids", 0)
-        self.n_children = joined("n_children")
-        self.roots = np.fromiter((shift[id(tree.forest)][0] + tree.forest.roots[tree.index]
-                                  for tree in trees), dtype=np.int32, count=len(trees))
-        self.width = 1 + int(self.group_label.max(initial=-1))
+        # where each forest's trees start in the joined forest
+        first = np.cumsum([0] + [len(f.roots) for f in forests.values()]).tolist()
+        shift = dict(zip(forests, first))
+        self.forest = join_forests(forests.values())
+        self.roots = self.forest.roots[np.fromiter(
+            (shift[id(tree.forest)] + tree.index for tree in trees), np.intp, len(trees))]
+        self.width = 1 + int(self.forest.group_label.max(initial=-1))
 
     def scores(self, query: DepTree, ids: np.ndarray) -> np.ndarray:
         """`tree_kernel_similarity(query, tree)` for the pool trees `ids`, bit for bit.
@@ -148,14 +127,15 @@ class PoolForest:
         never uses are allowed; they match nothing.
         """
         f, t = query.forest, query.index
-        v0, v1 = f.tree_start[t], f.tree_start[t + 1]
-        g0, g1 = f.group_start[v0], f.group_start[v1]
-        k0, k1 = f.kid_start[g0], f.kid_start[g1]
-        q_groups = np.diff(np.array(f.group_start[v0:v1 + 1]))
-        q_label = np.array(f.group_label[g0:g1], dtype=np.intp)
-        q_kid_start = np.array(f.kid_start[g0:g1 + 1]) - k0
-        q_kids = np.array(f.kids[k0:k1]) - v0
-        q_size = np.maximum(np.array(f.n_children[v0:v1]), 1)
+        v0, v1 = f.tree_start[t: t + 2].tolist()
+        g0, g1 = f.group_start[[v0, v1]].tolist()
+        k0, k1 = f.kid_start[[g0, g1]].tolist()
+        q_groups = np.diff(f.group_start[v0:v1 + 1])
+        q_label = f.group_label[g0:g1].astype(np.intp)
+        q_kid_start = f.kid_start[g0:g1 + 1] - k0
+        q_kids = f.kids[k0:k1] - v0
+        # int64, so that a product of two child counts does not wrap
+        q_size = np.maximum(f.n_children[v0:v1], 1).astype(np.int64)
         # per (query node, label): leaf count, and the query's internal kids there
         width = max(self.width, 1 + int(q_label.max(initial=-1)))
         cell = _segments(q_groups) * width + q_label
@@ -169,19 +149,20 @@ class PoolForest:
         # down: each level's leaf sums, sizes, and the parent of each of its pairs
         levels = []
         qa = np.full(len(ids), f.roots[t] - v0, dtype=np.intp)
+        pool = self.forest
         pb = self.roots[ids]
         parent = None
         while True:
-            first = self.group_start[pb]
-            count = self.group_start[pb + 1] - first
+            first = pool.group_start[pb]
+            count = pool.group_start[pb + 1] - first
             pair = _segments(count)
             g = np.arange(len(pair)) + np.repeat(first - (np.cumsum(count) - count), count)
-            key = qa[pair] * width + self.group_label[g]
-            leaves = np.bincount(pair, q_leaves[key] * self.group_leaves[g], len(pb))
-            levels.append((leaves, q_size[qa] * np.maximum(self.n_children[pb], 1), parent))
+            key = qa[pair] * width + pool.group_label[g]
+            leaves = np.bincount(pair, q_leaves[key] * pool.group_leaves[g], len(pb))
+            levels.append((leaves, q_size[qa] * np.maximum(pool.n_children[pb], 1), parent))
             # cross the matched internal kids into the next frontier
-            p_first = self.kid_start[g]
-            p_count = self.kid_start[g + 1] - p_first
+            p_first = pool.kid_start[g]
+            p_count = pool.kid_start[g + 1] - p_first
             cross = q_inner[key] * p_count
             m = np.flatnonzero(cross)
             if not len(m):
@@ -190,7 +171,7 @@ class PoolForest:
             within = np.arange(cross.sum()) - np.repeat(np.cumsum(cross) - cross, cross)
             p_each = np.repeat(p_count[m], cross)
             qa = q_kids[np.repeat(q_first[key[m]], cross) + within // p_each]
-            pb = self.kids[np.repeat(p_first[m], cross) + within % p_each]
+            pb = pool.kids[np.repeat(p_first[m], cross) + within % p_each]
             parent = np.repeat(pair[m], cross)
 
         # up: a pair's score is (nested + leaves) / size

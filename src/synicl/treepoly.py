@@ -94,8 +94,8 @@ class WeightProfile:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(self.weights <= 0):
-            raise ValueError("all weights must be > 0")
+        if not (np.isfinite(self.weights).all() and (self.weights > 0).all()):
+            raise ValueError("all weights must be finite numbers > 0")
 
     @classmethod
     def error_weighted(cls, vocab: LabelVocab, weight: float = 2.0) -> "WeightProfile":

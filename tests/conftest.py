@@ -76,6 +76,16 @@ def reference_forest(trees, vocab):
     return f
 
 
+def forest_lists(forest):
+    """A `Forest` as `reference_forest` gives it: each int32 array as a list."""
+    lists = {"forms": forest.forms}
+    for name in Forest.__slots__[1:]:
+        values = getattr(forest, name)
+        assert values.dtype == np.int32 and values.ndim == 1, name
+        lists[name] = values.tolist()
+    return lists
+
+
 def leaf(label):
     return (label, [])
 

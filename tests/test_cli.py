@@ -114,6 +114,17 @@ def test_negative_count_exits_1_before_loading(tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "0"])
+def test_bad_error_weight_exits_1_before_loading(tmp_path, capsys, weight):
+    # the bundles do not exist: a check made after loading them would exit 2
+    args = ["select", "--train-bundle", str(tmp_path / "train"), "--test-bundle",
+            str(tmp_path / "test"), "--stage2", "wpoly", "--error-weight", weight,
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: error_weight must be a finite number > 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_select_truncated_bundle_exits_1(bundles, capsys):
     path = os.path.join(bundles["train"], "examples.npz")
     with open(path, "rb") as f:

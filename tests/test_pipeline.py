@@ -62,8 +62,9 @@ def test_config_validation():
         SelectionConfig(shots=0).validate()
     with pytest.raises(InvalidConfig):
         SelectionConfig(shots=8, candidate_size=4).validate()
-    with pytest.raises(InvalidConfig):
-        SelectionConfig(error_weight=0.0).validate()
+    for weight in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidConfig, match="error_weight must be a finite number > 0"):
+            SelectionConfig(error_weight=weight).validate()
 
 
 def test_defaults_match_documented_values():

@@ -20,8 +20,8 @@ from synicl.treebank import (
     save_bundle,
 )
 
-from conftest import (build_tree, make_synth_corpus, random_tree_spec, reference_forest,
-                      tree_to_conllu)
+from conftest import (build_tree, forest_lists, make_synth_corpus, random_tree_spec,
+                      reference_forest, tree_to_conllu)
 
 
 def iter_nodes(tree):
@@ -594,12 +594,7 @@ def test_loaded_forest_equals_parsed_forest(tmp_path):
     columns = [([row[1] for row in rows], [row[3] for row in rows], [row[2] for row in rows])
                for rows in trees]
     for forest, forest_vocab in ((parsed[0].forest, vocab), (loaded[0].tree.forest, loaded.vocab)):
-        reference = reference_forest(columns, forest_vocab)
-        for name in treebank.Forest.__slots__:
-            assert getattr(forest, name) == reference[name], name
-        # a node without children shares its group_start int with the node
-        # before it (up to one more object where the second block starts)
-        assert len(set(map(id, forest.group_start))) <= len(set(forest.group_start)) + 1
+        assert forest_lists(forest) == reference_forest(columns, forest_vocab)
     for t, (tree, ex) in enumerate(zip(parsed, loaded.examples)):
         assert (tree.index, tree.n_tokens, tree.sentence_id) == (t, len(trees[t]), t)
         assert (ex.tree.index, ex.tree.n_tokens, ex.tree.sentence_id, ex.id) == (t, len(trees[t]), t, t)
@@ -613,7 +608,7 @@ def test_loaded_forest_equals_parsed_forest(tmp_path):
                 root = node
         forest = treebank.DepTree(root, len(rows)).forest
         reference = reference_forest([tree_columns], vocab)
-        assert {name: getattr(forest, name) for name in treebank.Forest.__slots__} == reference
+        assert forest_lists(forest) == reference
 
 
 def one_token_corpus(n, **fields):

@@ -1,8 +1,10 @@
 import random
 from math import fsum, isfinite
 
-from synicl.treebank import LabelVocab, load_bundle, parse_conllu, save_bundle
-from synicl.treekernel import tree_kernel_similarity
+import numpy as np
+
+from synicl.treebank import DepNode, DepTree, LabelVocab, load_bundle, parse_conllu, save_bundle
+from synicl.treekernel import PoolForest, tree_kernel_similarity
 
 from conftest import build_tree, leaf, make_synth_corpus, node, random_tree_spec, tree_to_conllu
 
@@ -156,3 +158,45 @@ def test_forest_kernel_equals_oracle_on_parsed_blocks():
     assert len({id(t.forest) for t in parsed}) == 1
     pairs = [(rng.choice(parsed), rng.choice(parsed)) for _ in range(1000)]
     assert_kernel_equals_oracle_bitwise(pairs + list(zip(graphs, parsed)))
+
+
+def test_star_tree_products_do_not_wrap():
+    # one root over 50,000 leaves of one label: its leaf product and its child-count
+    # product are both 2.5e9, past the int32 the forest stores its counts in
+    vocab = LabelVocab()
+    leaves = [DepNode(i, f"w{i}", vocab.add("a")) for i in range(2, 50_002)]
+    star = DepTree(DepNode(1, "r", vocab.add("root"), leaves), 50_001)
+    score = tree_kernel_similarity(star, star)
+    assert type(score) is float and score == 1.0
+    assert PoolForest([star]).scores(star, np.array([0])).tolist() == [1.0]
+
+
+FOREST_ARRAYS = ("group_start", "group_label", "group_leaves", "kid_start", "kids",
+                 "n_children", "roots")
+
+
+def test_pool_of_one_forest_shares_its_arrays(tmp_path):
+    vocab = LabelVocab()
+    save_bundle(make_synth_corpus(60, seed=21, max_tokens=12, vocab=vocab), str(tmp_path / "b"))
+    loaded = load_bundle(str(tmp_path / "b"))
+    parsed = parse_conllu("\n\n".join(tree_to_conllu(ex.tree, loaded.vocab)
+                                        for ex in loaded.examples), loaded.vocab)
+    for trees in ([ex.tree for ex in loaded.examples], parsed, parsed[::-1]):
+        pool = PoolForest(trees)
+        assert pool.forest is trees[0].forest
+        for name in FOREST_ARRAYS:
+            assert np.shares_memory(getattr(pool.forest, name), getattr(trees[0].forest, name))
+        ids = np.arange(len(trees))
+        want = [tree_kernel_similarity(trees[5], tree) for tree in trees]
+        assert pool.scores(trees[5], ids).tolist() == want
+    # trees of several forests (here a bundle, one-tree graphs and parsed text) are
+    # joined into a new one
+    graphs = make_synth_corpus(20, seed=22, max_tokens=12, vocab=loaded.vocab)
+    mixed = ([ex.tree for ex in loaded.examples[:30]] + [ex.tree for ex in graphs.examples]
+             + parsed[30:])
+    pool = PoolForest(mixed)
+    for name in FOREST_ARRAYS:
+        assert not np.shares_memory(getattr(pool.forest, name), getattr(parsed[0].forest, name))
+    for query in (parsed[7], graphs[3].tree):
+        want = [tree_kernel_similarity(query, tree) for tree in mixed]
+        assert pool.scores(query, np.arange(len(mixed))).tolist() == want

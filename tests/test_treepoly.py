@@ -335,5 +335,6 @@ def test_polynomial_refuses_coefficients_from_2_62():
 
 
 def test_weight_profile_validation():
-    with pytest.raises(ValueError):
-        WeightProfile(np.array([1.0, 0.0, 1.0]))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite numbers > 0"):
+            WeightProfile(np.array([1.0, bad, 1.0]))
