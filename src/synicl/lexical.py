@@ -3,16 +3,20 @@
 BM25 uses the non-negative idf form ln(1 + (N - n + 0.5) / (n + 0.5)) with
 the module constants K1 = 1.2 and B = 0.75, and `tokenize` on both
 documents and queries. Embeddings are an external input (any encoder
-producing one vector per sentence); rows are L2-normalized at load so cosine
-similarity reduces to a dot product.
+producing one vector per sentence). The dense index keeps each row's L2
+norm and the unit rows rounded to float32; the float64 rows themselves are
+read in place, not copied.
 
-Dense top-k scores every row with one `np.vecdot` over the matrix, on the
-calling thread (a BLAS matrix-vector product would run on worker threads
-outside the caller's CPU affinity), then rescores row by row only the rows
-whose approximate score lies within a rounding band of the approximate
-k-th score. The band is derived from the dimension (see `dense_topk`),
-wide enough that every row of the exact top k is inside it, so ids and
-scores equal those of scoring each row with its own `np.dot`.
+Dense top-k is exact: a row's score is its float64 unit row dotted with the
+unit query, `np.dot(row / norm, nq)`, bit for bit. One float32 `np.vecdot`
+over the unit rows, on the calling thread (a BLAS matrix-vector product
+would run on worker threads outside the caller's CPU affinity), scores
+every row approximately; only the rows whose approximate score lies within
+a band of the approximate k-th score are then scored exactly. The band,
+4 * dim * eps32, is derived from the float32 rounding of the unit rows and
+the query and from the float32 dot product (see `dense_topk`). It is wide
+enough that every row of the exact top k is inside it, and on 384-dim
+embeddings it holds about k rows.
 """
 
 from __future__ import annotations
@@ -147,23 +151,46 @@ def bm25_topk(index: Bm25Index, query: str, k: int) -> List[Tuple[int, float]]:
 
 @dataclass
 class DenseIndex:
-    """Row matrix of unit-normalized sentence embeddings."""
+    """Sentence embeddings indexed for cosine top-k.
 
-    vectors: np.ndarray
-    dim: int
+    `rows[i]` is embedding i as `from_vectors` got it, in float64 and not
+    copied (`build_dense` passes the examples' own embeddings), `norms[i]`
+    its L2 norm, and `unit32` the unit rows `rows[i] / norms[i]` rounded to
+    float32, the matrix `dense_topk` scans first. All three are read-only
+    (the rows as read-only views), so neither the norms nor the float32 rows
+    can go stale through the index; the caller must not change the
+    embeddings it passed.
+    """
+
+    rows: List[np.ndarray]
+    norms: np.ndarray
+    unit32: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.unit32.shape[1]
 
     @classmethod
-    def from_vectors(cls, vectors: np.ndarray) -> "DenseIndex":
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] == 0:
+    def from_vectors(cls, vectors: Sequence[np.ndarray]) -> "DenseIndex":
+        """Index `vectors`: a 2-D matrix, or a sequence of 1-D rows of one length."""
+        rows = [np.asarray(row, dtype=np.float64) for row in vectors]
+        if not rows or rows[0].ndim != 1:
             raise EmptyCorpus("need a non-empty 2-D embedding matrix")
-        normalized = np.empty_like(vectors)
-        for i, row in enumerate(vectors):
+        dim = rows[0].shape[0]
+        norms = np.empty(len(rows))
+        unit32 = np.empty((len(rows), dim), dtype=np.float32)
+        for i, row in enumerate(rows):
+            if row.shape != (dim,):
+                raise DimensionMismatch(f"embedding row {i} has shape {row.shape}, not ({dim},)")
             norm = math.sqrt(float(np.dot(row, row)))
             if norm == 0.0:
                 raise ZeroVector(f"embedding row {i} is all zeros")
-            normalized[i] = row / norm
-        return cls(vectors=normalized, dim=vectors.shape[1])
+            norms[i] = norm
+            unit32[i] = row / norm
+            rows[i] = row.view()
+            rows[i].flags.writeable = False
+        norms.flags.writeable = unit32.flags.writeable = False
+        return cls(rows=rows, norms=norms, unit32=unit32)
 
 
 def build_dense(corpus: Corpus) -> DenseIndex:
@@ -173,14 +200,16 @@ def build_dense(corpus: Corpus) -> DenseIndex:
     missing = [ex.id for ex in corpus.examples if ex.embedding is None]
     if missing:
         raise ZeroVector(f"{len(missing)} examples have no embedding (first: id {missing[0]})")
-    return DenseIndex.from_vectors(np.stack([ex.embedding for ex in corpus.examples]))
+    return DenseIndex.from_vectors([ex.embedding for ex in corpus.examples])
 
 
 def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tuple[int, float]]:
     """Top-k rows by cosine similarity, descending, ties broken by lower id.
 
-    Scores are the row-by-row `np.dot(row, nq)`, bit for bit; the one
-    `np.vecdot` pass only decides which rows need that exact score.
+    A row's score is `np.dot(rows[i] / norms[i], q / |q|)` in float64, bit
+    for bit: the unit row `from_vectors` normalised, dotted with the unit
+    query. The float32 `np.vecdot` pass over `unit32` only decides which
+    rows need that score.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -191,26 +220,30 @@ def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tupl
     if norm == 0.0:
         raise ZeroVector("query vector is all zeros")
     nq = q / norm
-    vectors = index.vectors
-    if k < len(vectors):
-        # vecdot, not `vectors @ nq`: OpenBLAS runs a matrix-vector product
+    n = len(index.rows)
+    if k < n:
+        # vecdot, not `unit32 @ nq32`: OpenBLAS runs a matrix-vector product
         # this size on its own worker threads, outside the caller's CPU
         # affinity and beside select_batch's workers; vecdot stays on the
         # calling thread
-        approx = np.vecdot(vectors, nq)
-        kth = np.partition(approx, len(approx) - k)[len(approx) - k]
-        # Any summation order of an n-term dot product of unit vectors is
-        # within gamma_n = n*u/(1 - n*u) (u = eps/2) of the true value, so
-        # the vecdot pass and the row-wise score differ by at most 2*gamma_n.
-        # If a row is in the exact top k, its exact score is >= the exact
-        # k-th score s, so its approximate score is >= s - 2*gamma_n; and the
-        # approximate k-th score is <= s + 2*gamma_n, or k rows would score
-        # exactly above s. Every exact top-k row therefore lies within
-        # 4*gamma_n of the approximate k-th score; 4*n*eps ~ 8*gamma_n
-        # leaves a factor of two for the rows' and query's norm rounding.
-        band = 4 * index.dim * np.finfo(np.float64).eps
-        rows = np.flatnonzero(approx >= kth - band)
+        approx = np.vecdot(index.unit32, nq.astype(np.float32))
+        kth = np.partition(approx, n - k)[n - k]
+        # With u = eps32/2 and n = dim: rounding the unit row and the unit
+        # query to float32 moves their dot product by at most 2u + u^2, a
+        # float32 dot product in any summation order errs by at most
+        # gamma_n = n*u/(1 - n*u), and the exact score itself by gamma_n in
+        # float64 (all relative to |row||q| ~ 1). So each approximate
+        # score is within e ~ (n + 2)*u of the exact one. A row of the
+        # exact top k scores >= the exact k-th score s, so its approximate
+        # score is >= s - e; and the approximate k-th score is <= s + e, or
+        # k rows would score exactly above s. Every exact top-k row
+        # therefore lies within 2e ~ (n + 2)*eps32 of the approximate k-th
+        # score; 4*n*eps32 leaves a factor of about four. (The threshold is
+        # rounded to float32, but rounding is monotone, so no float32 score
+        # at or above the exact threshold falls below the rounded one.)
+        band = 4 * index.dim * float(np.finfo(np.float32).eps)
+        ids = np.flatnonzero(approx >= kth - band)
     else:
-        rows = np.arange(len(vectors))
-    exact = [np.dot(vectors[i], nq) for i in rows]
-    return top_k(exact, k, rows)
+        ids = np.arange(n)
+    rows, norms = index.rows, index.norms
+    return top_k([np.dot(rows[i] / norms[i], nq) for i in ids.tolist()], k, ids)

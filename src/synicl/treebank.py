@@ -561,10 +561,10 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
     examples = corpus.examples
     with_embeddings = bool(examples) and examples[0].embedding is not None
     dim = np.size(examples[0].embedding) if with_embeddings else 0
-    labels: List[int] = []
-    heads: List[int] = []
+    # each tree's labels and heads, sliced from its forest's int32 arrays
+    label_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+    head_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
     forms: List[str] = []
-    tree_start = [0]
     vectors = []
     for position, ex in enumerate(examples):
         where = f"example {position}"
@@ -573,8 +573,8 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
         for name, text in (("source", ex.source), ("target", ex.target)):
             if "\n" in text:
                 raise MalformedBundle(f"{where}: the {name} contains a newline")
-        tree = ex.tree
-        line = tree.forest.forms[tree.index]
+        tree, forest = ex.tree, ex.tree.forest
+        line = forest.forms[tree.index]
         if line.count("\t") != tree.n_tokens - 1 or "\n" in line:
             raise MalformedBundle(f"{where}: a form contains a tab or a newline")
         if (ex.embedding is not None) != with_embeddings:
@@ -588,22 +588,28 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
             if not np.isfinite(vector).all():
                 raise MalformedBundle(f"{where}: embedding values must be finite numbers")
             vectors.append(vector)
-        labels += tree.labels
-        heads += tree.heads
+        start = forest.tree_start.item(tree.index)
+        label_parts.append(forest.labels[start:start + tree.n_tokens])
+        head_parts.append(forest.heads[start:start + tree.n_tokens])
         forms.append(line)
-        tree_start.append(len(labels))
-    first_use = dict.fromkeys(labels)  # the corpus's label ids in order of first use
-    names = [corpus.vocab.labels[label] for label in first_use]
+    labels = np.concatenate(label_parts)
+    # the corpus's label ids in order of first use, and the rank of each id in that order
+    first = np.full(int(labels.max(initial=-1)) + 1, len(labels))
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    used = np.flatnonzero(first < len(labels))
+    used = used[np.argsort(first[used])]
+    rank = np.zeros(len(first), dtype=np.int32)
+    rank[used] = np.arange(len(used))
+    names = [corpus.vocab.labels[label] for label in used.tolist()]
     for name in names:
         if "\n" in name:
             raise MalformedBundle(f"label {name!r} contains a newline")
-    index = {label: i for i, label in enumerate(first_use)}
     arrays = {
         "version": np.int64(BUNDLE_VERSION),
         "label_names": _text(names),
-        "labels": np.fromiter(map(index.__getitem__, labels), np.int32, len(labels)),
-        "heads": np.array(heads, dtype=np.int32),
-        "tree_start": np.array(tree_start, dtype=np.int64),
+        "labels": rank[labels],
+        "heads": np.concatenate(head_parts),
+        "tree_start": _offsets(np.array([ex.tree.n_tokens for ex in examples], dtype=np.int64)),
         "sources": _text([ex.source for ex in examples]),
         "targets": _text([ex.target for ex in examples]),
         "forms": _text(forms),

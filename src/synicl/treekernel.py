@@ -11,7 +11,8 @@ where each node's children are grouped by label and the groups sorted by
 label. `tree_kernel_similarity` scores one pair: it merge-joins the two
 nodes' group lists, where a label present on both sides adds its leaf count
 times the other's, and one recursion per pair of its internal children.
-It reads the arrays as Python ints, so no product wraps. Contributions are
+It reads single values as Python ints (`ndarray.item`) and slices only
+the internal kids it crosses, so no product wraps. Contributions are
 added with exact summation (`fsum`, leaf matches as one integer), so each
 score is the correctly rounded sum whatever the order: the same bits as
 comparing every pair of children one by one, and exactly symmetric. It is
@@ -53,22 +54,21 @@ from .treebank import DepTree, Forest, join_forests
 
 def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
     """Similarity of the subtrees under node `a` of `fa` and node `b` of `fb`."""
-    ga, ga_end = fa.group_start[a: a + 2].tolist()
-    gb, gb_end = fb.group_start[b: b + 2].tolist()
-    labels_a, labels_b = fa.group_label[ga: ga_end].tolist(), fb.group_label[gb: gb_end].tolist()
+    i, i_end = fa.group_start.item(a), fa.group_start.item(a + 1)
+    j, j_end = fb.group_start.item(b), fb.group_start.item(b + 1)
+    labels_a, labels_b = fa.group_label, fb.group_label
     leaves = 0
     nested = None
-    i = j = 0
-    while i < len(labels_a) and j < len(labels_b):
-        label_a, label_b = labels_a[i], labels_b[j]
+    while i < i_end and j < j_end:
+        label_a, label_b = labels_a.item(i), labels_b.item(j)
         if label_a < label_b:
             i += 1
         elif label_a > label_b:
             j += 1
         else:
-            leaves += int(fa.group_leaves[ga + i]) * int(fb.group_leaves[gb + j])
-            ka0, ka1 = fa.kid_start[ga + i: ga + i + 2].tolist()
-            kb0, kb1 = fb.kid_start[gb + j: gb + j + 2].tolist()
+            leaves += fa.group_leaves.item(i) * fb.group_leaves.item(j)
+            ka0, ka1 = fa.kid_start.item(i), fa.kid_start.item(i + 1)
+            kb0, kb1 = fb.kid_start.item(j), fb.kid_start.item(j + 1)
             if ka0 < ka1 and kb0 < kb1:
                 if nested is None:
                     nested = []
@@ -78,7 +78,7 @@ def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
                         nested.append(_node_similarity(fa, ka, fb, kb))
             i += 1
             j += 1
-    size = (int(fa.n_children[a]) or 1) * (int(fb.n_children[b]) or 1)
+    size = (fa.n_children.item(a) or 1) * (fb.n_children.item(b) or 1)
     if nested is None:
         return leaves / size
     nested.append(leaves)
@@ -88,7 +88,7 @@ def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
 def tree_kernel_similarity(t1: DepTree, t2: DepTree) -> float:
     """Kernel score of two trees: the similarity of their root nodes."""
     f1, f2 = t1.forest, t2.forest
-    return _node_similarity(f1, int(f1.roots[t1.index]), f2, int(f2.roots[t2.index]))
+    return _node_similarity(f1, f1.roots.item(t1.index), f2, f2.roots.item(t2.index))
 
 
 def _segments(counts: np.ndarray) -> np.ndarray:

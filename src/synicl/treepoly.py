@@ -18,18 +18,26 @@ exact. The root's monomials are decoded once into the shared 2d layout. A
 coefficient of 2**62 or more is refused with `TermBudgetExceeded`, like a
 term count past the budget, so every stored polynomial fits int64.
 
-`poly_distance` takes pairwise differences only in the columns where
-either polynomial is non-zero: a column where both are 0 adds 0 to every
-pair. Unweighted distances are exact integer arithmetic, added as Python
-ints so a sum past the int64 range does not wrap. Weighted ones equal the
-sum over all 2d+1 entries bit for bit whenever the weighted sums are exact
-in float64, as for dyadic weights such as the default 2.0 with entries
-below 2**53; other weights (0.3, say) can differ in the last bits.
+A polynomial finds its support, the columns where some term is non-zero,
+once when it is made, and a weight profile decides once whether every
+weight is 1, so a distance call does no per-pair set-up beyond the union
+of the two supports. `poly_distance` takes pairwise differences only in
+those columns: a column where both are 0 adds 0 to every pair. A pair
+whose |s-t| tensor fits in one square block of about `_BLOCK_ENTRIES`
+entries takes it in one piece, a larger one block by block. Unweighted
+distances are exact integer arithmetic, added as Python ints so a sum past
+the int64 range does not wrap. Weighted ones equal the sum over all 2d+1
+entries bit for bit whenever the weighted sums are exact in float64, as for
+dyadic weights such as the default 2.0 with entries below 2**53. With
+other weights (0.3, say) the order of the additions, which numpy picks
+from the layout of the column copies and the shape of a block, can show in
+the last bits; the distance makes them as it always has, so a value keeps
+its bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,9 +53,11 @@ _INT64_SAFE_MAX = 2**62
 _HARD_PAIRS_CAP = 40_000_000
 # A time bound: a selection query whose term pairs (its term count times the
 # summed term counts of its candidates) pass this is not scored by polynomial
-# distance (pipeline falls back to the tree kernel). On one Xeon vCPU a term
-# pair took ~93 ns unweighted and ~166 ns weighted (91 columns, 16-token
-# trees), so the cap allows about 0.4-0.7 s of distance work per query.
+# distance (pipeline falls back to the tree kernel). On one vCPU of a 2-vCPU
+# Xeon VM a term pair took ~125-150 ns unweighted and ~190-225 ns weighted
+# (91 columns; the 20 queries with the most term pairs, 0.06-2.8M each, of
+# 16- and 25-token corpora against their dense top 100), so the cap allows
+# about 0.5-0.9 s of distance work per query.
 QUERY_PAIRS_CAP = 4_000_000
 # one block of the distance's |s-t| tensor has at most about this many entries
 _BLOCK_ENTRIES = 4_000_000
@@ -66,10 +76,11 @@ class Polynomial:
 
     `rows` is an (n_terms, 2d+1) int64 array: the exponent vector
     (x-exponents, then y-exponents) followed by the coefficient. A coefficient
-    of 2**62 or more raises TermBudgetExceeded.
+    of 2**62 or more raises TermBudgetExceeded. `support` marks the entries
+    that are non-zero in some term, computed once here; both are read-only.
     """
 
-    __slots__ = ("d", "rows")
+    __slots__ = ("d", "rows", "support")
 
     def __init__(self, d: int, exps: np.ndarray, coeffs: Sequence[int]):
         if max(coeffs, default=0) >= _INT64_SAFE_MAX:
@@ -78,6 +89,8 @@ class Polynomial:
         self.rows = np.empty((len(coeffs), 2 * d + 1), dtype=np.int64)
         self.rows[:, :-1] = exps
         self.rows[:, -1] = coeffs
+        self.support = self.rows.any(axis=0)
+        self.rows.flags.writeable = self.support.flags.writeable = False
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -88,14 +101,20 @@ class Polynomial:
 
 @dataclass
 class WeightProfile:
-    """Per-entry multipliers for the Manhattan distance (last entry = coefficient)."""
+    """Per-entry multipliers for the Manhattan distance (last entry = coefficient).
+
+    `weights` is read-only, and `uniform` (every weight 1) is decided once here.
+    """
 
     weights: np.ndarray
+    uniform: bool = field(init=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
         if not (np.isfinite(self.weights).all() and (self.weights > 0).all()):
             raise ValueError("all weights must be finite numbers > 0")
+        self.weights.flags.writeable = False
+        self.uniform = bool((self.weights == 1.0).all())
 
     @classmethod
     def error_weighted(cls, vocab: LabelVocab, weight: float = 2.0) -> "WeightProfile":
@@ -190,28 +209,35 @@ def tree_to_polynomial(
 # distance
 # ---------------------------------------------------------------------------
 
-def _directional_min_sums(
-    big: np.ndarray, small: np.ndarray, weights: Optional[np.ndarray]
+def _distances(a: np.ndarray, b: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
+    """The (weighted) Manhattan distance of every row of `a` to every row of `b`."""
+    diffs = np.abs(a[:, None, :] - b[None, :, :])
+    return diffs.sum(axis=2) if weights is None else (diffs * weights).sum(axis=2)
+
+
+def _directional_mins(
+    a: np.ndarray, b: np.ndarray, weights: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise and column-wise minima of the pairwise (weighted) Manhattan matrix."""
-    m, n = big.shape[0], small.shape[0]
-    width = big.shape[1]
+    """Row-wise and column-wise minima of the pairwise (weighted) Manhattan matrix.
+
+    The |s-t| tensor is taken in square blocks of at most about
+    `_BLOCK_ENTRIES` entries; a pair that fits in one block takes it in one
+    piece, with no running minima to merge.
+    """
+    m, n, width = a.shape[0], b.shape[0], a.shape[1]
+    block = max(1, int((_BLOCK_ENTRIES // width) ** 0.5))
+    if m <= block and n <= block:
+        dist = _distances(a, b, weights)
+        return dist.min(axis=1), dist.min(axis=0)
     if weights is None:
         row_min = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
         col_min = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     else:
         row_min = np.full(m, np.inf)
         col_min = np.full(n, np.inf)
-    block = max(1, int((_BLOCK_ENTRIES // width) ** 0.5))
     for i0 in range(0, m, block):
-        a = big[i0 : i0 + block]
         for j0 in range(0, n, block):
-            b = small[j0 : j0 + block]
-            diffs = np.abs(a[:, None, :] - b[None, :, :])
-            if weights is None:
-                dist = diffs.sum(axis=2)
-            else:
-                dist = (diffs * weights).sum(axis=2)
+            dist = _distances(a[i0 : i0 + block], b[j0 : j0 + block], weights)
             np.minimum(row_min[i0 : i0 + block], dist.min(axis=1), out=row_min[i0 : i0 + block])
             np.minimum(col_min[j0 : j0 + block], dist.min(axis=0), out=col_min[j0 : j0 + block])
     return row_min, col_min
@@ -237,16 +263,18 @@ def poly_distance(
         expected = 2 * p.d + 1
         if weights.weights.shape[0] != expected:
             raise ValueError(f"weight profile has {weights.weights.shape[0]} entries, need {expected}")
-        if not np.all(weights.weights == 1.0):
+        if not weights.uniform:
             w = weights.weights
-    # a column where both polynomials are 0 adds 0 to every pair
-    cols = np.flatnonzero(p.rows.any(axis=0) | q.rows.any(axis=0))
-    row_min, col_min = _directional_min_sums(
+    # a column where both polynomials are 0 adds 0 to every pair; the column
+    # copies come from fancy indexing (Fortran order), not `take`, because
+    # their layout sets numpy's order of additions in a weighted sum
+    cols = np.flatnonzero(p.support | q.support)
+    row_min, col_min = _directional_mins(
         p.rows[:, cols], q.rows[:, cols], None if w is None else w[cols]
     )
     if w is None:
         # each minimum fits int64, their sum may not: add them as Python ints
-        total: float = float(int(row_min.sum(dtype=object)) + int(col_min.sum(dtype=object)))
+        total: float = float(sum(row_min.tolist()) + sum(col_min.tolist()))
     else:
         total = float(row_min.sum() + col_min.sum())
     return total / (len(p) + len(q))

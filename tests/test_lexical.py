@@ -48,8 +48,10 @@ def bm25_oracle(docs_tokens, query_tokens, k1=1.2, b=0.75):
 
 
 def cosine_oracle(vectors, query, k):
+    """Row by row: each row normalised as `from_vectors` does, dotted with the unit query."""
     norm = math.sqrt(float(np.dot(query, query)))
-    scores = [float(np.dot(row, query / norm)) for row in vectors]
+    scores = [float(np.dot(row / math.sqrt(float(np.dot(row, row))), query / norm))
+              for row in vectors]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [(i, scores[i]) for i in order[:k]]
 
@@ -184,8 +186,21 @@ def test_rows_unit_normalized():
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(20, 8)) * 5.0
     index = DenseIndex.from_vectors(raw)
-    norms = np.sqrt((index.vectors ** 2).sum(axis=1))
+    assert index.unit32.dtype == np.float32
+    norms = np.sqrt((index.unit32.astype(np.float64) ** 2).sum(axis=1))
     assert np.all(np.abs(norms - 1.0) < 1e-6)
+    for row, kept, norm in zip(raw, index.rows, index.norms):
+        assert np.shares_memory(row, kept)  # the float64 rows are not copied
+        assert norm == math.sqrt(float(np.dot(row, row)))
+
+
+def test_index_arrays_are_read_only():
+    raw = np.random.default_rng(2).normal(size=(5, 4))
+    index = DenseIndex.from_vectors(raw)
+    for array in (index.rows[0], index.norms, index.unit32):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    raw[0, 0] = 1.0  # the caller's own matrix stays writable
 
 
 def test_zero_row_rejected():
@@ -225,6 +240,8 @@ def test_dimension_and_zero_query_errors():
         dense_topk(index, np.array([1.0, 0.0]), 1)
     with pytest.raises(ZeroVector):
         dense_topk(index, np.zeros(3), 1)
+    with pytest.raises(DimensionMismatch):
+        DenseIndex.from_vectors([np.ones(3), np.ones(2)])
 
 
 def test_dense_matches_oracle_and_score_range():
@@ -234,7 +251,7 @@ def test_dense_matches_oracle_and_score_range():
     for _ in range(25):
         q = rng.normal(size=12)
         got = dense_topk(index, q, 200)
-        expected = cosine_oracle(index.vectors, q, 200)
+        expected = cosine_oracle(raw, q, 200)
         assert got == expected  # exact scores and order
         assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for _, s in got)
 
@@ -243,20 +260,26 @@ def test_dense_matches_oracle_and_score_range():
 def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
     """Near-ties that the approximate pass may order differently from row-wise dots.
 
-    "worst" replaces the `np.vecdot` pass with row-wise dots pushed up or
-    down by 2*gamma_n, the rounding bound the band is derived from.
+    Rows one float64 ulp apart round to one float32 row, so the float32
+    pass ties them. "worst" replaces that pass with the exact scores pushed
+    up or down by e, the bound on one approximate score's error that the
+    band is derived from: rounding the unit row and the unit query to
+    float32, a float32 dot product, and the exact score's own rounding.
     """
     rng = np.random.default_rng(11)
+    dim = 64
     if approx_error == "worst":
-        u = np.finfo(np.float64).eps / 2
+        u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
+        e = (dim * u32 / (1 - dim * u32) * (1 + u32) ** 2 + 2 * u32 + u32 ** 2
+             + dim * u64 / (1 - dim * u64))
 
-        def shifted_dots(vectors, nq):
-            gamma = len(nq) * u / (1 - len(nq) * u)
-            exact = np.array([np.dot(row, nq) for row in vectors])
-            return exact + rng.choice([-2 * gamma, 2 * gamma], size=len(exact))
+        def shifted_dots(unit32, nq32):
+            assert unit32.dtype == nq32.dtype == np.float32
+            nq = q / math.sqrt(float(np.dot(q, q)))  # the query dense_topk is scoring
+            exact = np.array([np.dot(row / norm, nq) for row, norm in zip(index.rows, index.norms)])
+            return exact + rng.choice([-e, e], size=len(exact))
 
         monkeypatch.setattr(np, "vecdot", shifted_dots)
-    dim = 64
     for trial in range(20):
         q = rng.normal(size=dim)
         base = rng.normal(size=dim)
@@ -269,7 +292,7 @@ def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
             rows.append(row)
         rows.extend(v / np.linalg.norm(v) for v in rng.normal(size=(10, dim)))
         vectors = np.array(rows)[rng.permutation(len(rows))]
-        index = DenseIndex(vectors=vectors, dim=dim)
+        index = DenseIndex.from_vectors(vectors)
         if trial % 2:
             q = vectors[0] * 3.0  # the query is one of the tied rows
         n = len(vectors)
@@ -284,6 +307,9 @@ def test_build_dense_requires_embeddings():
     with_emb = make_synth_corpus(4, seed=3, embedding_dim=8)
     index = build_dense(with_emb)
     assert index.dim == 8
+    # the index reads the examples' embeddings in place
+    for row, ex in zip(index.rows, with_emb.examples):
+        assert np.shares_memory(row, ex.embedding)
 
 
 def test_top_k_equals_full_sort():

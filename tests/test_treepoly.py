@@ -282,10 +282,54 @@ def test_distance_brute_force_oracle():
             brute_force_distance(p, q, list(weights.weights)), abs=1e-12)
 
 
+def pinned_distance(p, q, weights, block_entries=4_000_000):
+    """The union-column distance as it was before polynomials cached their support.
+
+    Every pair goes through the block loop, blocks of about `block_entries`
+    entries, each block's minima merged with np.minimum.
+    """
+    w = None
+    if weights is not None and not np.all(weights.weights == 1.0):
+        w = weights.weights
+    cols = np.flatnonzero(p.rows.any(axis=0) | q.rows.any(axis=0))
+    big, small = p.rows[:, cols], q.rows[:, cols]
+    if w is not None:
+        w = w[cols]
+    m, n, width = big.shape[0], small.shape[0], big.shape[1]
+    if w is None:
+        row_min = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+        col_min = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    else:
+        row_min = np.full(m, np.inf)
+        col_min = np.full(n, np.inf)
+    block = max(1, int((block_entries // width) ** 0.5))
+    for i0 in range(0, m, block):
+        a = big[i0 : i0 + block]
+        for j0 in range(0, n, block):
+            b = small[j0 : j0 + block]
+            diffs = np.abs(a[:, None, :] - b[None, :, :])
+            dist = diffs.sum(axis=2) if w is None else (diffs * w).sum(axis=2)
+            np.minimum(row_min[i0 : i0 + block], dist.min(axis=1), out=row_min[i0 : i0 + block])
+            np.minimum(col_min[j0 : j0 + block], dist.min(axis=0), out=col_min[j0 : j0 + block])
+    if w is None:
+        total = float(int(row_min.sum(dtype=object)) + int(col_min.sum(dtype=object)))
+    else:
+        total = float(row_min.sum() + col_min.sum())
+    return total / (len(p) + len(q))
+
+
 def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
-    """Bitwise equal to the double loop, blocked or not, wherever the sums are exact."""
+    """Bit for bit the pinned union-column formula, blocked or not, for every weight.
+
+    Where the sums are exact (no weights, or the dyadic 2.0) that is also
+    the double loop's value, blocked or not; with 0.3 the order of the
+    additions, which numpy picks by the shape of a block, can show in the
+    last bits.
+    """
     rng = random.Random(41)
-    labels = ["r", "a", "b", "S", "R"]
+    # enough labels that a pair's union of columns often passes 8, where
+    # numpy's pairwise summation and a plain running sum part ways
+    labels = ["r", "a", "b", "c", "d", "S", "R", "M"]
     vocab = LabelVocab(labels)
     profiles = [(None, [1] * (2 * vocab.d + 1), True)]
     for weight, dyadic in ((2.0, True), (0.3, False)):
@@ -303,17 +347,20 @@ def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
             for candidate in candidates:
                 value = poly_distance(query, candidate, weights)
                 # blocks of a few entries split both term sets
-                monkeypatch.setattr(treepoly, "_BLOCK_ENTRIES", rng.randint(1, 40))
+                block_entries = rng.randint(1, 40)
+                monkeypatch.setattr(treepoly, "_BLOCK_ENTRIES", block_entries)
                 blocked = poly_distance(query, candidate, weights)
                 monkeypatch.undo()
+                pinned = pinned_distance(query, candidate, weights)
+                pinned_blocked = pinned_distance(query, candidate, weights, block_entries)
+                assert value.hex() == pinned.hex()
+                assert blocked.hex() == pinned_blocked.hex()
                 want = brute_force_distance(query, candidate, ws)
-                if not dyadic:
-                    # sums with 0.3 are rounded, so the order of the additions
-                    # can show in the last bits
+                if dyadic:
+                    assert value == blocked == want
+                else:
                     assert value == pytest.approx(want, rel=1e-12)
                     assert blocked == pytest.approx(want, rel=1e-12)
-                else:
-                    assert value == want == blocked  # bit for bit
 
 
 def test_int64_distance_sums_do_not_wrap():
@@ -332,6 +379,19 @@ def test_polynomial_refuses_coefficients_from_2_62():
     assert below.rows.dtype == np.int64 and below.rows[0, -1] == 2**62 - 1
     with pytest.raises(TermBudgetExceeded):
         make_poly(1, {(1, 0): 2**62, (0, 1): 1})
+
+
+def test_polynomial_and_weights_are_read_only():
+    poly = make_poly(2, {(1, 0, 0, 0): 3, (0, 0, 1, 0): 1})  # 3 x_1 + y_1
+    assert poly.support.tolist() == [True, False, True, False, True]
+    given = np.array([1.0, 2.0, 1.0])
+    profile = WeightProfile(given)
+    assert not profile.uniform and WeightProfile(np.ones(3)).uniform
+    for array in (poly.rows, poly.support, profile.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    given[1] = 1.0  # the profile holds its own copy; the caller's array stays writable
+    assert not profile.uniform and profile.weights[1] == 2.0
 
 
 def test_weight_profile_validation():
