@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -168,6 +169,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.max_retries < 0:
         raise pipeline.InvalidConfig(f"--max-retries must be >= 0, got {args.max_retries}")
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise pipeline.InvalidConfig(f"--timeout must be a finite number > 0, got {args.timeout}")
     hashes = _check_selection_bundles(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     selections = pipeline.load_results(args.selections)

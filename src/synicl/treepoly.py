@@ -4,35 +4,47 @@ Each tree maps to a multivariate polynomial over variables x_1..x_d (leaves)
 and y_1..y_d (internal nodes), built recursively: a leaf with label l is x_l,
 an internal node with label l is y_l plus the product of its children's
 polynomials. Like terms are merged, so a polynomial is a set of terms, each an
-exponent vector of length 2d plus a positive integer coefficient, stored as
-one (n_terms, 2d+1) int64 row array. Two polynomials are compared with a
-symmetric nearest-term Manhattan distance over these rows, optionally
-weighted per entry so that error labels count more.
+exponent vector of length 2d plus a positive integer coefficient: 2d+1
+entries. Two polynomials are compared with a symmetric nearest-term Manhattan
+distance over those entries, optionally weighted per entry so that error
+labels count more.
 
-The expansion runs over the k labels that occur in the tree. A monomial is
-one Python int holding its 2k exponents in fixed-width bit fields, each wide
+A polynomial stores only its support, the entries where some term is
+non-zero: the x-entries of its leaf labels, the y-entries of its internal
+labels and the coefficient (a tree with d = 45 labels uses about 10 of the 91
+entries). Its `rows` hold those columns in ascending entry id, the
+coefficient last among them, then one all-zero column; `slot` maps every
+entry id to its column, an absent entry to the zero column. So
+`rows[:, slot]` is the full (n_terms, 2d+1) row array, and `rows[:,
+slot[cols]]` is the same copy as a full array's `[:, cols]`.
+
+The expansion runs over the support. A monomial is one Python int holding
+its exponents of the support's entries in fixed-width bit fields, each wide
 enough for the tree's node count, which bounds every exponent, so no field
 carries into the next. Multiplying two monomials is then adding two ints,
 like terms merge as equal dict keys, and the Python-int coefficients stay
-exact. The root's monomials are decoded once into the shared 2d layout. A
-coefficient of 2**62 or more is refused with `TermBudgetExceeded`, like a
-term count past the budget, so every stored polynomial fits int64.
+exact. The root's monomials are decoded once, straight into the stored
+columns. A coefficient of 2**62 or more is refused with
+`TermBudgetExceeded`, like a term count past the budget, so every stored
+polynomial fits int64.
 
-A polynomial finds its support, the columns where some term is non-zero,
-once when it is made, and a weight profile decides once whether every
-weight is 1, so a distance call does no per-pair set-up beyond the union
-of the two supports. `poly_distance` takes pairwise differences only in
-those columns: a column where both are 0 adds 0 to every pair. A pair
-whose |s-t| tensor fits in one square block of about `_BLOCK_ENTRIES`
-entries takes it in one piece, a larger one block by block. Unweighted
-distances are exact integer arithmetic, added as Python ints so a sum past
-the int64 range does not wrap. Weighted ones equal the sum over all 2d+1
-entries bit for bit whenever the weighted sums are exact in float64, as for
-dyadic weights such as the default 2.0 with entries below 2**53. With
-other weights (0.3, say) the order of the additions, which numpy picks
-from the layout of the column copies and the shape of a block, can show in
-the last bits; the distance makes them as it always has, so a value keeps
-its bits.
+A weight profile decides once whether every weight is 1, so a distance call
+does no per-pair set-up beyond the union of the two supports.
+`poly_distance` takes pairwise differences only in those columns: a column
+where both are 0 adds 0 to every pair. Each side is gathered into the
+union's columns through its slot map, with the fancy-index copy a full row
+array would take, so the copies have the values, layout and strides of the
+full array's columns, and every distance keeps the bits it has over full
+rows. A pair whose |s-t| tensor fits in one square block of about
+`_BLOCK_ENTRIES` entries takes it in one piece, a larger one block by block.
+Unweighted distances are exact integer arithmetic, added as Python ints so a
+sum past the int64 range does not wrap. Weighted ones equal the sum over all
+2d+1 entries bit for bit whenever the weighted sums are exact in float64, as
+for dyadic weights such as the default 2.0 with entries below 2**53. With
+other weights (0.3, say) the order of the additions, which numpy picks from
+the layout of the column copies and the shape of a block, can show in the
+last bits; the distance makes them as it always has, so a value keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -72,25 +84,37 @@ class EmptyPolynomial(ValueError):
 
 
 class Polynomial:
-    """Canonical term set of a tree polynomial.
+    """Canonical term set of a tree polynomial, stored over its support.
 
-    `rows` is an (n_terms, 2d+1) int64 array: the exponent vector
-    (x-exponents, then y-exponents) followed by the coefficient. A coefficient
-    of 2**62 or more raises TermBudgetExceeded. `support` marks the entries
-    that are non-zero in some term, computed once here; both are read-only.
+    `columns` are the exponent entries (x-entries 0..d-1, then y-entries
+    d..2d-1) where some term is non-zero, in ascending order, and `exps` the
+    (n_terms, len(columns)) exponents in those entries. `rows` is an
+    (n_terms, len(columns) + 2) int64 array: those exponents, the
+    coefficient, and a column of zeros. `support` is the (2d+1,) mask of the
+    stored entries (the coefficient always among them), and `slot` maps each
+    of the 2d+1 entries to its column of `rows`, an absent entry to the zero
+    column, so `rows[:, slot]` is the full row array. A coefficient of 2**62
+    or more raises TermBudgetExceeded. All three arrays are read-only.
     """
 
-    __slots__ = ("d", "rows", "support")
+    __slots__ = ("d", "rows", "support", "slot")
 
-    def __init__(self, d: int, exps: np.ndarray, coeffs: Sequence[int]):
+    def __init__(self, d: int, columns: Sequence[int], exps: np.ndarray, coeffs: Sequence[int]):
         if max(coeffs, default=0) >= _INT64_SAFE_MAX:
             raise TermBudgetExceeded("a coefficient reached 2**62")
         self.d = d
-        self.rows = np.empty((len(coeffs), 2 * d + 1), dtype=np.int64)
-        self.rows[:, :-1] = exps
-        self.rows[:, -1] = coeffs
-        self.support = self.rows.any(axis=0)
+        s = len(columns)
+        self.rows = np.empty((len(coeffs), s + 2), dtype=np.int64)
+        self.rows[:, :s] = exps
+        self.rows[:, s] = coeffs
+        self.rows[:, s + 1] = 0
+        entries = [*columns, 2 * d]
+        self.support = np.zeros(2 * d + 1, dtype=bool)
+        self.support[entries] = True
+        self.slot = np.full(2 * d + 1, s + 1, dtype=np.min_scalar_type(s + 1))
+        self.slot[entries] = np.arange(s + 1)
         self.rows.flags.writeable = self.support.flags.writeable = False
+        self.slot.flags.writeable = False
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -164,9 +188,14 @@ def tree_to_polynomial(
             children[head - 1].append(node)
         else:
             root = node
-    used = sorted(set(labels))
-    k = len(used)
-    compact = {label: i for i, label in enumerate(used)}
+    # the support: x-entries of the leaf labels, then y-entries of the
+    # internal labels, each in ascending label id, so ascending entry ids
+    d = vocab.d
+    leaf_labels = sorted({label for label, kids in zip(labels, children) if not kids})
+    internal_labels = sorted({label for label, kids in zip(labels, children) if kids})
+    x_field = {label: i for i, label in enumerate(leaf_labels)}
+    y_field = {label: len(leaf_labels) + i for i, label in enumerate(internal_labels)}
+    columns = leaf_labels + [d + label for label in internal_labels]
     # no exponent exceeds the node count, so each fits one field of this type
     field = np.min_scalar_type(len(labels)).newbyteorder("<")
     bits = 8 * field.itemsize
@@ -182,27 +211,22 @@ def tree_to_polynomial(
             stack.extend((child, False) for child in kids)
             continue
         if not kids:
-            result[node] = {1 << (bits * compact[labels[node]]): 1}
+            result[node] = {1 << (bits * x_field[labels[node]]): 1}
             continue
         prod = result.pop(kids[0])
         for child in kids[1:]:
             prod = _multiply(prod, result.pop(child), budget)
-        y = 1 << (bits * (k + compact[labels[node]]))
+        y = 1 << (bits * y_field[labels[node]])
         prod[y] = prod.get(y, 0) + 1
         if budget is not None and len(prod) > budget:
             raise TermBudgetExceeded(f"polynomial exceeded {budget} terms")
         result[node] = prod
 
     terms = result[root]
-    size = 2 * k * field.itemsize
+    size = len(columns) * field.itemsize
     packed = b"".join(key.to_bytes(size, "little") for key in terms)
-    compact_exps = np.frombuffer(packed, dtype=field).reshape(len(terms), 2 * k)
-    d = vocab.d
-    cols = np.asarray(used, dtype=np.intp)
-    exps = np.zeros((len(terms), 2 * d), dtype=np.int64)
-    exps[:, cols] = compact_exps[:, :k]
-    exps[:, cols + d] = compact_exps[:, k:]
-    return Polynomial(d, exps, list(terms.values()))
+    exps = np.frombuffer(packed, dtype=field).reshape(len(terms), len(columns))
+    return Polynomial(d, columns, exps, list(terms.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +289,13 @@ def poly_distance(
             raise ValueError(f"weight profile has {weights.weights.shape[0]} entries, need {expected}")
         if not weights.uniform:
             w = weights.weights
-    # a column where both polynomials are 0 adds 0 to every pair; the column
-    # copies come from fancy indexing (Fortran order), not `take`, because
-    # their layout sets numpy's order of additions in a weighted sum
+    # a column where both polynomials are 0 adds 0 to every pair; each side's
+    # entries of the union come through its slot map (an absent one from its
+    # zero column), copied by fancy indexing (Fortran order), not `take`,
+    # because their layout sets numpy's order of additions in a weighted sum
     cols = np.flatnonzero(p.support | q.support)
     row_min, col_min = _directional_mins(
-        p.rows[:, cols], q.rows[:, cols], None if w is None else w[cols]
+        p.rows[:, p.slot[cols]], q.rows[:, q.slot[cols]], None if w is None else w[cols]
     )
     if w is None:
         # each minimum fits int64, their sum may not: add them as Python ints

@@ -114,6 +114,18 @@ def test_negative_count_exits_1_before_loading(tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+def test_run_bad_timeout_exits_1_before_loading(tmp_path, capsys, timeout):
+    # the bundles do not exist: a check made after loading them would exit 2
+    args = ["run", "--train-bundle", str(tmp_path / "train"), "--test-bundle",
+            str(tmp_path / "test"), "--selections", str(tmp_path / "selections.jsonl"),
+            "--style", "chat", "--base-url", "http://127.0.0.1:9", "--model", "m",
+            "--timeout", timeout, "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: --timeout must be a finite number > 0")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "0"])
 def test_bad_error_weight_exits_1_before_loading(tmp_path, capsys, weight):
     # the bundles do not exist: a check made after loading them would exit 2

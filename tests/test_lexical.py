@@ -256,6 +256,21 @@ def test_dense_matches_oracle_and_score_range():
         assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for _, s in got)
 
 
+def test_dense_rescoring_has_np_dot_bits():
+    # k = n rescores every row in the one gathered np.vecdot
+    rng = np.random.default_rng(12)
+    for dim, n, scale in ((384, 300, 1.0), (7, 50, 1e-150), (64, 120, 1e150), (1, 5, 3.0)):
+        vectors = rng.normal(size=(n, dim)) * scale
+        index = DenseIndex.from_vectors(vectors)
+        for _ in range(5):
+            q = rng.normal(size=dim) * scale
+            nq = q / math.sqrt(float(np.dot(q, q)))
+            got = dict(dense_topk(index, q, n))
+            assert sorted(got) == list(range(n))
+            for i, (row, norm) in enumerate(zip(index.rows, index.norms)):
+                assert got[i].hex() == float(np.dot(row / norm, nq)).hex()
+
+
 @pytest.mark.parametrize("approx_error", ["vecdot", "worst"])
 def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
     """Near-ties that the approximate pass may order differently from row-wise dots.
@@ -273,7 +288,11 @@ def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
         e = (dim * u32 / (1 - dim * u32) * (1 + u32) ** 2 + 2 * u32 + u32 ** 2
              + dim * u64 / (1 - dim * u64))
 
+        exact_vecdot = np.vecdot
+
         def shifted_dots(unit32, nq32):
+            if unit32.dtype == np.float64:  # the exact rescoring of the band rows
+                return exact_vecdot(unit32, nq32)
             assert unit32.dtype == nq32.dtype == np.float32
             nq = q / math.sqrt(float(np.dot(q, q)))  # the query dense_topk is scoring
             exact = np.array([np.dot(row / norm, nq) for row, norm in zip(index.rows, index.norms)])

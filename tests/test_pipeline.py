@@ -119,6 +119,18 @@ def test_poly_ranking_matches_exhaustive_oracle():
         assert result.chosen == oracle
 
 
+def test_pool_polynomials_store_only_their_support():
+    # a memory guard: on this 45-label vocab full-width rows would hold 91
+    # columns a term; a tree's support has at most one entry a node, plus
+    # the coefficient, and its rows one column more
+    corpus = make_synth_corpus(200, seed=6, max_tokens=12)
+    config = SelectionConfig(stage1="none", stage2="weighted_poly", candidate_size=10, shots=4)
+    polynomials = Selector(corpus, config).polynomials
+    assert len(polynomials) == len(corpus) and None not in polynomials
+    for ex, poly in zip(corpus.examples, polynomials):
+        assert poly.rows.shape[1] == poly.support.sum() + 1 <= ex.tree.n_tokens + 2
+
+
 def test_tree_kernel_ranking_matches_exhaustive_oracle():
     vocab = LabelVocab()
     labels = ["Root", "a", "b", "S"]

@@ -42,9 +42,20 @@ def oracle_expand(spec):
     return prod
 
 
+def full_rows(poly):
+    """The polynomial's (n_terms, 2d+1) rows, widened from its support columns.
+
+    Reads only the documented layout (the support's entries in ascending
+    order, then the zero column), not the slot map.
+    """
+    rows = np.zeros((len(poly), 2 * poly.d + 1), dtype=np.int64)
+    rows[:, np.flatnonzero(poly.support)] = poly.rows[:, :-1]
+    return rows
+
+
 def terms(poly):
     """The polynomial's rows as an exponent-tuple -> coefficient dict."""
-    return {tuple(row[:-1]): row[-1] for row in poly.rows.tolist()}
+    return {tuple(row[:-1]): row[-1] for row in full_rows(poly).tolist()}
 
 
 def poly_to_monomials(poly, vocab):
@@ -132,9 +143,127 @@ def test_term_count_at_least_two_with_children():
         assert len(poly) >= 2
 
 
+# ---------------------------------------------------------------------------
+# storage over the support
+# ---------------------------------------------------------------------------
+
+def pinned_full_width_polynomial(tree, vocab):
+    """(rows, support) as the builder made them when every polynomial held all 2d+1 entries.
+
+    Bit fields for x and y of every label in the tree, decoded into a zeroed
+    (n_terms, 2d) array, the coefficient appended, the support taken with
+    `any`. No term budget.
+    """
+    labels = tree.labels
+    children = [[] for _ in labels]
+    root = 0
+    for index, head in enumerate(tree.heads):
+        if head:
+            children[head - 1].append(index)
+        else:
+            root = index
+    used = sorted(set(labels))
+    k = len(used)
+    compact = {label: i for i, label in enumerate(used)}
+    field = np.min_scalar_type(len(labels)).newbyteorder("<")
+    bits = 8 * field.itemsize
+
+    def multiply(a, b):
+        if len(b) > len(a):
+            a, b = b, a
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return out
+
+    def expand(index):
+        if not children[index]:
+            return {1 << (bits * compact[labels[index]]): 1}
+        prod = expand(children[index][0])
+        for child in children[index][1:]:
+            prod = multiply(prod, expand(child))
+        y = 1 << (bits * (k + compact[labels[index]]))
+        prod[y] = prod.get(y, 0) + 1
+        return prod
+
+    found = expand(root)
+    packed = b"".join(key.to_bytes(2 * k * field.itemsize, "little") for key in found)
+    compact_exps = np.frombuffer(packed, dtype=field).reshape(len(found), 2 * k)
+    d = vocab.d
+    cols = np.asarray(used, dtype=np.intp)
+    exps = np.zeros((len(found), 2 * d), dtype=np.int64)
+    exps[:, cols] = compact_exps[:, :k]
+    exps[:, cols + d] = compact_exps[:, k:]
+    rows = np.concatenate((exps, np.array([list(found.values())], dtype=np.int64).T), axis=1)
+    return rows, rows.any(axis=0)
+
+
+def test_full_rows_equal_the_pinned_full_width_builder():
+    rng = random.Random(13)
+    labels = ["r", "a", "b", "c", "d", "S", "R", "M"]
+    vocab = LabelVocab(labels)
+    for _ in range(300):
+        tree = build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab)
+        poly = tree_to_polynomial(tree, vocab)
+        rows, support = pinned_full_width_polynomial(tree, vocab)
+        # the same terms in the same order: a weighted distance's sums follow it
+        assert np.array_equal(full_rows(poly), rows)
+        assert np.array_equal(poly.support, support)
+
+
+def expected_support(tree, d):
+    """Entry ids of the tree's leaf labels (x), internal labels (y) and the coefficient."""
+    heads = set(tree.heads)
+    entries = {2 * d}
+    for index, label in enumerate(tree.labels):
+        entries.add(d + label if index + 1 in heads else label)
+    return sorted(entries)
+
+
+def test_support_is_leaf_x_internal_y_and_coefficient():
+    vocab = LabelVocab()
+    # "r" labels only an internal node, "b" and "c" only leaves, "a" both
+    tree = build_tree(node("r", node("a", leaf("b"), leaf("a")), leaf("c")), vocab)
+    r, a, b, c = (vocab.labels.index(label) for label in "rabc")
+    d = vocab.d
+    poly = tree_to_polynomial(tree, vocab)
+    assert np.flatnonzero(poly.support).tolist() == sorted([a, b, c, d + r, d + a, 2 * d])
+    assert expected_support(tree, d) == sorted([a, b, c, d + r, d + a, 2 * d])
+
+    one_token = tree_to_polynomial(build_tree(leaf("c"), vocab), vocab)
+    assert np.flatnonzero(one_token.support).tolist() == [c, 2 * d]
+    assert one_token.rows.tolist() == [[1, 1, 0]]  # x_c, its coefficient, the zero column
+
+    rng = random.Random(14)
+    labels = ["r", "a", "b", "c", "d", "S"]
+    for _ in range(300):
+        tree = build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab)
+        poly = tree_to_polynomial(tree, vocab)
+        assert np.flatnonzero(poly.support).tolist() == expected_support(tree, vocab.d)
+
+
+def test_only_the_last_stored_column_is_all_zero():
+    # a stray zero column would widen a pair's union and move the bits of a
+    # non-dyadic weighted distance
+    rng = random.Random(15)
+    labels = ["r", "a", "b", "c", "d", "S"]
+    vocab = LabelVocab(labels)
+    for _ in range(300):
+        poly = tree_to_polynomial(
+            build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab), vocab)
+        assert poly.rows.shape[1] == poly.support.sum() + 1
+        assert poly.rows[:, :-1].any(axis=0).all() and not poly.rows[:, -1].any()
+        # every entry's slot is its stored column, an absent entry's the zero column
+        assert np.array_equal(poly.rows[:, poly.slot], full_rows(poly))
+        assert (poly.slot[~poly.support] == poly.rows.shape[1] - 1).all()
+
+
 def make_poly(d, coeffs_by_exps):
+    """A polynomial from full-width exponent tuples, stored over the non-zero entries."""
     exps = np.array(list(coeffs_by_exps), dtype=np.int64).reshape(len(coeffs_by_exps), 2 * d)
-    return Polynomial(d, exps, list(coeffs_by_exps.values()))
+    columns = np.flatnonzero(exps.any(axis=0))
+    return Polynomial(d, columns.tolist(), exps[:, columns], list(coeffs_by_exps.values()))
 
 
 def test_exponents_wider_than_16_bits():
@@ -256,8 +385,8 @@ def test_distance_symmetry_and_weight_monotonicity():
 
 def brute_force_distance(p, q, w):
     """Chamfer-style distance as a no-numpy double loop over the rows."""
-    rows_p = p.rows.tolist()
-    rows_q = q.rows.tolist()
+    rows_p = full_rows(p).tolist()
+    rows_q = full_rows(q).tolist()
     def d1(s, t):
         return sum(abs(a - b) * wi for a, b, wi in zip(s, t, w))
     total = sum(min(d1(s, t) for t in rows_q) for s in rows_p)
@@ -285,14 +414,16 @@ def test_distance_brute_force_oracle():
 def pinned_distance(p, q, weights, block_entries=4_000_000):
     """The union-column distance as it was before polynomials cached their support.
 
-    Every pair goes through the block loop, blocks of about `block_entries`
-    entries, each block's minima merged with np.minimum.
+    It works on full-width rows. Every pair goes through the block loop,
+    blocks of about `block_entries` entries, each block's minima merged with
+    np.minimum.
     """
     w = None
     if weights is not None and not np.all(weights.weights == 1.0):
         w = weights.weights
-    cols = np.flatnonzero(p.rows.any(axis=0) | q.rows.any(axis=0))
-    big, small = p.rows[:, cols], q.rows[:, cols]
+    rows_p, rows_q = full_rows(p), full_rows(q)
+    cols = np.flatnonzero(rows_p.any(axis=0) | rows_q.any(axis=0))
+    big, small = rows_p[:, cols], rows_q[:, cols]
     if w is not None:
         w = w[cols]
     m, n, width = big.shape[0], small.shape[0], big.shape[1]
@@ -376,7 +507,7 @@ def test_int64_distance_sums_do_not_wrap():
 
 def test_polynomial_refuses_coefficients_from_2_62():
     below = make_poly(1, {(1, 0): 2**62 - 1, (0, 1): 1})
-    assert below.rows.dtype == np.int64 and below.rows[0, -1] == 2**62 - 1
+    assert below.rows.dtype == np.int64 and full_rows(below)[0, -1] == 2**62 - 1
     with pytest.raises(TermBudgetExceeded):
         make_poly(1, {(1, 0): 2**62, (0, 1): 1})
 
@@ -384,10 +515,15 @@ def test_polynomial_refuses_coefficients_from_2_62():
 def test_polynomial_and_weights_are_read_only():
     poly = make_poly(2, {(1, 0, 0, 0): 3, (0, 0, 1, 0): 1})  # 3 x_1 + y_1
     assert poly.support.tolist() == [True, False, True, False, True]
+    assert poly.rows.tolist() == [[1, 0, 3, 0], [0, 1, 1, 0]]
+    assert poly.slot.tolist() == [0, 3, 1, 3, 2]
     given = np.array([1.0, 2.0, 1.0])
     profile = WeightProfile(given)
     assert not profile.uniform and WeightProfile(np.ones(3)).uniform
-    for array in (poly.rows, poly.support, profile.weights):
+    vocab = LabelVocab()
+    tree_poly = tree_to_polynomial(build_tree(node("r", leaf("a")), vocab), vocab)
+    for array in (poly.rows, poly.support, poly.slot, tree_poly.rows, tree_poly.support,
+                  tree_poly.slot, profile.weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     given[1] = 1.0  # the profile holds its own copy; the caller's array stays writable
