@@ -1,7 +1,8 @@
 """Command-line entry point: ingest / select / prompt / run / score.
 
-Exit codes: 0 success, 1 validation or config error, 2 I/O error,
-3 remote-endpoint failure.
+Exit codes: 0 success; 1 bad input (any `treebank.InputError`) or a
+`select` batch with failed queries; 2 I/O error; 3 remote-endpoint failure
+(`llmclient.LlmClientError`).
 
 `select`, `prompt` and `run` record in their manifest.json the content hash
 of each bundle's examples.npz file. `prompt` and `run` first compare the
@@ -23,7 +24,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
-from . import __version__, gecscore, lexical, llmclient, pipeline, prompt, treebank
+from . import __version__, gecscore, llmclient, pipeline, treebank
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,8 +80,7 @@ def _check_selection_bundles(args: argparse.Namespace) -> Dict[str, str]:
     hashes = _bundle_hashes(args)
     path = os.path.join(os.path.dirname(os.path.abspath(args.selections)), "manifest.json")
     try:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = json.loads(treebank.read_text(path))
     except FileNotFoundError:
         manifest = {}
     except ValueError as exc:
@@ -113,10 +113,6 @@ def _selection_config(args: argparse.Namespace) -> pipeline.SelectionConfig:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    for path in [args.src, args.tgt, args.trees] + ([args.embeddings] if args.embeddings else []):
-        if not os.path.isfile(path):
-            print(f"error: cannot read {path}", file=sys.stderr)
-            return EXIT_IO
     corpus = treebank.load_corpus(args.src, args.tgt, args.trees, args.embeddings)
     treebank.save_bundle(corpus, args.out)
     inputs = [args.src, args.tgt, args.trees] + ([args.embeddings] if args.embeddings else [])
@@ -202,11 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    with open(args.m2, encoding="utf-8") as f:
-        golds = gecscore.parse_m2(f.read())
-    with open(args.hyp, encoding="utf-8") as f:
-        hypotheses = [line.rstrip("\n") for line in f]
-    report = gecscore.score_corpus(hypotheses, golds)
+    golds = gecscore.parse_m2(treebank.read_text(args.m2))
+    report = gecscore.score_corpus(treebank.read_lines(args.hyp), golds)
     print(f"TP {report.tp}  FP {report.fp}  FN {report.fn}")
     print(f"P {report.precision:.3f} R {report.recall:.3f} F0.5 {report.f_half:.3f}")
     if args.out:
@@ -315,13 +308,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (treebank.TreebankError, pipeline.InvalidConfig, pipeline.MissingPrecomputation,
-            pipeline.BatchSelectionError, pipeline.MalformedSelection, gecscore.MalformedBlock,
-            gecscore.LengthMismatch, lexical.EmptyCorpus, lexical.DimensionMismatch,
-            lexical.ZeroVector, prompt.TagCollision, llmclient.MalformedJournal) as exc:
+    except (treebank.InputError, pipeline.BatchSelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (llmclient.TransportError, llmclient.AuthFailure, llmclient.MalformedResponse) as exc:
+    except llmclient.LlmClientError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
     except OSError as exc:

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Set
 
-
-class MalformedBlock(ValueError):
-    pass
+from .treebank import InputError, LengthMismatch
 
 
-class LengthMismatch(ValueError):
+class MalformedBlock(InputError):
     pass
 
 

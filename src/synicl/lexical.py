@@ -27,22 +27,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .treebank import Corpus
+from .treebank import Corpus, DimensionMismatch, InputError
 
 # Okapi term-frequency saturation and document-length normalisation
 K1 = 1.2
 B = 0.75
 
 
-class EmptyCorpus(ValueError):
+class EmptyCorpus(InputError):
     pass
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
-class ZeroVector(ValueError):
+class ZeroVector(InputError):
     pass
 
 
@@ -100,8 +96,6 @@ class Bm25Index:
 
 def build_bm25(corpus: Corpus) -> Bm25Index:
     """Index the tokenized source sentences of `corpus`."""
-    if len(corpus) == 0:
-        raise EmptyCorpus("cannot index an empty corpus")
     return Bm25Index.build([tokenize(ex.source) for ex in corpus.examples])
 
 
@@ -139,7 +133,7 @@ def top_k(
         keep = np.concatenate((better, tied))
         keys, ids, scores = keys[keep], ids[keep], scores[keep]
     order = np.lexsort((ids, keys))[:k]
-    return [(int(ids[i]), float(scores[i])) for i in order]
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 def bm25_topk(index: Bm25Index, query: str, k: int) -> List[Tuple[int, float]]:

@@ -29,7 +29,7 @@ import requests
 
 from .pipeline import MalformedSelection, SelectionResult
 from .prompt import build_chat_prompt, build_completion_prompt, extract_correction_flagged
-from .treebank import Corpus, Example
+from .treebank import Corpus, Example, InputError
 
 TEMPERATURE = 0.0
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -39,7 +39,7 @@ class LlmClientError(RuntimeError):
     retries = 0  # retries made before the request gave up
 
 
-class MalformedJournal(ValueError):
+class MalformedJournal(InputError):
     pass
 
 

@@ -31,21 +31,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lexical, treekernel, treepoly
-from .treebank import Corpus, Example
+from .treebank import Corpus, Example, InputError, read_lines
 
 STAGE1_METHODS = ("none", "bm25", "dense")
 STAGE2_METHODS = ("none", "tree_kernel", "poly", "weighted_poly", "random")
 
 
-class InvalidConfig(ValueError):
+class InvalidConfig(InputError):
     pass
 
 
-class MissingPrecomputation(RuntimeError):
+class MissingPrecomputation(InputError):
     pass
 
 
-class MalformedSelection(ValueError):
+class MalformedSelection(InputError):
     """A selections record that is not what export_results writes, or one that
     names a query or example the loaded corpora do not hold."""
 
@@ -168,10 +168,11 @@ class Selector:
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]
     ) -> List[Tuple[int, float]]:
         assert self.polynomials is not None
-        if max(query.tree.labels) >= self.d:
+        if self.corpus.vocab.d != self.d or max(query.tree.labels) >= self.d:
             raise MissingPrecomputation(
-                "query tree has labels outside the shared vocabulary; "
-                "load both corpora with one LabelVocab"
+                "the label vocabulary changed after the Selector was built, or the query's "
+                "labels are not in it; load every corpus with one LabelVocab before building "
+                "the Selector"
             )
         try:
             query_poly = treepoly.tree_to_polynomial(
@@ -265,28 +266,27 @@ def _is_int(value: object) -> bool:
 def load_results(path: str) -> List[SelectionResult]:
     """Read the records of export_results; a malformed line raises MalformedSelection."""
     results = []
-    with open(path, encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise MalformedSelection(f"{path} line {number}: not JSON ({exc})") from exc
-            if not (isinstance(record, dict) and _is_int(record.get("query_id"))
-                    and _is_int(record.get("stage1_pool_size"))
-                    and isinstance(record.get("chosen"), list)
-                    and all(isinstance(row, list) and len(row) == 2 and _is_int(row[0])
-                            and (_is_int(row[1]) or isinstance(row[1], float))
-                            for row in record["chosen"])):
-                raise MalformedSelection(
-                    f"{path} line {number}: not a selection record (int query_id and "
-                    "stage1_pool_size, chosen as [[int id, score], ...])"
-                )
-            results.append(
-                SelectionResult(
-                    query_id=record["query_id"],
-                    chosen=[(ex_id, float(score)) for ex_id, score in record["chosen"]],
-                    stage1_pool_size=record["stage1_pool_size"],
-                    fallbacks=record.get("fallbacks", []),
-                )
+    for number, line in enumerate(read_lines(path), 1):
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise MalformedSelection(f"{path} line {number}: not JSON ({exc})") from exc
+        if not (isinstance(record, dict) and _is_int(record.get("query_id"))
+                and _is_int(record.get("stage1_pool_size"))
+                and isinstance(record.get("chosen"), list)
+                and all(isinstance(row, list) and len(row) == 2 and _is_int(row[0])
+                        and (_is_int(row[1]) or isinstance(row[1], float))
+                        for row in record["chosen"])):
+            raise MalformedSelection(
+                f"{path} line {number}: not a selection record (int query_id and "
+                "stage1_pool_size, chosen as [[int id, score], ...])"
             )
+        results.append(
+            SelectionResult(
+                query_id=record["query_id"],
+                chosen=[(ex_id, float(score)) for ex_id, score in record["chosen"]],
+                stage1_pool_size=record["stage1_pool_size"],
+                fallbacks=record.get("fallbacks", []),
+            )
+        )
     return results

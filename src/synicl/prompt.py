@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .treebank import InputError
+
 OPEN_ERR = "<erroneous sentence>"
 CLOSE_ERR = "</erroneous sentence>"
 OPEN_COR = "<corrected sentence>"
@@ -40,7 +42,7 @@ CHAT_SYSTEM = (
 )
 
 
-class TagCollision(ValueError):
+class TagCollision(InputError):
     pass
 
 

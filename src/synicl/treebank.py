@@ -44,7 +44,11 @@ import numpy as np
 ERROR_LABELS = ("S", "R", "M")
 
 
-class TreebankError(ValueError):
+class InputError(ValueError):
+    """Bad input (a file, a bundle, a setting): the CLI prints `error: …` and exits 1."""
+
+
+class TreebankError(InputError):
     """Base class for treebank ingestion failures."""
 
 
@@ -65,11 +69,11 @@ class MissingToken(TreebankError):
 
 
 class LengthMismatch(TreebankError):
-    pass
+    """Inputs that must align line for line, or token for token, do not."""
 
 
 class DimensionMismatch(TreebankError):
-    pass
+    """An embedding has the wrong shape."""
 
 
 class MalformedBundle(TreebankError):
@@ -423,15 +427,27 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     return [DepTree._view(forest, t, n, t) for t, n in enumerate(sizes)]
 
 
-def _read_lines(path: str) -> List[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n").rstrip("\r") for line in f]
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file `path`, with universal newlines; InputError if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def read_lines(path: str) -> List[str]:
+    """The lines of `read_text(path)` without newlines, split on "\n" only, as a file iterates."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _parse_embeddings(path: str) -> List[np.ndarray]:
     """One vector of finite floats per line of `path`."""
     vectors = []
-    for i, line in enumerate(_read_lines(path)):
+    for i, line in enumerate(read_lines(path)):
         try:
             vector = np.array([float(v) for v in line.split()], dtype=np.float64)
         except ValueError as exc:
@@ -471,8 +487,8 @@ def load_corpus(
 ) -> Corpus:
     """Load a line-aligned parallel corpus plus one tree block per source line."""
     vocab = vocab if vocab is not None else LabelVocab()
-    sources = _read_lines(source_path)
-    targets = _read_lines(target_path)
+    sources = read_lines(source_path)
+    targets = read_lines(target_path)
     if len(sources) != len(targets):
         raise LengthMismatch(
             f"{source_path} has {len(sources)} lines but {target_path} has {len(targets)}"
@@ -481,8 +497,7 @@ def load_corpus(
         if line.strip() == "":
             raise LengthMismatch(f"{source_path}: line {i + 1} is empty")
 
-    with open(trees_path, encoding="utf-8") as f:
-        trees = parse_conllu(f.read(), vocab)
+    trees = parse_conllu(read_text(trees_path), vocab)
     if len(trees) != len(sources):
         raise LengthMismatch(
             f"{trees_path} has {len(trees)} tree blocks but {source_path} has {len(sources)} lines"

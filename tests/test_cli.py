@@ -82,6 +82,55 @@ def test_ingest_unreadable_exits_2(tmp_path):
     assert code == 2
 
 
+def test_input_errors_share_one_base_class():
+    from synicl import gecscore, lexical, llmclient, pipeline, prompt, treebank
+
+    exit_1 = [treebank.TreebankError, pipeline.InvalidConfig, pipeline.MissingPrecomputation,
+              pipeline.MalformedSelection, gecscore.MalformedBlock, gecscore.LengthMismatch,
+              lexical.EmptyCorpus, lexical.DimensionMismatch, lexical.ZeroVector,
+              prompt.TagCollision, llmclient.MalformedJournal]
+    assert [cls for cls in exit_1 if not issubclass(cls, treebank.InputError)] == []
+    assert lexical.DimensionMismatch is treebank.DimensionMismatch
+    assert gecscore.LengthMismatch is treebank.LengthMismatch
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--src"), ("ingest", "--tgt"), ("ingest", "--trees"), ("ingest", "--embeddings"),
+    ("score", "--hyp"), ("score", "--m2"), ("prompt", "--selections"), ("run", "--selections"),
+])
+def test_undecodable_input_exits_1(bundles, mock_endpoint, capsys, command, flag):
+    tmp = bundles["tmp"]
+    if command == "ingest":
+        src, tgt, trees = dump_corpus_files(make_synth_corpus(3, seed=5, max_tokens=6),
+                                            str(tmp / "c"))
+        emb = tmp / "c.emb"
+        emb.write_text("0.1 0.2\n0.3 0.4\n0.5 0.6\n", encoding="utf-8")
+        inputs = {"--src": src, "--tgt": tgt, "--trees": trees, "--embeddings": str(emb)}
+        args = ["--out", str(tmp / "out")]
+    elif command == "score":
+        inputs = {"--hyp": str(tmp / "h.txt"), "--m2": str(tmp / "g.m2")}
+        (tmp / "h.txt").write_text("a c\nx y\n", encoding="utf-8")
+        (tmp / "g.m2").write_text(m2_from_pairs([("a b c", "a c"), ("x y", "x y")]),
+                                  encoding="utf-8")
+        args = []
+    else:
+        inputs = {"--selections": select_for_prompts(bundles, "sel_utf8")}
+        args = ["--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                "--style", "chat", "--out", str(tmp / "out")]
+    server = mock_endpoint(reply_fn=lambda body: "ok")
+    if command == "run":
+        args += ["--base-url", server.base_url, "--model", "mock"]
+    path = inputs[flag]
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[:5] + b"\xff" + data[6:])  # 0xff is never part of UTF-8
+    capsys.readouterr()
+    assert main([command, *(word for item in inputs.items() for word in item), *args]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 5)\n"
+    assert server.requests == [] and not (tmp / "out").exists()
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--help"])

@@ -345,3 +345,6 @@ def test_top_k_equals_full_sort():
         assert top_k(np.array(scores), k, np.array(ids), smallest=True) == nearest_first
         by_position = sorted(enumerate(scores), key=lambda item: (-item[1], item[0]))[:k]
         assert top_k(np.array(scores), k) == by_position
+        # plain Python ints and floats, not numpy scalars, also from list inputs
+        pairs = top_k(np.array(scores), k) + top_k(scores, k, ids, smallest=True)
+        assert all(type(i) is int and type(s) is float for i, s in pairs)

@@ -426,6 +426,19 @@ def test_dense_stage1_requires_embeddings():
         selector.select(query)
 
 
+@pytest.mark.parametrize("stage2", ["poly", "weighted_poly"])
+def test_poly_selector_refuses_a_vocabulary_grown_after_it(stage2):
+    vocab = LabelVocab()
+    corpus = toy_corpus([node("r", leaf("u")), node("r", node("a", leaf("u")))], vocab)
+    config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=2, shots=1)
+    selector = Selector(corpus, config)
+    query = query_example(node("r", node("a", leaf("u"))), vocab, qid=5)
+    assert selector.select(query).chosen_ids() == [1]
+    toy_corpus([node("r", leaf("new"))], vocab)  # another corpus, loaded into the same vocab
+    with pytest.raises(MissingPrecomputation, match="one LabelVocab before building"):
+        selector.select(query)
+
+
 def test_batch_aggregates_failures_with_query_ids():
     corpus = make_synth_corpus(10, seed=61, embedding_dim=4)
     config = SelectionConfig(stage1="dense", stage2="none", candidate_size=10, shots=2)

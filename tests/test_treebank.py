@@ -384,6 +384,20 @@ def test_load_corpus_aligned(tmp_path):
     assert corpus.embedding_dim is None
 
 
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"a", b"a\n\nb", b"a\r\nb\rc\n\r\n",
+    # line boundaries of str.splitlines that are not newlines in a file
+    "f\x0cg\x0bh\x1ci\x85j\u2028k\u2029l\n".encode(), "\ufeffbom\n".encode(),
+], ids=["empty", "newline", "no-last-newline", "blank-line", "crlf-cr", "splitlines", "bom"])
+def test_read_lines_gives_the_lines_of_file_iteration(tmp_path, data):
+    path = tmp_path / "text.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as f:
+        assert treebank.read_text(str(path)) == f.read()
+    with open(path, encoding="utf-8") as f:
+        assert treebank.read_lines(str(path)) == [line.rstrip("\n") for line in f]
+
+
 def test_load_corpus_length_mismatch(tmp_path):
     src, tgt, trees, _ = write_corpus_files(
         tmp_path, ["a", "b c", "d e f"], ["A", "B C"], THREE_TREES)
