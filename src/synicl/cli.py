@@ -71,11 +71,12 @@ def _bundle_hashes(args: argparse.Namespace) -> Dict[str, str]:
             for flag in ("train_bundle", "test_bundle")}
 
 
-def _check_selection_bundles(args: argparse.Namespace) -> Dict[str, str]:
-    """The bundles' hashes, after checking them against the selections' manifest.
+def _selection_inputs(args: argparse.Namespace):
+    """(bundle hashes, train corpus, test corpus, selections) of `prompt` and `run`.
 
-    Raises MalformedSelection when a bundle differs from the one the
-    selections were made from; warns when no manifest records the hashes.
+    The bundles are first checked against the selections' manifest: raises
+    MalformedSelection when a bundle differs from the one the selections
+    were made from; warns when no manifest records the hashes.
     """
     hashes = _bundle_hashes(args)
     path = os.path.join(os.path.dirname(os.path.abspath(args.selections)), "manifest.json")
@@ -89,14 +90,15 @@ def _check_selection_bundles(args: argparse.Namespace) -> Dict[str, str]:
     if not isinstance(recorded, dict):
         print(f"warning: no bundle hashes in {path}; {args.selections} is not checked against "
               "the bundles", file=sys.stderr)
-        return hashes
+        recorded = hashes  # the selections are used unchecked
     for flag, digest in hashes.items():
         if recorded.get(flag) != digest:
             raise pipeline.MalformedSelection(
                 f"{args.selections} was selected from another --{flag.replace('_', '-')} than "
                 f"{getattr(args, flag)} (recorded hash {str(recorded.get(flag))[:12]}, "
                 f"this bundle {digest[:12]})")
-    return hashes
+    train, test = _load_bundles(args.train_bundle, args.test_bundle)
+    return hashes, train, test, pipeline.load_results(args.selections)
 
 
 def _selection_config(args: argparse.Namespace) -> pipeline.SelectionConfig:
@@ -141,9 +143,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    hashes = _check_selection_bundles(args)
-    train, test = _load_bundles(args.train_bundle, args.test_bundle)
-    selections = pipeline.load_results(args.selections)
+    hashes, train, test, selections = _selection_inputs(args)
     prompts = llmclient.selection_prompts(selections, train, test, args.style,
                                           args.most_similar_last)
     os.makedirs(args.out, exist_ok=True)
@@ -167,9 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise pipeline.InvalidConfig(f"--max-retries must be >= 0, got {args.max_retries}")
     if not (math.isfinite(args.timeout) and args.timeout > 0):
         raise pipeline.InvalidConfig(f"--timeout must be a finite number > 0, got {args.timeout}")
-    hashes = _check_selection_bundles(args)
-    train, test = _load_bundles(args.train_bundle, args.test_bundle)
-    selections = pipeline.load_results(args.selections)
+    hashes, train, test, selections = _selection_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     journal_path = args.journal or os.path.join(args.out, "journal.jsonl")
     config = llmclient.EndpointConfig(
@@ -187,7 +185,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     hyp_path = os.path.join(args.out, "hypotheses.txt")
     with open(hyp_path, "w", encoding="utf-8") as f:
         for record in records:
-            f.write(record.correction.replace("\n", " ") + "\n")
+            # one line per record: each line end that `score` reads back as one becomes a space
+            line = record.correction.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+            f.write(line + "\n")
     _write_manifest(args.out, "run", args, [args.selections], hashes)
     failed = [r for r in records if r.error is not None]
     print(f"ran {len(records)} queries ({len(failed)} failed) -> {hyp_path}")
@@ -259,27 +259,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory (selections.jsonl + manifest)")
     p.set_defaults(func=cmd_select)
 
+    def add_prompt_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--train-bundle", required=True)
+        p.add_argument("--test-bundle", required=True)
+        p.add_argument("--selections", required=True,
+                       help="selections.jsonl from `synicl select`; the bundles must be the ones "
+                       "its manifest.json records")
+        p.add_argument("--style", required=True, choices=["completion", "chat"])
+        p.add_argument("--most-similar-last", action="store_true",
+                       help="put the most similar example nearest the test input")
+        p.add_argument("--out", required=True)
+
     p = sub.add_parser("prompt", formatter_class=fmt,
                        help="render prompts for existing selections (no endpoint calls)")
-    p.add_argument("--train-bundle", required=True)
-    p.add_argument("--test-bundle", required=True)
-    p.add_argument("--selections", required=True,
-                   help="selections.jsonl from `synicl select`; the bundles must be the ones "
-                   "its manifest.json records")
-    p.add_argument("--style", required=True, choices=["completion", "chat"])
-    p.add_argument("--most-similar-last", action="store_true",
-                   help="put the most similar example nearest the test input")
-    p.add_argument("--out", required=True)
+    add_prompt_flags(p)
     p.set_defaults(func=cmd_prompt)
 
     p = sub.add_parser("run", formatter_class=fmt,
                        help="query a chat-completions endpoint for every selection")
-    p.add_argument("--train-bundle", required=True)
-    p.add_argument("--test-bundle", required=True)
-    p.add_argument("--selections", required=True,
-                   help="selections.jsonl from `synicl select`; the bundles must be the ones "
-                   "its manifest.json records")
-    p.add_argument("--style", required=True, choices=["completion", "chat"])
+    add_prompt_flags(p)
     p.add_argument("--base-url", required=True, help="endpoint base URL")
     p.add_argument("--model", required=True, help="model name sent in requests")
     p.add_argument("--api-key-env", default="OPENAI_API_KEY",
@@ -287,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0, help="per-request timeout (seconds)")
     p.add_argument("--max-retries", type=int, default=3, help="retries on 429/5xx/timeouts")
     p.add_argument("--jobs", type=int, default=4, help="maximum in-flight requests")
-    p.add_argument("--most-similar-last", action="store_true")
     p.add_argument("--journal", default=None,
                    help="journal path (default: <out>/journal.jsonl); reruns resume from it")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("score", formatter_class=fmt,

@@ -5,29 +5,29 @@ Node labels are the DEPREL strings (error-aware parsers encode error
 information there, e.g. the "S"/"R"/"M" labels), interned into a shared
 label vocabulary so that downstream similarity code works on small ints.
 
-Every tree of a corpus lives in one `Forest`: a few flat int32 arrays and
-one string of forms per tree, with no Python object per token, so a loaded
-pool of hundreds of thousands of tokens gives the cyclic garbage collector
-and the allocator a few objects per sentence, not two per token. Per node
-the forest keeps the label, the head, the child count and where its child
-groups start; per child group (the children of one label, the groups of a
-node in label order) the label, the number of leaves and the ids of the
-internal children, which is the shape the tree kernel merge-joins over. A
-`DepTree` is a view (forest, tree index, n_tokens, sentence_id).
-`DepTree.forms` and `DepTree.root` rebuild per-token objects only when
-asked, and `DepTree(root=DepNode…)` turns a hand-built graph into a
-one-tree forest.
+A tree is what selection reads of it: its labels and heads, and the child
+groups derived from them. A token's form is not kept: an example's words
+are its `source`. Every tree of a corpus lives in one `Forest` of flat int32
+arrays, with no Python object per token, so a loaded pool of hundreds of
+thousands of tokens gives the cyclic garbage collector and the allocator a
+few objects per sentence, not two per token. Per node the forest keeps the
+label, the head, the child count and where its child groups start; per
+child group (the children of one label, the groups of a node in label
+order) the label, the number of leaves and the ids of the internal
+children, which is the shape the tree kernel merge-joins over. A `DepTree`
+is a view (forest, tree index, n_tokens, sentence_id), and
+`DepTree(root=DepNode…)` turns a hand-built graph into a one-tree forest.
 
 CoNLL-U text, DepNode graphs and corpus bundles all make their forest
 through `_block_forest`, which checks a block of trees with numpy (one
 root, no cycles, heads and label ids in range), is the only writer of the
 child groups and returns the block as a forest of its own. Text and graphs
-first pass their rows through `_rows_forest`, which sorts each tree's rows
-by token index and checks what needs the rows themselves (contiguous token
-indices, no tab or newline in a form). `join_forests` then lays the blocks
-end to end, once, when the whole corpus is read. A corpus bundle is one
-binary file, `examples.npz`, written by `save_bundle`; `load_bundle` hands
-its arrays to `_block_forest` block by block.
+first pass their (token index, head, label id) rows through `_rows_forest`,
+which sorts each tree's rows by token index and checks that the indices
+are 1..n. `join_forests` then lays the blocks end to end, once, when the
+whole corpus is read. A corpus bundle is one binary file, `examples.npz`,
+written by `save_bundle`; `load_bundle` hands its arrays to
+`_block_forest` block by block.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class LabelVocab:
     def index(self, label: str) -> int:
         return self._index[label]
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -122,10 +119,12 @@ class LabelVocab:
 
 @dataclass
 class DepNode:
-    """One token of a dependency tree; children kept in token order.
+    """One token of a hand-built dependency graph; children kept in token order.
 
-    Trees are stored in a `Forest`; DepNodes are built only when a
-    `DepTree.root` is asked for, or by hand to make a `DepTree`.
+    DepNodes are built by hand to make a `DepTree`, which stores only their
+    token indices, labels and structure. `form` is accepted for callers that
+    still pass it and is never stored in the forest, like
+    `Example.source_tokens`.
     """
 
     token_index: int
@@ -149,20 +148,18 @@ class Forest:
 
     Node ids are positions in the per-node arrays; the nodes of tree t are
     `tree_start[t]` to `tree_start[t + 1] - 1`, in token order, and its root
-    is `roots[t]`. `forms[t]` holds the forms of tree t's tokens joined by
-    tabs (so a form holds no tab). Per node: `labels`, `heads` (the head's
-    token index, 0 at the root), `n_children`, and the groups
-    `group_start[v]` to `group_start[v + 1] - 1` of its children. A group
-    holds the children of one label, the groups of a node in label order:
-    `group_label`, `group_leaves` (how many of them are leaves) and the node
-    ids of the others, `kids[kid_start[g]:kid_start[g + 1]]`. A new Forest
-    holds no tree.
+    is `roots[t]`. Per node: `labels`, `heads` (the head's token index, 0 at
+    the root), `n_children`, and the groups `group_start[v]` to
+    `group_start[v + 1] - 1` of its children. A group holds the children of
+    one label, the groups of a node in label order: `group_label`,
+    `group_leaves` (how many of them are leaves) and the node ids of the
+    others, `kids[kid_start[g]:kid_start[g + 1]]`. A new Forest holds no
+    tree.
     """
 
-    __slots__ = ("forms", *_FOREST_ARRAYS)
+    __slots__ = tuple(_FOREST_ARRAYS)
 
     def __init__(self) -> None:
-        self.forms: List[str] = []  # one per tree
         for name, (_, offsets) in _FOREST_ARRAYS.items():
             setattr(self, name, np.zeros(int(offsets), dtype=np.int32))
 
@@ -180,7 +177,6 @@ def join_forests(forests: Sequence[Forest]) -> Forest:
     if starts[-1, 0] >= 2 ** 31:
         raise TreebankError(f"{starts[-1, 0]} nodes are too many for one forest's int32 ids")
     joined = Forest()
-    joined.forms = [form for f in forests for form in f.forms]
     for name, (by, offsets) in _FOREST_ARRAYS.items():
         # an offset array drops each forest's last entry and ends with the total instead
         parts = [getattr(f, name)[:len(getattr(f, name)) - offsets] for f in forests]
@@ -196,7 +192,8 @@ class DepTree:
     """A view of one tree of a `Forest`: (forest, tree index, n_tokens, sentence_id).
 
     `DepTree(root=DepNode, n_tokens, sentence_id)` checks a hand-built graph
-    like any parsed tree and stores it as a one-tree forest.
+    like any parsed tree and stores it as a one-tree forest: its labels and
+    heads, with no node's `form`.
     """
 
     __slots__ = ("forest", "index", "n_tokens", "sentence_id")
@@ -233,31 +230,13 @@ class DepTree:
         """Head token indices (0 at the root), in token order."""
         return self._column(self.forest.heads)
 
-    @property
-    def forms(self) -> List[str]:
-        """Token forms, in token order."""
-        return self.forest.forms[self.index].split("\t")
-
-    @property
-    def root(self) -> DepNode:
-        """The tree as freshly built DepNodes, children in token order."""
-        nodes = [DepNode(i, form, label)
-                 for i, form, label in zip(range(1, self.n_tokens + 1), self.forms, self.labels)]
-        root = nodes[0]
-        for node, head in zip(nodes, self.heads):
-            if head:
-                nodes[head - 1].children.append(node)
-            else:
-                root = node
-        return root
-
 
 @dataclass
 class Example:
     """A parallel (erroneous, corrected) sentence pair with its source tree.
 
     `source_tokens` is accepted for callers that still pass it and is never
-    read here: the tree's forms are the source's tokens.
+    read or stored in a bundle: the source's words are its tokens.
     """
 
     id: int
@@ -290,8 +269,8 @@ def _split_columns(line: str) -> List[str]:
 
 
 def _block_rows(lines: List[str], sentence_id: int,
-                vocab: LabelVocab) -> List[Tuple[int, str, int, int]]:
-    """Split the token lines of one block into (token index, form, head, label id) rows.
+                vocab: LabelVocab) -> List[Tuple[int, int, int]]:
+    """Split the token lines of one block into (token index, head, label id) rows.
 
     Labels are interned into `vocab` in line order.
     """
@@ -299,9 +278,9 @@ def _block_rows(lines: List[str], sentence_id: int,
     for line in lines:
         cols = _split_columns(line)
         if len(cols) == 4:
-            id_col, form, head_col, deprel = cols
+            id_col, _, head_col, deprel = cols
         elif len(cols) >= 10:
-            id_col, form, head_col, deprel = cols[0], cols[1], cols[6], cols[7]
+            id_col, head_col, deprel = cols[0], cols[6], cols[7]
         else:
             raise MalformedLine(
                 f"sentence {sentence_id}: expected 4 or 10 columns, got {len(cols)}: {line!r}"
@@ -313,7 +292,7 @@ def _block_rows(lines: List[str], sentence_id: int,
             index, head = int(id_col), int(head_col)
         except ValueError as exc:
             raise MalformedLine(f"sentence {sentence_id}: non-integer ID/HEAD: {line!r}") from exc
-        rows.append((index, form, head, vocab.add(deprel)))
+        rows.append((index, head, vocab.add(deprel)))
     return rows
 
 
@@ -338,19 +317,17 @@ def _int64(values: List[int]) -> np.ndarray:
         return np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values], dtype=np.int64)
 
 
-def _rows_forest(trees: Sequence[Sequence[Tuple[int, str, int, int]]], first: int,
+def _rows_forest(trees: Sequence[Sequence[Tuple[int, int, int]]], first: int,
                  n_labels: int) -> Forest:
-    """The forest of trees given as (token index, form, head, label id) rows.
+    """The forest of trees given as (token index, head, label id) rows.
 
     Tree t is sentence `first + t` in errors. Here each tree's rows are put
     in token order and checked for what needs them: they must be non-empty
-    with indices 1..n (any order, no duplicates), and no form may hold a tab
-    or a newline. `_block_forest` checks the rest, with label ids below
-    `n_labels`.
+    with indices 1..n (any order, no duplicates). `_block_forest` checks the
+    rest, with label ids below `n_labels`.
     """
     labels: List[int] = []
     heads: List[int] = []
-    forms: List[str] = []
     starts = [0]
     for sentence_id, rows in enumerate(trees, first):
         n = len(rows)
@@ -362,20 +339,16 @@ def _rows_forest(trees: Sequence[Sequence[Tuple[int, str, int, int]]], first: in
             indices = [row[0] for row in rows]
             if indices != expected:
                 raise _index_error(indices, sentence_id)
-        line = "\t".join([row[1] for row in rows])
-        if line.count("\t") != n - 1 or "\n" in line:
-            raise MalformedLine(f"sentence {sentence_id}: a form contains a tab or a newline")
-        forms.append(line)
-        labels += [row[3] for row in rows]
-        heads += [row[2] for row in rows]
+        heads += [row[1] for row in rows]
+        labels += [row[2] for row in rows]
         starts.append(len(labels))
-    return _block_forest(forms, _int64(labels), n_labels, _int64(heads),
+    return _block_forest(_int64(labels), n_labels, _int64(heads),
                          np.array(starts, dtype=np.int64), "sentence ", first)
 
 
-def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, int]]:
-    """(token index, form, head, label id) rows of the DepNode graph under `root`."""
-    rows = [(root.token_index, root.form, 0, root.label)]
+def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, int, int]]:
+    """(token index, head, label id) rows of the DepNode graph under `root`."""
+    rows = [(root.token_index, 0, root.label)]
     seen = {id(root)}
     stack = [root]
     while stack:
@@ -384,7 +357,7 @@ def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, str, int, in
             if id(child) in seen:
                 raise CyclicTree(f"sentence {sentence_id}: node {child.token_index} reached twice")
             seen.add(id(child))
-            rows.append((child.token_index, child.form, node.token_index, child.label))
+            rows.append((child.token_index, node.token_index, child.label))
             stack.append(child)
     return rows
 
@@ -403,7 +376,7 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     come from a later sentence of the same block than the first fault.
     """
     blocks: List[Forest] = []
-    pending: List[List[Tuple[int, str, int, int]]] = []  # rows of the trees not yet in `blocks`
+    pending: List[List[Tuple[int, int, int]]] = []  # rows of the trees not yet in `blocks`
     current: List[str] = []
     first = 0  # the sentence id of the first pending tree
     for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
@@ -428,12 +401,16 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
 
 
 def read_text(path: str) -> str:
-    """The text of the UTF-8 file `path`, with universal newlines; InputError if not UTF-8."""
+    """The text of the UTF-8 file `path`, with universal newlines; InputError if not UTF-8.
+
+    One leading byte-order mark (U+FEFF), which some editors write, is dropped.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return text.removeprefix("\ufeff")
 
 
 def read_lines(path: str) -> List[str]:
@@ -535,7 +512,6 @@ def load_corpus(
 #                tree_start[t + 1] - 1
 #   sources, targets
 #                uint8 UTF-8 text, one line per example
-#   forms        uint8 UTF-8 text, one line per example, its forms joined by tabs
 #   embeddings   float64 (T, dim), only when the examples carry embeddings
 # Labels are stored by name so that bundles written separately load under
 # one shared vocabulary. Example ids are positions, because selection and
@@ -549,7 +525,7 @@ _OLD_BUNDLE_FILE = "examples.jsonl"
 _BUNDLE_ARRAYS = {  # name: (dtype, number of dimensions); embeddings are optional
     "version": (np.int64, 0), "label_names": (np.uint8, 1), "labels": (np.int32, 1),
     "heads": (np.int32, 1), "tree_start": (np.int64, 1), "sources": (np.uint8, 1),
-    "targets": (np.uint8, 1), "forms": (np.uint8, 1), "embeddings": (np.float64, 2),
+    "targets": (np.uint8, 1), "embeddings": (np.float64, 2),
 }
 # Trees per block when a forest is filled. Small blocks keep numpy's
 # temporaries small, so peak memory stays near what the forest takes:
@@ -570,8 +546,8 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
 
     Refuses, before it writes anything, a corpus the file cannot give back:
     an id that is not the example's position, a newline in a source, target
-    or label, a tab or newline in a form, and embeddings that are on some
-    examples only, of differing lengths or not finite.
+    or label, and embeddings that are on some examples only, of differing
+    lengths or not finite.
     """
     examples = corpus.examples
     with_embeddings = bool(examples) and examples[0].embedding is not None
@@ -579,7 +555,6 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
     # each tree's labels and heads, sliced from its forest's int32 arrays
     label_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
     head_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
-    forms: List[str] = []
     vectors = []
     for position, ex in enumerate(examples):
         where = f"example {position}"
@@ -589,9 +564,6 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
             if "\n" in text:
                 raise MalformedBundle(f"{where}: the {name} contains a newline")
         tree, forest = ex.tree, ex.tree.forest
-        line = forest.forms[tree.index]
-        if line.count("\t") != tree.n_tokens - 1 or "\n" in line:
-            raise MalformedBundle(f"{where}: a form contains a tab or a newline")
         if (ex.embedding is not None) != with_embeddings:
             raise DimensionMismatch(f"{where}: embeddings must be on every example or on none")
         if with_embeddings:
@@ -606,7 +578,6 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
         start = forest.tree_start.item(tree.index)
         label_parts.append(forest.labels[start:start + tree.n_tokens])
         head_parts.append(forest.heads[start:start + tree.n_tokens])
-        forms.append(line)
     labels = np.concatenate(label_parts)
     # the corpus's label ids in order of first use, and the rank of each id in that order
     first = np.full(int(labels.max(initial=-1)) + 1, len(labels))
@@ -627,7 +598,6 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
         "tree_start": _offsets(np.array([ex.tree.n_tokens for ex in examples], dtype=np.int64)),
         "sources": _text([ex.source for ex in examples]),
         "targets": _text([ex.target for ex in examples]),
-        "forms": _text(forms),
     }
     if vectors:
         arrays["embeddings"] = np.stack(vectors)
@@ -650,7 +620,11 @@ def bundle_file(bundle_dir: str) -> str:
 
 
 def _read_bundle(path: str) -> dict:
-    """The arrays of the bundle file `path`, checked for name, dtype and dimensions."""
+    """The arrays of the bundle file `path`, checked for name, dtype and dimensions.
+
+    Only the arrays that `_BUNDLE_ARRAYS` names are read. Any other, such as
+    the array of token-form text that older bundles hold, is left unread.
+    """
     try:
         # opened here, not by np.load, which leaves the file open when it is no zip archive
         with open(path, "rb") as f:
@@ -658,7 +632,7 @@ def _read_bundle(path: str) -> dict:
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise ValueError("one array, not an archive of arrays")
             with data:
-                arrays = {name: data[name] for name in data.files}
+                arrays = {name: data[name] for name in _BUNDLE_ARRAYS if name in data.files}
     except (zipfile.BadZipFile, ValueError, EOFError) as exc:
         raise MalformedBundle(f"{path}: not a bundle file ({exc})") from exc
     for name, (dtype, ndim) in _BUNDLE_ARRAYS.items():
@@ -685,18 +659,18 @@ def _lines(arrays: dict, name: str, path: str) -> List[str]:
     return lines
 
 
-def _block_forest(forms: List[str], labels: np.ndarray, n_labels: int, heads: np.ndarray,
+def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
                   starts: np.ndarray, where: str, first: int,
                   label_ids: Optional[np.ndarray] = None,
                   label_error: type = MalformedLine) -> Forest:
     """Check one block of trees with array operations, and return it as a forest.
 
     `labels` and `heads` cover the block's nodes; tree t has nodes starts[t]
-    to starts[t + 1] - 1, the forms `forms[t]`, and is `{where}{first + t}`
-    in errors. Labels must lie in 0..n_labels - 1 (else `label_error`); they
-    are vocab ids, or indices into `label_ids`, the vocab id of each. Heads
-    are token indices within the tree, 0 at the root. This is the one writer
-    of a forest's child groups.
+    to starts[t + 1] - 1 and is `{where}{first + t}` in errors. Labels must
+    lie in 0..n_labels - 1 (else `label_error`); they are vocab ids, or
+    indices into `label_ids`, the vocab id of each. Heads are token indices
+    within the tree, 0 at the root. This is the one writer of a forest's
+    child groups.
     """
     n = len(labels)
     sizes = np.diff(starts)
@@ -746,7 +720,6 @@ def _block_forest(forms: List[str], labels: np.ndarray, n_labels: int, heads: np
     n_children = np.bincount(head, minlength=n)
     internal = n_children[child] > 0
     block = Forest()
-    block.forms = forms
     for name, values in (
         ("labels", labels), ("heads", heads), ("n_children", n_children),
         ("group_start", _offsets(np.bincount(head[new_group], minlength=n))),
@@ -775,7 +748,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     path = bundle_file(bundle_dir)
     arrays = _read_bundle(path)
     label_names = _lines(arrays, "label_names", path)
-    sources, targets, forms = (_lines(arrays, name, path) for name in ("sources", "targets", "forms"))
+    sources, targets = (_lines(arrays, name, path) for name in ("sources", "targets"))
     labels, heads, tree_start = arrays["labels"], arrays["heads"], arrays["tree_start"]
     n_trees = len(tree_start) - 1
     if (n_trees < 0 or tree_start[0] != 0 or tree_start[-1] != len(labels)
@@ -785,18 +758,15 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     sizes = np.diff(tree_start)
     if (sizes < 1).any():
         raise MalformedBundle(f"{path} example {np.flatnonzero(sizes < 1)[0]}: empty tree")
-    for name, lines in (("sources", sources), ("targets", targets), ("forms", forms)):
+    for name, lines in (("sources", sources), ("targets", targets)):
         if len(lines) != n_trees:
             raise LengthMismatch(f"{path}: {len(lines)} lines of {name} for {n_trees} trees")
-    for what, counts in (
-        ("forms", [line.count("\t") + 1 for line in forms]),
-        ("source words", [len(source.split()) for source in sources]),
-    ):
-        bad = np.flatnonzero(np.array(counts, dtype=np.int64) != sizes)
-        if bad.size:
-            t = bad[0]
-            raise LengthMismatch(
-                f"{path} example {t}: tree has {sizes[t]} tokens but {counts[t]} {what}")
+    n_words = np.array([len(source.split()) for source in sources], dtype=np.int64)
+    bad = np.flatnonzero(n_words != sizes)
+    if bad.size:
+        t = bad[0]
+        raise LengthMismatch(
+            f"{path} example {t}: tree has {sizes[t]} tokens but {n_words[t]} source words")
     embeddings = arrays.get("embeddings")
     if embeddings is not None:
         if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
@@ -812,7 +782,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
         t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
         a, b = tree_start[t0], tree_start[t1]
-        blocks.append(_block_forest(forms[t0:t1], labels[a:b], len(label_names),
+        blocks.append(_block_forest(labels[a:b], len(label_names),
                                     heads[a:b].astype(np.int64), tree_start[t0:t1 + 1] - a,
                                     f"{path} example ", t0, vocab_ids, MalformedBundle))
     forest = join_forests(blocks)

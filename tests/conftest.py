@@ -34,23 +34,42 @@ def build_tree(spec, vocab, sentence_id=0):
     return DepTree(root=root, n_tokens=counter[0], sentence_id=sentence_id)
 
 
+def graph(tree):
+    """The root of `tree` as freshly built DepNodes, children in token order.
+
+    The nodes carry the tree's labels and structure; a tree keeps no forms,
+    so each node's form is "_".
+    """
+    nodes = [DepNode(index, "_", label)
+             for index, label in zip(range(1, tree.n_tokens + 1), tree.labels)]
+    for node, head in zip(nodes, tree.heads):
+        if head:
+            nodes[head - 1].children.append(node)
+        else:
+            root = node
+    return root
+
+
 def tree_to_conllu(tree, vocab):
-    """The tree as a 4-column CoNLL-U block (index, form, head, label), no trailing blank."""
-    return "\n".join(f"{index}\t{form}\t{head}\t{vocab.labels[label]}" for index, form, head, label
-                     in zip(range(1, tree.n_tokens + 1), tree.forms, tree.heads, tree.labels))
+    """The tree as a 4-column CoNLL-U block (index, form, head, label), no trailing blank.
+
+    A tree keeps no forms, so every form is the placeholder "_".
+    """
+    return "\n".join(f"{index}\t_\t{head}\t{vocab.labels[label]}" for index, head, label
+                     in zip(range(1, tree.n_tokens + 1), tree.heads, tree.labels))
 
 
 def reference_forest(trees, vocab):
     """The `Forest` lists of `trees`, built one node at a time as a reference.
 
-    `trees` holds (forms, label names, heads) per tree, in token order. A
+    `trees` holds (label names, heads) per tree, in token order. A
     node's children are grouped by (label id in `vocab`, token index); each
     group counts its leaves and lists the node ids of its internal children.
     Returns a dict from each `Forest.__slots__` name to its list.
     """
     f = {name: [] for name in Forest.__slots__}
     f["group_start"], f["kid_start"], f["tree_start"] = [0], [0], [0]
-    for forms, names, heads in trees:
+    for names, heads in trees:
         base = len(f["labels"])
         labels = [vocab.index(name) for name in names]
         children = [[] for _ in heads]
@@ -71,15 +90,14 @@ def reference_forest(trees, vocab):
         f["labels"] += labels
         f["heads"] += heads
         f["n_children"] += [len(kids) for kids in children]
-        f["forms"].append("\t".join(forms))
         f["tree_start"].append(len(f["labels"]))
     return f
 
 
 def forest_lists(forest):
     """A `Forest` as `reference_forest` gives it: each int32 array as a list."""
-    lists = {"forms": forest.forms}
-    for name in Forest.__slots__[1:]:
+    lists = {}
+    for name in Forest.__slots__:
         values = getattr(forest, name)
         assert values.dtype == np.int32 and values.ndim == 1, name
         lists[name] = values.tolist()

@@ -1,12 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from synicl import treebank
 from synicl.cli import main
 from synicl.prompt import build_completion_prompt
 
-from conftest import make_synth_corpus, mock_endpoint, tree_to_conllu  # noqa: F401 (fixture)
+from conftest import (forest_lists, make_synth_corpus, mock_endpoint,  # noqa: F401 (fixture)
+                      tree_to_conllu)
 
 
 def m2_from_pairs(pairs):
@@ -72,6 +75,23 @@ def test_ingest_misaligned_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "3" in err and "1" in err
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    corpus = make_synth_corpus(3, seed=5, max_tokens=6)
+    src, tgt, trees = dump_corpus_files(corpus, str(tmp_path / "c"))
+    bundles = {}
+    for name, marked in (("plain", []), ("bom", [src, trees])):
+        for path in marked:
+            with open(path, "rb") as f:
+                data = f.read()
+            with open(path, "wb") as f:
+                f.write("\ufeff".encode() + data)
+        out = tmp_path / name
+        assert main(["ingest", "--src", src, "--tgt", tgt, "--trees", trees,
+                     "--out", str(out)]) == 0
+        bundles[name] = (out / treebank.BUNDLE_FILE).read_bytes()
+    assert bundles["bom"] == bundles["plain"]
 
 
 def test_ingest_unreadable_exits_2(tmp_path):
@@ -255,6 +275,42 @@ def test_select_rerun_is_byte_identical(bundles):
     with open(os.path.join(out2, "selections.jsonl"), "rb") as f:
         second = f.read()
     assert first == second
+
+
+def test_bundle_with_a_forms_array_loads_and_selects_the_same(tmp_path):
+    # bundles of earlier versions also hold each tree's token forms, joined by tabs,
+    # in a `forms` array just before the embeddings; they load without a new ingest
+    vocab = treebank.LabelVocab()
+    corpora = {"train": make_synth_corpus(40, seed=102, max_tokens=8, embedding_dim=4, vocab=vocab),
+               "test": make_synth_corpus(4, seed=103, max_tokens=8, embedding_dim=4, vocab=vocab)}
+    for name, corpus in corpora.items():
+        new, old = tmp_path / "new" / name, tmp_path / "old" / name
+        treebank.save_bundle(corpus, str(new))
+        with np.load(new / treebank.BUNDLE_FILE) as data:
+            arrays = {key: data[key] for key in data.files}
+        embeddings = arrays.pop("embeddings")
+        forms = "".join("\t".join(ex.source.split()) + "\n" for ex in corpus.examples)
+        arrays["forms"] = np.frombuffer(forms.encode("utf-8"), np.uint8)
+        arrays["embeddings"] = embeddings
+        old.mkdir(parents=True)
+        np.savez(old / treebank.BUNDLE_FILE, **arrays)
+        want, got = treebank.load_bundle(str(new)), treebank.load_bundle(str(old))
+        assert got.vocab.labels == want.vocab.labels
+        assert got.embedding_dim == want.embedding_dim == 4
+        assert forest_lists(got[0].tree.forest) == forest_lists(want[0].tree.forest)
+        for a, b in zip(got.examples, want.examples, strict=True):
+            assert (a.id, a.source, a.target, a.tree.index, a.tree.n_tokens) == \
+                (b.id, b.source, b.target, b.tree.index, b.tree.n_tokens)
+            assert a.embedding.tobytes() == b.embedding.tobytes()
+    selections = {}
+    for side in ("new", "old"):
+        out = tmp_path / f"sel_{side}"
+        assert main(["select", "--train-bundle", str(tmp_path / side / "train"),
+                     "--test-bundle", str(tmp_path / side / "test"), "--stage1", "dense",
+                     "--stage2", "wpoly", "--candidates", "20", "--shots", "3",
+                     "--out", str(out)]) == 0
+        selections[side] = (out / "selections.jsonl").read_bytes()
+    assert selections["old"] == selections["new"]
 
 
 def test_shots_eight(bundles):
@@ -475,6 +531,34 @@ def test_run_and_score_flow(bundles, mock_endpoint):
     with open(bundles["tmp"] / "report.json", encoding="utf-8") as f:
         report = json.load(f)
     assert report["precision"] == 1.0 and report["recall"] == 1.0 and report["f_half"] == 1.0
+
+
+def test_run_writes_one_hypothesis_per_record(bundles, mock_endpoint):
+    sel_dir = str(bundles["tmp"] / "sel_lines")
+    main(["select", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+          "--stage1", "bm25", "--stage2", "none", "--candidates", "12", "--shots", "1",
+          "--out", sel_dir])
+
+    from conftest import echo_target_reply
+    examples = bundles["test_corpus"].examples
+    # each correction spans two lines, split by one of the line ends that `score` reads
+    server = mock_endpoint(reply_fn=echo_target_reply(
+        [(ex.source, ex.target.replace(" ", end, 1))
+         for ex, end in zip(examples, ["\r\n", "\r", "\n"], strict=True)]))
+    run_out = bundles["tmp"] / "run_lines"
+    assert main(["run", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                 "--selections", os.path.join(sel_dir, "selections.jsonl"),
+                 "--style", "chat", "--base-url", server.base_url, "--model", "mock",
+                 "--out", str(run_out)]) == 0
+    hyp_path = str(run_out / "hypotheses.txt")
+    assert treebank.read_lines(hyp_path) == [ex.target for ex in examples]
+    m2_path = str(bundles["tmp"] / "gold_lines.m2")
+    with open(m2_path, "w", encoding="utf-8") as f:
+        f.write(m2_from_pairs([(ex.source, ex.target) for ex in examples]))
+    report = str(bundles["tmp"] / "report_lines.json")
+    assert main(["score", "--hyp", hyp_path, "--m2", m2_path, "--out", report]) == 0
+    with open(report, encoding="utf-8") as f:
+        assert json.load(f)["f_half"] == 1.0
 
 
 def test_score_prints_table(bundles, capsys, tmp_path):

@@ -19,7 +19,7 @@ from synicl.pipeline import (
 )
 from synicl.treebank import Corpus, Example, LabelVocab, load_bundle, save_bundle
 
-from conftest import build_tree, leaf, node, make_synth_corpus, random_tree_spec
+from conftest import build_tree, graph, leaf, node, make_synth_corpus, random_tree_spec
 
 
 def toy_corpus(specs, vocab=None):
@@ -188,7 +188,7 @@ def assert_stage2_kernel_scores_bitwise(selectors, queries):
                 tree = selector.corpus[ex_id].tree
                 want = treekernel.tree_kernel_similarity(query.tree, tree)
                 assert score.hex() == want.hex(), (query.id, ex_id)
-                shapes.append(nested_shape(query.tree.root, tree.root))
+                shapes.append(nested_shape(graph(query.tree), graph(tree)))
     assert min(shapes) == (0, 0)  # some pairs end at the root
     assert max(depth for depth, _ in shapes) >= 2
     assert max(most for _, most in shapes) >= 2

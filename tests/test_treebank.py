@@ -20,13 +20,13 @@ from synicl.treebank import (
     save_bundle,
 )
 
-from conftest import (build_tree, forest_lists, make_synth_corpus, random_tree_spec,
+from conftest import (build_tree, forest_lists, graph, make_synth_corpus, random_tree_spec,
                       reference_forest, tree_to_conllu)
 
 
 def iter_nodes(tree):
     """The tree's DepNodes in pre-order, children in token order."""
-    stack = [tree.root]
+    stack = [graph(tree)]
     while stack:
         node = stack.pop()
         yield node
@@ -49,13 +49,13 @@ def test_parse_basic_block():
     assert len(trees) == 1
     tree = trees[0]
     assert tree.n_tokens == 6
-    root = tree.root
-    assert root.form == "were"
+    root = graph(tree)
+    assert root.token_index == 3  # "were"
     assert vocab.labels[root.label] == "Root"
-    assert [c.form for c in root.children] == ["But", "there", "buyers", "."]
+    assert [c.token_index for c in root.children] == [1, 2, 5, 6]  # But there buyers .
     assert [vocab.labels[c.label] for c in root.children] == ["cc", "expl", "nsubj", "punct"]
     buyers = root.children[2]
-    assert [c.form for c in buyers.children] == ["no"]
+    assert [c.token_index for c in buyers.children] == [4]  # no
 
 
 def test_parse_single_token():
@@ -63,7 +63,7 @@ def test_parse_single_token():
     trees = parse_conllu("1\tHello\t0\tRoot\n", vocab)
     assert len(trees) == 1
     assert trees[0].n_tokens == 1
-    assert trees[0].root.children == []
+    assert graph(trees[0]).children == []
 
 
 def bundle_arrays(trees, sources=None):
@@ -79,7 +79,6 @@ def bundle_arrays(trees, sources=None):
         "tree_start": np.cumsum([0] + [len(rows) for rows in trees], dtype=np.int64),
         "sources": text_array(sources),
         "targets": text_array(sources),
-        "forms": text_array(["\t".join(str(row[1]) for row in rows) for rows in trees]),
     }
 
 
@@ -194,11 +193,11 @@ def test_bundle_rejects_malformed_rows(tmp_path, name, array):
     ("tree_start", np.array([0, 2, 2], np.int64)),  # an empty tree
     ("tree_start", np.array([1, 2], np.int64)),
     ("tree_start", np.array([], np.int64)),
-    ("forms", np.frombuffer(b"a\tb", np.uint8)),  # no newline at the end
+    ("targets", np.frombuffer(b"a b", np.uint8)),  # no newline at the end
     ("sources", np.frombuffer(b"\xff\n", np.uint8)),  # not UTF-8
     ("labels", np.array([0, 5], np.int32)),  # label id out of range
     ("labels", np.array([0, -1], np.int32)),
-    ("forms", None),
+    ("sources", None),
 ], ids=["version", "empty-tree", "start-not-0", "no-start", "unterminated", "not-utf8",
         "label-too-large", "label-negative", "missing-array"])
 def test_bundle_rejects_malformed_arrays(tmp_path, name, array):
@@ -213,16 +212,11 @@ def test_bundle_rejects_malformed_arrays(tmp_path, name, array):
 
 def test_bundle_string_counts_must_match_the_trees(tmp_path):
     trees = [[[1, "a", 0, "Root"]], [[1, "b", 0, "Root"], [2, "c", 1, "dep"]]]
-    for i, (name, lines) in enumerate([("sources", ["a"]), ("targets", ["a", "b c", "d"]),
-                                       ("forms", ["a"])]):
+    for i, (name, lines) in enumerate([("sources", ["a"]), ("targets", ["a", "b c", "d"])]):
         arrays = bundle_arrays(trees)
         arrays[name] = text_array(lines)
         with pytest.raises(LengthMismatch, match=rf"examples\.npz: \d lines of {name} for 2 trees"):
             load_bundle(write_arrays(tmp_path / f"bundle{i}", arrays))
-    arrays = bundle_arrays(trees)
-    arrays["forms"] = text_array(["a", "b c"])  # two tokens, one form
-    with pytest.raises(LengthMismatch, match=r"examples\.npz example 1: tree has 2 tokens but 1 forms"):
-        load_bundle(write_arrays(tmp_path / "forms", arrays))
 
 
 def test_bundle_file_layout(tmp_path):
@@ -231,7 +225,7 @@ def test_bundle_file_layout(tmp_path):
     vocab = LabelVocab(["unused", "S"])
     corpus = treebank.Corpus([], vocab)
     for i, tree in enumerate(parse_conllu(THREE_TREES, vocab)):
-        source = " ".join(tree.forms)
+        source = " ".join(row[1] for row in rows[i])
         corpus.examples.append(treebank.Example(id=i, source=source, target=source, tree=tree))
     save_bundle(corpus, str(tmp_path))
     with np.load(tmp_path / treebank.BUNDLE_FILE) as data:
@@ -254,7 +248,7 @@ def test_parse_ten_column_and_comments_and_mwt():
     trees = parse_conllu(text, vocab)
     assert len(trees) == 1
     assert trees[0].n_tokens == 2
-    assert trees[0].root.form == "do"
+    assert trees[0].heads == [0, 1]
 
 
 def test_parse_is_deterministic():
@@ -286,7 +280,7 @@ def test_roundtrip_random_trees():
 def test_tree_from_graph_is_checked_like_parsed_rows():
     vocab = LabelVocab()
     tree = build_tree(random_tree_spec(random.Random(3), 9, ["Root", "a", "b"]), vocab)
-    root = tree.root
+    root = graph(tree)
     assert tree_to_conllu(treebank.DepTree(root, 9), vocab) == tree_to_conllu(tree, vocab)
     with pytest.raises(LengthMismatch):
         treebank.DepTree(root, 8)
@@ -392,10 +386,13 @@ def test_load_corpus_aligned(tmp_path):
 def test_read_lines_gives_the_lines_of_file_iteration(tmp_path, data):
     path = tmp_path / "text.txt"
     path.write_bytes(data)
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops one leading byte-order mark, as read_text does
+    with open(path, encoding="utf-8-sig") as f:
         assert treebank.read_text(str(path)) == f.read()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         assert treebank.read_lines(str(path)) == [line.rstrip("\n") for line in f]
+    if data.startswith("\ufeff".encode()):
+        assert treebank.read_lines(str(path)) == ["bom"]
 
 
 def test_load_corpus_length_mismatch(tmp_path):
@@ -605,8 +602,7 @@ def test_loaded_forest_equals_parsed_forest(tmp_path):
     vocab = LabelVocab()
     parsed = parse_conllu("\n\n".join(blocks) + "\n", vocab)
     loaded = load_bundle(write_arrays(tmp_path / "bundle", bundle_arrays(trees)))
-    columns = [([row[1] for row in rows], [row[3] for row in rows], [row[2] for row in rows])
-               for rows in trees]
+    columns = [([row[3] for row in rows], [row[2] for row in rows]) for rows in trees]
     for forest, forest_vocab in ((parsed[0].forest, vocab), (loaded[0].tree.forest, loaded.vocab)):
         assert forest_lists(forest) == reference_forest(columns, forest_vocab)
     for t, (tree, ex) in enumerate(zip(parsed, loaded.examples)):
@@ -664,15 +660,3 @@ def test_graph_labels_must_be_label_ids(label):
     child = treebank.DepNode(2, "b", label)
     with pytest.raises(MalformedLine, match="sentence 4: label id .* out of range"):
         treebank.DepTree(treebank.DepNode(1, "a", 0, [child]), 2, 4)
-
-
-def test_forms_hold_no_tab_or_newline(tmp_path):
-    for form in ("a\tb", "a\nb"):
-        with pytest.raises(MalformedLine, match="sentence 4: a form contains"):
-            treebank.DepTree(treebank.DepNode(1, form, 0), 1, 4)
-    # a forest changed by hand after its trees were checked
-    corpus = one_token_corpus(2)
-    corpus[1].tree.forest.forms[0] = "w1\tx"
-    with pytest.raises(TreebankError, match="example 1: a form contains a tab"):
-        save_bundle(corpus, str(tmp_path / "bundle"))
-    assert not (tmp_path / "bundle").exists()

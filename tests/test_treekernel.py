@@ -6,7 +6,8 @@ import numpy as np
 from synicl.treebank import DepNode, DepTree, LabelVocab, load_bundle, parse_conllu, save_bundle
 from synicl.treekernel import PoolForest, tree_kernel_similarity
 
-from conftest import build_tree, leaf, make_synth_corpus, node, random_tree_spec, tree_to_conllu
+from conftest import (build_tree, graph, leaf, make_synth_corpus, node, random_tree_spec,
+                      tree_to_conllu)
 
 
 def kernel_oracle(a, b):
@@ -33,7 +34,7 @@ def test_one_shared_leaf_over_two_by_two():
     a = build_tree(node("r", leaf("x"), leaf("y")), vocab)
     b = build_tree(node("r", leaf("x"), leaf("z")), vocab)
     assert tree_kernel_similarity(a, b) == 0.25
-    assert kernel_oracle(a.root, b.root) == 0.25
+    assert kernel_oracle(graph(a), graph(b)) == 0.25
 
 
 def test_nested_identical_chain():
@@ -83,7 +84,7 @@ def test_oracle_equivalence_random_trees():
         vocab = LabelVocab()
         t1 = build_tree(random_tree_spec(rng, rng.randint(1, 8), labels), vocab)
         t2 = build_tree(random_tree_spec(rng, rng.randint(1, 8), labels), vocab)
-        assert tree_kernel_similarity(t1, t2) == kernel_oracle(t1.root, t2.root)
+        assert tree_kernel_similarity(t1, t2) == kernel_oracle(graph(t1), graph(t2))
 
 
 def test_symmetry_nonnegativity_finiteness():
@@ -124,7 +125,7 @@ def test_relabel_invariance():
 
 def assert_kernel_equals_oracle_bitwise(pairs):
     for t1, t2 in pairs:
-        want = kernel_oracle(t1.root, t2.root)
+        want = kernel_oracle(graph(t1), graph(t2))
         assert tree_kernel_similarity(t1, t2).hex() == want.hex()
         assert tree_kernel_similarity(t2, t1).hex() == want.hex()
 
