@@ -119,7 +119,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     treebank.save_bundle(corpus, args.out)
     inputs = [args.src, args.tgt, args.trees] + ([args.embeddings] if args.embeddings else [])
     _write_manifest(args.out, "ingest", args, inputs)
-    print(f"ingested {len(corpus)} examples ({corpus.vocab.d} labels) into {args.out}")
+    print(f"ingested {len(corpus)} examples ({len(corpus.vocab)} labels) into {args.out}")
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from .treebank import Corpus, Example, InputError
 
 TEMPERATURE = 0.0
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+RETRY_BACKOFF = 0.5  # seconds before the first retry, doubled before each next one
 
 
 class LlmClientError(RuntimeError):
@@ -62,7 +63,6 @@ class EndpointConfig:
     api_key_env: str = "OPENAI_API_KEY"
     timeout: float = 60.0
     max_retries: int = 3
-    retry_backoff: float = 0.5
     jobs: int = 4  # in-flight request cap
 
     @property
@@ -107,7 +107,7 @@ def complete(config: EndpointConfig, messages: List[Dict[str, str]]) -> Tuple[st
     try:
         for attempt in range(config.max_retries + 1):
             if attempt > 0:
-                time.sleep(config.retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 retries = attempt
             try:
                 resp = requests.post(url, json=body, headers=headers, timeout=config.timeout)

@@ -88,8 +88,11 @@ class SelectionConfig:
 
 @dataclass
 class SelectionResult:
+    """The examples chosen for one query. A chosen id is a position in the pool corpus,
+    which is also its `Example.id` in a loaded corpus; `llmclient` indexes by it."""
+
     query_id: int
-    chosen: List[Tuple[int, float]]  # (example id, stage-II score, or stage-I when stage2=none)
+    chosen: List[Tuple[int, float]]  # (pool position, stage-II score, or stage-I when stage2=none)
     stage1_pool_size: int
     fallbacks: List[Dict[str, object]] = field(default_factory=list)
 
@@ -111,7 +114,7 @@ class Selector:
             raise InvalidConfig("cannot select from an empty corpus")
         self.corpus = corpus
         self.config = config
-        self.d = corpus.vocab.d
+        self.d = len(corpus.vocab)
 
         self.bm25: Optional[lexical.Bm25Index] = None
         self.dense: Optional[lexical.DenseIndex] = None
@@ -148,7 +151,7 @@ class Selector:
     def _stage1_pool(self, query: Example) -> List[Tuple[int, float]]:
         cfg = self.config
         if cfg.stage1 == "none":
-            return [(ex.id, 0.0) for ex in self.corpus.examples]
+            return [(position, 0.0) for position in range(len(self.corpus))]
         if cfg.stage1 == "bm25":
             assert self.bm25 is not None
             return lexical.bm25_topk(self.bm25, query.source, cfg.candidate_size)
@@ -168,7 +171,7 @@ class Selector:
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]
     ) -> List[Tuple[int, float]]:
         assert self.polynomials is not None
-        if self.corpus.vocab.d != self.d or max(query.tree.labels) >= self.d:
+        if len(self.corpus.vocab) != self.d or max(query.tree.labels) >= self.d:
             raise MissingPrecomputation(
                 "the label vocabulary changed after the Selector was built, or the query's "
                 "labels are not in it; load every corpus with one LabelVocab before building "

@@ -18,16 +18,16 @@ children, which is the shape the tree kernel merge-joins over. A `DepTree`
 is a view (forest, tree index, n_tokens, sentence_id), and
 `DepTree(root=DepNode…)` turns a hand-built graph into a one-tree forest.
 
-CoNLL-U text, DepNode graphs and corpus bundles all make their forest
-through `_block_forest`, which checks a block of trees with numpy (one
-root, no cycles, heads and label ids in range), is the only writer of the
-child groups and returns the block as a forest of its own. Text and graphs
-first pass their (token index, head, label id) rows through `_rows_forest`,
-which sorts each tree's rows by token index and checks that the indices
-are 1..n. `join_forests` then lays the blocks end to end, once, when the
-whole corpus is read. A corpus bundle is one binary file, `examples.npz`,
-written by `save_bundle`; `load_bundle` hands its arrays to
-`_block_forest` block by block.
+CoNLL-U text, DepNode graphs and corpus bundles reach their forest through
+one block loop, `_forest`, whose `_block_forest` checks each block of trees
+with numpy (one root, no cycles, heads and label ids in range) and is the
+only writer of child groups. Text and graphs first give their flat (token
+index, head, label id) rows to `_rows_forest`, which sorts every tree into
+token order at once and checks that its indices are 1..n. A bundle is one
+binary file, `examples.npz`, written by `save_bundle`. Both loaders,
+`load_corpus` of text files and `load_bundle` of a bundle, end in
+`_corpus`, the one example check: each source has as many words as its
+tree has tokens.
 """
 
 from __future__ import annotations
@@ -98,15 +98,7 @@ class LabelVocab:
             self._index[label] = idx
         return idx
 
-    def index(self, label: str) -> int:
-        return self._index[label]
-
     def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def d(self) -> int:
-        """Number of distinct labels."""
         return len(self.labels)
 
     def error_label_ids(self) -> List[int]:
@@ -199,7 +191,8 @@ class DepTree:
     __slots__ = ("forest", "index", "n_tokens", "sentence_id")
 
     def __init__(self, root: DepNode, n_tokens: int, sentence_id: int = -1):
-        forest = _rows_forest([_graph_rows(root, sentence_id)], sentence_id, _LABEL_LIMIT)
+        indices, heads, labels = zip(*_graph_rows(root, sentence_id))
+        forest = _rows_forest(indices, heads, labels, [0, len(heads)], _LABEL_LIMIT, sentence_id)
         if len(forest.labels) != n_tokens:
             raise LengthMismatch(
                 f"sentence {sentence_id}: graph has {len(forest.labels)} nodes, not {n_tokens}")
@@ -268,13 +261,12 @@ def _split_columns(line: str) -> List[str]:
     return line.split()
 
 
-def _block_rows(lines: List[str], sentence_id: int,
-                vocab: LabelVocab) -> List[Tuple[int, int, int]]:
-    """Split the token lines of one block into (token index, head, label id) rows.
+def _block_rows(lines: List[str], sentence_id: int, vocab: LabelVocab, indices: List[int],
+                heads: List[int], label_ids: List[int]) -> None:
+    """Append the token index, head and label id of each token line of one block.
 
     Labels are interned into `vocab` in line order.
     """
-    rows = []
     for line in lines:
         cols = _split_columns(line)
         if len(cols) == 4:
@@ -292,8 +284,9 @@ def _block_rows(lines: List[str], sentence_id: int,
             index, head = int(id_col), int(head_col)
         except ValueError as exc:
             raise MalformedLine(f"sentence {sentence_id}: non-integer ID/HEAD: {line!r}") from exc
-        rows.append((index, head, vocab.add(deprel)))
-    return rows
+        indices.append(index)
+        heads.append(head)
+        label_ids.append(vocab.add(deprel))
 
 
 def _index_error(indices: List[int], sentence_id: int) -> TreebankError:
@@ -309,41 +302,39 @@ def _index_error(indices: List[int], sentence_id: int) -> TreebankError:
         f"sentence {sentence_id}: token index {missing} missing (have 1..{indices[-1]})")
 
 
-def _int64(values: List[int]) -> np.ndarray:
-    """`values` as an int64 array; a value past its range, out of range anyway, is clamped."""
+def _int64(columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """`columns` as the rows of an int64 array; values past int64 (out of range anyway) clamped."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array(columns, dtype=np.int64)
     except OverflowError:
-        return np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values], dtype=np.int64)
+        return np.array([[min(max(v, -2 ** 63), 2 ** 63 - 1) for v in column]
+                         for column in columns], dtype=np.int64)
 
 
-def _rows_forest(trees: Sequence[Sequence[Tuple[int, int, int]]], first: int,
-                 n_labels: int) -> Forest:
-    """The forest of trees given as (token index, head, label id) rows.
+def _rows_forest(indices: Sequence[int], heads: Sequence[int], label_ids: Sequence[int],
+                 starts: List[int], n_labels: int, first: int) -> Forest:
+    """The forest of trees given as flat (token index, head, label id) rows.
 
-    Tree t is sentence `first + t` in errors. Here each tree's rows are put
-    in token order and checked for what needs them: they must be non-empty
-    with indices 1..n (any order, no duplicates). `_block_forest` checks the
-    rest, with label ids below `n_labels`.
+    Tree t has rows starts[t] to starts[t + 1] - 1, in any order, and is
+    sentence `first + t` in errors. Each tree must be non-empty with indices
+    1..n; it is put in token order, and `_forest` checks the rest, with
+    label ids below `n_labels`.
     """
-    labels: List[int] = []
-    heads: List[int] = []
-    starts = [0]
-    for sentence_id, rows in enumerate(trees, first):
-        n = len(rows)
-        if not n:
-            raise MalformedLine(f"sentence {sentence_id}: empty block")
-        expected = list(range(1, n + 1))
-        if [row[0] for row in rows] != expected:
-            rows = sorted(rows, key=lambda row: row[0])
-            indices = [row[0] for row in rows]
-            if indices != expected:
-                raise _index_error(indices, sentence_id)
-        heads += [row[1] for row in rows]
-        labels += [row[2] for row in rows]
-        starts.append(len(labels))
-    return _block_forest(_int64(labels), n_labels, _int64(heads),
-                         np.array(starts, dtype=np.int64), "sentence ", first)
+    start = np.array(starts, dtype=np.int64)
+    sizes = start[1:] - start[:-1]
+    base = np.repeat(start[:-1], sizes)  # where each row's tree starts
+    rows = _int64([indices, heads, label_ids])
+    rows = rows[:, np.lexsort((rows[0], base))]  # by tree, then by token index
+    wrong = rows[0] != np.arange(1, len(base) + 1) - base  # not 1..n in its tree
+    # count_nonzero, not any/all: a one-tree graph pays every call's overhead
+    if np.count_nonzero(wrong) or np.count_nonzero(sizes) < len(sizes):
+        bad = sizes < 1
+        bad[np.searchsorted(start, np.flatnonzero(wrong), "right") - 1] = True
+        t = int(np.flatnonzero(bad)[0])
+        if not sizes[t]:
+            raise MalformedLine(f"sentence {first + t}: empty block")
+        raise _index_error(sorted(indices[starts[t]:starts[t + 1]]), first + t)
+    return _forest(rows[2], n_labels, rows[1], start, "sentence ", first)
 
 
 def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, int, int]]:
@@ -362,6 +353,27 @@ def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, int, int]]:
     return rows
 
 
+def _conllu_forest(text: str, vocab: LabelVocab) -> Forest:
+    """The forest of the dependency blocks of `text`, as `parse_conllu` reads them."""
+    indices: List[int] = []
+    heads: List[int] = []
+    label_ids: List[int] = []
+    starts = [0]
+    current: List[str] = []
+    for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
+        line = raw.rstrip("\r")
+        if line.strip() == "":
+            if current:
+                _block_rows(current, len(starts) - 1, vocab, indices, heads, label_ids)
+                starts.append(len(indices))
+                current = []
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        current.append(line)
+    return _rows_forest(indices, heads, label_ids, starts, len(vocab), 0)
+
+
 def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     """Parse blank-line separated dependency blocks into trees.
 
@@ -370,32 +382,13 @@ def parse_conllu(text: str, vocab: LabelVocab) -> List[DepTree]:
     '#'; multiword ("1-2") and empty-node ("1.1") ids are skipped. `vocab`
     is extended in place with unseen labels. The trees share one new forest.
 
-    Sentences are checked in blocks of `_LOAD_BLOCK_TREES`: first each
-    sentence's lines and token indices, then the structure of the whole
-    block. In a text with several faults, the one reported may therefore
-    come from a later sentence of the same block than the first fault.
+    Faults are looked for in three passes: every line (column count, integer
+    ID and HEAD), then every sentence's token indices, then each block of
+    sentences' structure. So a line fault anywhere in the text is reported
+    before any index or structure fault, and a structure fault may come from
+    a later sentence of its block than the first fault.
     """
-    blocks: List[Forest] = []
-    pending: List[List[Tuple[int, int, int]]] = []  # rows of the trees not yet in `blocks`
-    current: List[str] = []
-    first = 0  # the sentence id of the first pending tree
-    for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
-        line = raw.rstrip("\r")
-        if line.strip() == "":
-            if current:
-                pending.append(_block_rows(current, first + len(pending), vocab))
-                current = []
-                if len(pending) == _LOAD_BLOCK_TREES:
-                    blocks.append(_rows_forest(pending, first, len(vocab)))
-                    first += len(pending)
-                    pending = []
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        current.append(line)
-    if pending:
-        blocks.append(_rows_forest(pending, first, len(vocab)))
-    forest = join_forests(blocks)
+    forest = _conllu_forest(text, vocab)
     sizes = np.diff(forest.tree_start).tolist()
     return [DepTree._view(forest, t, n, t) for t, n in enumerate(sizes)]
 
@@ -421,38 +414,51 @@ def read_lines(path: str) -> List[str]:
     return lines
 
 
-def _parse_embeddings(path: str) -> List[np.ndarray]:
-    """One vector of finite floats per line of `path`."""
-    vectors = []
-    for i, line in enumerate(read_lines(path)):
-        try:
-            vector = np.array([float(v) for v in line.split()], dtype=np.float64)
-        except ValueError as exc:
-            raise MalformedLine(f"{path} line {i + 1}: not a list of numbers ({exc})") from exc
-        if not np.isfinite(vector).all():
-            raise MalformedLine(f"{path} line {i + 1}: embedding values must be finite numbers")
-        vectors.append(vector)
-    if not vectors or vectors[0].shape[0] == 0:
+def _parse_embeddings(path: str) -> np.ndarray:
+    """A float64 matrix of one row of finite numbers per line of `path`, all as long as line 1."""
+    lines = read_lines(path)
+    dim = len(lines[0].split()) if lines else 0
+    if not dim:
         raise DimensionMismatch(f"{path}: no embedding values found")
-    return vectors
+    matrix = np.empty((len(lines), dim), dtype=np.float64)
+    for number, line in enumerate(lines, 1):
+        values = line.split()
+        if len(values) != dim:
+            raise DimensionMismatch(
+                f"{path} line {number}: embedding has length {len(values)}, expected {dim}")
+        try:
+            matrix[number - 1] = [float(v) for v in values]
+        except ValueError as exc:
+            raise MalformedLine(f"{path} line {number}: not a list of numbers ({exc})") from exc
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise MalformedLine(f"{path} line {np.flatnonzero(~finite)[0] + 1}: "
+                            "embedding values must be finite numbers")
+    return matrix
 
 
-def _make_example(
-    position: int,
-    source: str,
-    target: str,
-    tree: DepTree,
-    embedding: Optional[np.ndarray],
-    dim: Optional[int],
-    where: str,
-) -> Example:
-    """An Example of a loaded corpus, after its counts are checked; `where` names it in errors."""
-    n_words = len(source.split())
-    if tree.n_tokens != n_words:
-        raise LengthMismatch(f"{where}: tree has {tree.n_tokens} tokens but the source has {n_words}")
-    if embedding is not None and embedding.shape[0] != dim:
-        raise DimensionMismatch(f"{where}: embedding has length {embedding.shape[0]}, expected {dim}")
-    return Example(id=position, source=source, target=target, tree=tree, embedding=embedding)
+def _corpus(forest: Forest, vocab: LabelVocab, sources: List[str], targets: List[str],
+            embeddings: Optional[np.ndarray], where: str, first: int) -> Corpus:
+    """The corpus of the trees of `forest`, one per source and target line.
+
+    Each source must have as many words as its tree has tokens; example t is
+    `{where}{first + t}` in errors. `embeddings`, if given, holds one row per
+    example, and each example's embedding is a view of its row.
+    """
+    sizes = np.diff(forest.tree_start)
+    n_words = np.array([len(source.split()) for source in sources], dtype=np.int64)
+    bad = np.flatnonzero(n_words != sizes)
+    if bad.size:
+        t = bad[0]
+        raise LengthMismatch(
+            f"{where}{first + t}: tree has {sizes[t]} tokens but {n_words[t]} source words")
+    examples = [
+        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
+                embedding=None if embeddings is None else embeddings[t])
+        for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
+    ]
+    return Corpus(examples=examples, vocab=vocab,
+                  embedding_dim=None if embeddings is None else embeddings.shape[1])
 
 
 def load_corpus(
@@ -470,33 +476,21 @@ def load_corpus(
         raise LengthMismatch(
             f"{source_path} has {len(sources)} lines but {target_path} has {len(targets)}"
         )
-    for i, line in enumerate(sources):
-        if line.strip() == "":
-            raise LengthMismatch(f"{source_path}: line {i + 1} is empty")
-
-    trees = parse_conllu(read_text(trees_path), vocab)
-    if len(trees) != len(sources):
+    forest = _conllu_forest(read_text(trees_path), vocab)
+    n_trees = len(forest.tree_start) - 1
+    if n_trees != len(sources):
         raise LengthMismatch(
-            f"{trees_path} has {len(trees)} tree blocks but {source_path} has {len(sources)} lines"
+            f"{trees_path} has {n_trees} tree blocks but {source_path} has {len(sources)} lines"
         )
-
-    embeddings: List[Optional[np.ndarray]] = [None] * len(sources)
-    dim: Optional[int] = None
+    embeddings = None
     if embeddings_path is not None:
         embeddings = _parse_embeddings(embeddings_path)
-        dim = embeddings[0].shape[0]
         if len(embeddings) != len(sources):
             raise LengthMismatch(
                 f"{embeddings_path} has {len(embeddings)} vectors but "
                 f"{source_path} has {len(sources)} lines"
             )
-
-    examples = [
-        _make_example(i, source, target, tree, embedding, dim, f"{source_path} line {i + 1}")
-        for i, (source, target, tree, embedding) in enumerate(
-            zip(sources, targets, trees, embeddings))
-    ]
-    return Corpus(examples=examples, vocab=vocab, embedding_dim=dim)
+    return _corpus(forest, vocab, sources, targets, embeddings, f"{source_path} line ", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +667,7 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     child groups.
     """
     n = len(labels)
-    sizes = np.diff(starts)
+    sizes = starts[1:] - starts[:-1]
     tree = np.repeat(np.arange(len(sizes)), sizes)
     bad = np.flatnonzero((labels < 0) | (labels >= n_labels))
     if bad.size:
@@ -732,9 +726,28 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     return block
 
 
+def _forest(labels: np.ndarray, n_labels: int, heads: np.ndarray, starts: np.ndarray,
+            where: str, first: int, label_ids: Optional[np.ndarray] = None,
+            label_error: type = MalformedLine) -> Forest:
+    """The forest of trees given as flat arrays, checked and built by `_block_forest`.
+
+    The arguments are those of `_block_forest`, for all trees. Each block
+    takes its heads as int64 of its own, and the blocks are joined once.
+    """
+    n_trees = len(starts) - 1
+    blocks = []
+    for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
+        t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
+        a, b = starts[t0], starts[t1]
+        block_heads = heads[a:b].astype(np.int64, copy=False)
+        blocks.append(_block_forest(labels[a:b], n_labels, block_heads, starts[t0:t1 + 1] - a,
+                                    where, first + t0, label_ids, label_error))
+    return join_forests(blocks)
+
+
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Where each of the segments of `counts` items laid end to end starts, and the total."""
-    return np.concatenate(([0], np.cumsum(counts)))
+    return np.concatenate(([0], counts.cumsum()))
 
 
 def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
@@ -761,12 +774,6 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     for name, lines in (("sources", sources), ("targets", targets)):
         if len(lines) != n_trees:
             raise LengthMismatch(f"{path}: {len(lines)} lines of {name} for {n_trees} trees")
-    n_words = np.array([len(source.split()) for source in sources], dtype=np.int64)
-    bad = np.flatnonzero(n_words != sizes)
-    if bad.size:
-        t = bad[0]
-        raise LengthMismatch(
-            f"{path} example {t}: tree has {sizes[t]} tokens but {n_words[t]} source words")
     embeddings = arrays.get("embeddings")
     if embeddings is not None:
         if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
@@ -778,21 +785,9 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
                                   "embedding values must be finite numbers")
 
     vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
-    blocks = []
-    for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
-        t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
-        a, b = tree_start[t0], tree_start[t1]
-        blocks.append(_block_forest(labels[a:b], len(label_names),
-                                    heads[a:b].astype(np.int64), tree_start[t0:t1 + 1] - a,
-                                    f"{path} example ", t0, vocab_ids, MalformedBundle))
-    forest = join_forests(blocks)
-    examples = [
-        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
-                embedding=None if embeddings is None else embeddings[t])
-        for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
-    ]
-    return Corpus(examples=examples, vocab=vocab,
-                  embedding_dim=None if embeddings is None else embeddings.shape[1])
+    forest = _forest(labels, len(label_names), heads, tree_start, f"{path} example ", 0,
+                     vocab_ids, MalformedBundle)
+    return _corpus(forest, vocab, sources, targets, embeddings, f"{path} example ", 0)
 
 
 def content_hash(paths: Sequence[str]) -> str:

@@ -146,7 +146,7 @@ class WeightProfile:
 
         The coefficient entry corresponds to no label and keeps weight 1.
         """
-        d = vocab.d
+        d = len(vocab)
         w = np.ones(2 * d + 1)
         for label_id in vocab.error_label_ids():
             w[label_id] = weight
@@ -190,7 +190,7 @@ def tree_to_polynomial(
             root = node
     # the support: x-entries of the leaf labels, then y-entries of the
     # internal labels, each in ascending label id, so ascending entry ids
-    d = vocab.d
+    d = len(vocab)
     leaf_labels = sorted({label for label, kids in zip(labels, children) if not kids})
     internal_labels = sorted({label for label, kids in zip(labels, children) if kids})
     x_field = {label: i for i, label in enumerate(leaf_labels)}

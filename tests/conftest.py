@@ -71,7 +71,7 @@ def reference_forest(trees, vocab):
     f["group_start"], f["kid_start"], f["tree_start"] = [0], [0], [0]
     for names, heads in trees:
         base = len(f["labels"])
-        labels = [vocab.index(name) for name in names]
+        labels = [vocab.labels.index(name) for name in names]
         children = [[] for _ in heads]
         for i, head in enumerate(heads):
             if head:

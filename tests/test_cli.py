@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -92,6 +93,44 @@ def test_ingest_drops_a_byte_order_mark(tmp_path):
                      "--out", str(out)]) == 0
         bundles[name] = (out / treebank.BUNDLE_FILE).read_bytes()
     assert bundles["bom"] == bundles["plain"]
+
+
+def test_text_ingest_gives_the_bundle_save_bundle_writes(tmp_path):
+    # more sentences than one forest block, so the checks cross a block boundary
+    corpus = make_synth_corpus(treebank._LOAD_BLOCK_TREES + 100, seed=23, max_tokens=12,
+                               embedding_dim=3)
+    rng = random.Random(23)
+    blocks = []
+    for ex in corpus.examples:
+        lines = [f"{index}\t{word}\t_\t_\t_\t_\t{head}\t{corpus.vocab.labels[label]}\t_\t_"
+                 for index, (word, head, label)
+                 in enumerate(zip(ex.source.split(), ex.tree.heads, ex.tree.labels), 1)]
+        if rng.random() < 0.3:
+            rng.shuffle(lines)  # CoNLL-U lines need not come in token order
+        blocks.append("\n".join(lines))
+    src, tgt, _ = dump_corpus_files(corpus, str(tmp_path / "c"))
+    trees, emb = tmp_path / "c.conllu", tmp_path / "c.emb"
+    trees.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    emb.write_text("".join(" ".join(map(repr, ex.embedding.tolist())) + "\n"
+                           for ex in corpus.examples), encoding="utf-8")
+    saved, ingested = tmp_path / "saved", tmp_path / "ingested"
+    treebank.save_bundle(corpus, str(saved))
+    assert main(["ingest", "--src", src, "--tgt", tgt, "--trees", str(trees),
+                 "--embeddings", str(emb), "--out", str(ingested)]) == 0
+    assert ((ingested / treebank.BUNDLE_FILE).read_bytes()
+            == (saved / treebank.BUNDLE_FILE).read_bytes())
+    # both loaders give one corpus
+    vocab = treebank.LabelVocab()
+    loaded = treebank.load_bundle(str(saved), vocab)
+    labels = list(vocab.labels)
+    read = treebank.load_corpus(src, tgt, str(trees), str(emb), vocab)
+    assert vocab.labels == labels
+    assert len(read) == len(loaded) == len(corpus) and read.embedding_dim == 3
+    assert forest_lists(read[0].tree.forest) == forest_lists(loaded[0].tree.forest)
+    for a, b in zip(read.examples, loaded.examples):
+        assert (a.id, a.source, a.target) == (b.id, b.source, b.target)
+        assert (a.tree.index, a.tree.n_tokens) == (b.tree.index, b.tree.n_tokens)
+        assert a.embedding.tobytes() == b.embedding.tobytes()
 
 
 def test_ingest_unreadable_exits_2(tmp_path):

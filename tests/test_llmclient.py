@@ -3,6 +3,7 @@ import json
 import pytest
 import requests
 
+from synicl import llmclient
 from synicl.llmclient import (
     AuthFailure,
     EndpointConfig,
@@ -24,9 +25,14 @@ from test_prompt import FOUR_SHOT_EXAMPLES, TEST_SOURCE
 
 def config_for(server, **kwargs):
     defaults = dict(base_url=server.base_url, model="test-model",
-                    timeout=5.0, max_retries=3, retry_backoff=0.01)
+                    timeout=5.0, max_retries=3)
     defaults.update(kwargs)
     return EndpointConfig(**defaults)
+
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(llmclient, "RETRY_BACKOFF", 0.01)
 
 
 def user(text):

@@ -101,6 +101,21 @@ def test_two_stage_equals_single_stage_when_pool_covers_corpus():
         assert chosen_two == chosen_one
 
 
+@pytest.mark.parametrize("ids", [[0, 0, 1], [10, 11, 12]], ids=["repeated", "past-the-pool"])
+@pytest.mark.parametrize("stage2", ["tree_kernel", "weighted_poly", "random"])
+def test_stage1_none_ranks_pool_positions_whatever_the_example_ids(ids, stage2):
+    # chosen ids are positions in the pool, as bm25_topk and dense_topk return them
+    specs = [node("Root", leaf("a")), leaf("Root"), node("Root", leaf("b"), leaf("a"))]
+    corpus = toy_corpus(specs)
+    query = query_example(node("Root", leaf("a")), corpus.vocab)
+    config = SelectionConfig(stage1="none", stage2=stage2, candidate_size=3, shots=3)
+    expected = Selector(corpus, config).select(query)
+    assert sorted(expected.chosen_ids()) == [0, 1, 2]
+    for ex, ex_id in zip(corpus.examples, ids):
+        ex.id = ex_id
+    assert Selector(corpus, config).select(query) == expected
+
+
 def test_poly_ranking_matches_exhaustive_oracle():
     vocab = LabelVocab()
     labels = ["Root", "a", "b", "c", "S"]
@@ -231,7 +246,7 @@ def test_tree_kernel_level_pass_equals_kernel_on_hand_built_trees():
         node("newest", node("a", leaf("newer")), leaf("b")),
     ] + [random_tree_spec(rng, 7, labels) for _ in range(20)]
     queries = [query_example(spec, vocab, qid) for qid, spec in enumerate(specs)]
-    assert vocab.index("new") >= selectors[0].kernel_pool.width
+    assert vocab.labels.index("new") >= selectors[0].kernel_pool.width
     assert_stage2_kernel_scores_bitwise(selectors, queries)
 
 

@@ -336,10 +336,10 @@ def test_vocab_stable_ids_and_error_labels():
     vocab = LabelVocab()
     first = vocab.add("nsubj")
     assert vocab.add("nsubj") == first
-    assert vocab.d == 1
+    assert len(vocab) == 1
     vocab.add("S")
     vocab.add("M")
-    assert vocab.error_label_ids() == [vocab.index("S"), vocab.index("M")]
+    assert vocab.error_label_ids() == [vocab.labels.index("S"), vocab.labels.index("M")]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,15 @@ def test_load_corpus_length_mismatch(tmp_path):
 def test_load_corpus_empty_source_line_rejected(tmp_path):
     src, tgt, trees, _ = write_corpus_files(
         tmp_path, ["a", "", "d e f"], ["A", "B", "C"], THREE_TREES)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match=r"corpus\.src line 2: tree has 2 tokens but 0 "):
+        load_corpus(src, tgt, trees)
+
+
+def test_load_corpus_refuses_trees_beside_an_empty_source_file(tmp_path):
+    src, tgt, trees, _ = write_corpus_files(tmp_path, [], [], THREE_TREES)
+    for path in (src, tgt):
+        open(path, "w").close()
+    with pytest.raises(LengthMismatch, match=r"has 3 tree blocks but .*corpus\.src has 0 lines"):
         load_corpus(src, tgt, trees)
 
 
@@ -424,7 +432,8 @@ def test_load_corpus_embedding_dim_mismatch(tmp_path):
     src, tgt, trees, emb = write_corpus_files(
         tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES,
         embeddings=[[0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4, 5], [1, 0, 0, 0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch,
+                       match=r"corpus\.emb line 2: embedding has length 5, expected 4"):
         load_corpus(src, tgt, trees, emb)
 
 
@@ -506,7 +515,7 @@ def test_bundles_share_vocab(tmp_path):
     one = load_bundle(str(out1), shared)
     two = load_bundle(str(out2), shared)
     assert one.vocab is two.vocab
-    assert shared.d == corpus.vocab.d
+    assert len(shared) == len(corpus.vocab)
 
 
 def test_content_hash_changes_with_content(tmp_path):
@@ -610,7 +619,8 @@ def test_loaded_forest_equals_parsed_forest(tmp_path):
         assert (ex.tree.index, ex.tree.n_tokens, ex.tree.sentence_id, ex.id) == (t, len(trees[t]), t, t)
     # a hand-built graph goes through the same writer
     for rows, tree_columns in zip(trees[:50], columns):
-        nodes = [treebank.DepNode(index, form, vocab.index(label)) for index, form, _, label in rows]
+        nodes = [treebank.DepNode(index, form, vocab.labels.index(label))
+                 for index, form, _, label in rows]
         for node, (_, _, head, _) in zip(nodes, rows):
             if head:
                 nodes[head - 1].children.append(node)

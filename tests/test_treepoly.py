@@ -190,7 +190,7 @@ def pinned_full_width_polynomial(tree, vocab):
     found = expand(root)
     packed = b"".join(key.to_bytes(2 * k * field.itemsize, "little") for key in found)
     compact_exps = np.frombuffer(packed, dtype=field).reshape(len(found), 2 * k)
-    d = vocab.d
+    d = len(vocab)
     cols = np.asarray(used, dtype=np.intp)
     exps = np.zeros((len(found), 2 * d), dtype=np.int64)
     exps[:, cols] = compact_exps[:, :k]
@@ -226,7 +226,7 @@ def test_support_is_leaf_x_internal_y_and_coefficient():
     # "r" labels only an internal node, "b" and "c" only leaves, "a" both
     tree = build_tree(node("r", node("a", leaf("b"), leaf("a")), leaf("c")), vocab)
     r, a, b, c = (vocab.labels.index(label) for label in "rabc")
-    d = vocab.d
+    d = len(vocab)
     poly = tree_to_polynomial(tree, vocab)
     assert np.flatnonzero(poly.support).tolist() == sorted([a, b, c, d + r, d + a, 2 * d])
     assert expected_support(tree, d) == sorted([a, b, c, d + r, d + a, 2 * d])
@@ -240,7 +240,7 @@ def test_support_is_leaf_x_internal_y_and_coefficient():
     for _ in range(300):
         tree = build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab)
         poly = tree_to_polynomial(tree, vocab)
-        assert np.flatnonzero(poly.support).tolist() == expected_support(tree, vocab.d)
+        assert np.flatnonzero(poly.support).tolist() == expected_support(tree, len(vocab))
 
 
 def test_only_the_last_stored_column_is_all_zero():
@@ -329,7 +329,7 @@ def test_distance_identical_is_zero():
     tree = build_tree(node("r", leaf("a"), node("b", leaf("c"))), vocab)
     poly = tree_to_polynomial(tree, vocab)
     assert poly_distance(poly, poly) == 0.0
-    assert poly_distance(poly, poly, WeightProfile(np.ones(2 * vocab.d + 1))) == 0.0
+    assert poly_distance(poly, poly, WeightProfile(np.ones(2 * len(vocab) + 1))) == 0.0
 
 
 def test_distance_two_unit_leaves():
@@ -366,7 +366,7 @@ def test_distance_symmetry_and_weight_monotonicity():
     plain_labels = ["a", "b", "c"]
     vocab = LabelVocab(labels)
     weights = WeightProfile.error_weighted(vocab, 2.0)
-    ones = WeightProfile(np.ones(2 * vocab.d + 1))
+    ones = WeightProfile(np.ones(2 * len(vocab) + 1))
     for i in range(500):
         pool = labels if i % 2 == 0 else plain_labels
         t1 = build_tree(random_tree_spec(rng, rng.randint(1, 10), pool), vocab)
@@ -462,7 +462,7 @@ def test_poly_distance_matches_brute_force_per_pair(monkeypatch):
     # numpy's pairwise summation and a plain running sum part ways
     labels = ["r", "a", "b", "c", "d", "S", "R", "M"]
     vocab = LabelVocab(labels)
-    profiles = [(None, [1] * (2 * vocab.d + 1), True)]
+    profiles = [(None, [1] * (2 * len(vocab) + 1), True)]
     for weight, dyadic in ((2.0, True), (0.3, False)):
         profile = WeightProfile.error_weighted(vocab, weight)
         profiles.append((profile, list(profile.weights), dyadic))
