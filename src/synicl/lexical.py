@@ -3,9 +3,9 @@
 BM25 uses the non-negative idf form ln(1 + (N - n + 0.5) / (n + 0.5)) with
 the module constants K1 = 1.2 and B = 0.75, and `tokenize` on both
 documents and queries. Embeddings are an external input (any encoder
-producing one vector per sentence). The dense index keeps each row's L2
-norm and the unit rows rounded to float32; the float64 rows themselves are
-read in place, not copied.
+producing one vector per sentence). The dense index reads the corpus's
+float64 embedding matrix in place, not copied, and keeps each row's L2
+norm and the unit rows rounded to float32.
 
 Dense top-k is exact: a row's score is its float64 unit row dotted with the
 unit query, `np.dot(row / norm, nq)`, bit for bit. One float32 `np.vecdot`
@@ -39,7 +39,7 @@ class EmptyCorpus(InputError):
 
 
 class ZeroVector(InputError):
-    pass
+    """A vector whose float64 L2 norm is 0 or not finite, or a corpus with no vectors."""
 
 
 def tokenize(text: str) -> List[str]:
@@ -147,16 +147,14 @@ def bm25_topk(index: Bm25Index, query: str, k: int) -> List[Tuple[int, float]]:
 class DenseIndex:
     """Sentence embeddings indexed for cosine top-k.
 
-    `rows[i]` is embedding i as `from_vectors` got it, in float64 and not
-    copied (`build_dense` passes the examples' own embeddings), `norms[i]`
-    its L2 norm, and `unit32` the unit rows `rows[i] / norms[i]` rounded to
-    float32, the matrix `dense_topk` scans first. All three are read-only
-    (the rows as read-only views), so neither the norms nor the float32 rows
-    can go stale through the index; the caller must not change the
-    embeddings it passed.
+    `matrix` is the read-only float64 `(n, dim)` matrix `from_vectors` got,
+    not copied (`build_dense` passes the corpus's own), `norms[i]` the L2
+    norm of row i, and `unit32` the unit rows `matrix[i] / norms[i]` rounded
+    to float32, the matrix `dense_topk` scans first. All three are read-only,
+    so neither the norms nor the float32 rows can go stale through the index.
     """
 
-    rows: List[np.ndarray]
+    matrix: np.ndarray
     norms: np.ndarray
     unit32: np.ndarray
 
@@ -165,42 +163,39 @@ class DenseIndex:
         return self.unit32.shape[1]
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[np.ndarray]) -> "DenseIndex":
-        """Index `vectors`: a 2-D matrix, or a sequence of 1-D rows of one length."""
-        rows = [np.asarray(row, dtype=np.float64) for row in vectors]
-        if not rows or rows[0].ndim != 1:
+    def from_vectors(cls, vectors: np.ndarray) -> "DenseIndex":
+        """Index the rows of `vectors`, a non-empty 2-D matrix, read as a float64 view."""
+        matrix = np.asarray(vectors, dtype=np.float64).view()
+        if matrix.ndim != 2 or not matrix.size:
             raise EmptyCorpus("need a non-empty 2-D embedding matrix")
-        dim = rows[0].shape[0]
-        norms = np.empty(len(rows))
-        unit32 = np.empty((len(rows), dim), dtype=np.float32)
-        for i, row in enumerate(rows):
-            if row.shape != (dim,):
-                raise DimensionMismatch(f"embedding row {i} has shape {row.shape}, not ({dim},)")
-            norm = math.sqrt(float(np.dot(row, row)))
-            if norm == 0.0:
-                raise ZeroVector(f"embedding row {i} is all zeros")
-            norms[i] = norm
-            unit32[i] = row / norm
-            rows[i] = row.view()
-            rows[i].flags.writeable = False
+        matrix.flags.writeable = False
+        # float64 np.vecdot runs the BLAS dot that np.dot runs on each row
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(np.vecdot(matrix, matrix))
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if bad.size:
+            raise ZeroVector(f"embedding row {bad[0]} has float64 L2 norm {norms[bad[0]]}, "
+                             "so it has no unit vector")
+        # divided in float64 and rounded into float32, with no float64 temporary
+        unit32 = np.empty(matrix.shape, dtype=np.float32)
+        np.divide(matrix, norms[:, None], out=unit32, casting="same_kind")
         norms.flags.writeable = unit32.flags.writeable = False
-        return cls(rows=rows, norms=norms, unit32=unit32)
+        return cls(matrix=matrix, norms=norms, unit32=unit32)
 
 
 def build_dense(corpus: Corpus) -> DenseIndex:
-    """Index the embeddings attached to `corpus` (every example must carry one)."""
+    """Index the embedding matrix of `corpus`, read in place."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot index an empty corpus")
-    missing = [ex.id for ex in corpus.examples if ex.embedding is None]
-    if missing:
-        raise ZeroVector(f"{len(missing)} examples have no embedding (first: id {missing[0]})")
-    return DenseIndex.from_vectors([ex.embedding for ex in corpus.examples])
+    if corpus.embeddings is None:
+        raise ZeroVector("the corpus has no embeddings")
+    return DenseIndex.from_vectors(corpus.embeddings)
 
 
 def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tuple[int, float]]:
     """Top-k rows by cosine similarity, descending, ties broken by lower id.
 
-    A row's score is `np.dot(rows[i] / norms[i], q / |q|)` in float64, bit
+    A row's score is `np.dot(matrix[i] / norms[i], q / |q|)` in float64, bit
     for bit: the unit row `from_vectors` normalised, dotted with the unit
     query, taken for every row that needs it in one float64 `np.vecdot`.
     The float32 `np.vecdot` pass over `unit32` only decides which rows need
@@ -211,11 +206,12 @@ def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tupl
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dim,):
         raise DimensionMismatch(f"query has shape {q.shape}, index dim is {index.dim}")
-    norm = math.sqrt(float(np.dot(q, q)))
-    if norm == 0.0:
-        raise ZeroVector("query vector is all zeros")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(float(np.dot(q, q)))
+    if not 0.0 < norm < math.inf:
+        raise ZeroVector(f"the query vector has float64 L2 norm {norm}, so it has no unit vector")
     nq = q / norm
-    n = len(index.rows)
+    n = len(index.norms)
     if k < n:
         # vecdot, not `unit32 @ nq32`: OpenBLAS runs a matrix-vector product
         # this size on its own worker threads, outside the caller's CPU
@@ -240,8 +236,10 @@ def dense_topk(index: DenseIndex, query_vector: np.ndarray, k: int) -> List[Tupl
         ids = np.flatnonzero(approx >= kth - band)
     else:
         ids = np.arange(n)
-    # only the band rows are gathered, never the whole matrix (np.array
-    # stacks ~100 rows in a third of np.stack's time); float64 np.vecdot runs
-    # the BLAS dot that np.dot runs, so each score keeps np.dot's bits
-    band_rows = np.array([index.rows[i] for i in ids.tolist()])
-    return top_k(np.vecdot(band_rows / index.norms[ids, None], nq), k, ids)
+    # only the band rows are gathered, never the whole matrix, and divided in
+    # place (a second band-sized array costs more than the division); float64
+    # np.vecdot runs the BLAS dot that np.dot runs, so each score keeps
+    # np.dot's bits
+    band_rows = index.matrix[ids]
+    band_rows /= index.norms[ids, None]
+    return top_k(np.vecdot(band_rows, nq), k, ids)

@@ -121,7 +121,7 @@ class Selector:
         if config.stage1 == "bm25":
             self.bm25 = lexical.build_bm25(corpus)
         elif config.stage1 == "dense":
-            if any(ex.embedding is None for ex in corpus.examples):
+            if corpus.embeddings is None:
                 raise MissingPrecomputation("dense stage I needs an embedding for every example")
             self.dense = lexical.build_dense(corpus)
 

@@ -28,6 +28,8 @@ binary file, `examples.npz`, written by `save_bundle`. Both loaders,
 `load_corpus` of text files and `load_bundle` of a bundle, end in
 `_corpus`, the one example check: each source has as many words as its
 tree has tokens.
+The embeddings of a corpus are one read-only float64 matrix,
+`Corpus.embeddings`, which the dense index reads in place.
 """
 
 from __future__ import annotations
@@ -242,15 +244,58 @@ class Example:
 
 @dataclass
 class Corpus:
+    """Examples, their label vocab, and their vectors as one matrix.
+
+    `embeddings` is a read-only float64 `(len(examples), dim)` matrix, or
+    None, and each example's `embedding` is a view of its row. A loader
+    passes the matrix it read and checked; otherwise the examples' vectors,
+    on every example or on none, non-empty, 1-D and of one length, are
+    stacked once. `embedding_dim` is the matrix's width; a value passed in
+    must agree with it.
+    """
+
     examples: List[Example]
     vocab: LabelVocab
     embedding_dim: Optional[int] = None
+    embeddings: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        matrix = _stack_embeddings(self.examples) if self.embeddings is None else self.embeddings
+        if matrix is not None:
+            matrix = np.asarray(matrix, dtype=np.float64).view()
+            if matrix.ndim != 2 or len(matrix) != len(self.examples) or not matrix.shape[1]:
+                raise DimensionMismatch(
+                    f"embeddings have shape {matrix.shape}, for {len(self.examples)} examples")
+        dim = None if matrix is None else matrix.shape[1]
+        if self.embedding_dim is not None and self.embedding_dim != dim:
+            raise DimensionMismatch(
+                f"embedding_dim is {self.embedding_dim}, but the embeddings have width {dim}")
+        if matrix is not None:
+            matrix.flags.writeable = False
+            for ex, row in zip(self.examples, matrix):
+                ex.embedding = row
+        self.embeddings, self.embedding_dim = matrix, dim
 
     def __len__(self) -> int:
         return len(self.examples)
 
     def __getitem__(self, idx: int) -> Example:
         return self.examples[idx]
+
+
+def _stack_embeddings(examples: Sequence[Example]) -> Optional[np.ndarray]:
+    """The examples' vectors as one float64 matrix, or None if they have none."""
+    first = examples[0].embedding if examples else None
+    dim = 0 if first is None else np.size(first)
+    for position, ex in enumerate(examples):
+        if (ex.embedding is None) != (first is None):
+            raise DimensionMismatch(
+                f"example {position}: embeddings must be on every example or on none")
+        if first is not None and (np.shape(ex.embedding) != (dim,) or not dim):
+            raise DimensionMismatch(
+                f"example {position}: embedding has shape {np.shape(ex.embedding)}; embeddings "
+                f"must be non-empty vectors of one length ({dim} on example 0)")
+    return None if first is None else np.array([ex.embedding for ex in examples], np.float64)
 
 
 def _split_columns(line: str) -> List[str]:
@@ -430,11 +475,15 @@ def _parse_embeddings(path: str) -> np.ndarray:
             matrix[number - 1] = [float(v) for v in values]
         except ValueError as exc:
             raise MalformedLine(f"{path} line {number}: not a list of numbers ({exc})") from exc
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise MalformedLine(f"{path} line {np.flatnonzero(~finite)[0] + 1}: "
-                            "embedding values must be finite numbers")
+    _check_finite(matrix, MalformedLine, f"{path} line ", 1)
     return matrix
+
+
+def _check_finite(matrix: np.ndarray, error: type, where: str, first: int) -> None:
+    """Raise `error` naming row t of `matrix` as `{where}{first + t}` if it is not all finite."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise error(f"{where}{first + bad[0]}: embedding values must be finite numbers")
 
 
 def _corpus(forest: Forest, vocab: LabelVocab, sources: List[str], targets: List[str],
@@ -443,7 +492,7 @@ def _corpus(forest: Forest, vocab: LabelVocab, sources: List[str], targets: List
 
     Each source must have as many words as its tree has tokens; example t is
     `{where}{first + t}` in errors. `embeddings`, if given, holds one row per
-    example, and each example's embedding is a view of its row.
+    example and becomes the corpus's matrix.
     """
     sizes = np.diff(forest.tree_start)
     n_words = np.array([len(source.split()) for source in sources], dtype=np.int64)
@@ -453,12 +502,10 @@ def _corpus(forest: Forest, vocab: LabelVocab, sources: List[str], targets: List
         raise LengthMismatch(
             f"{where}{first + t}: tree has {sizes[t]} tokens but {n_words[t]} source words")
     examples = [
-        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t),
-                embedding=None if embeddings is None else embeddings[t])
+        Example(id=t, source=source, target=target, tree=DepTree._view(forest, t, n, t))
         for t, (source, target, n) in enumerate(zip(sources, targets, sizes.tolist()))
     ]
-    return Corpus(examples=examples, vocab=vocab,
-                  embedding_dim=None if embeddings is None else embeddings.shape[1])
+    return Corpus(examples=examples, vocab=vocab, embeddings=embeddings)
 
 
 def load_corpus(
@@ -506,7 +553,7 @@ def load_corpus(
 #                tree_start[t + 1] - 1
 #   sources, targets
 #                uint8 UTF-8 text, one line per example
-#   embeddings   float64 (T, dim), only when the examples carry embeddings
+#   embeddings   float64 (T, dim), `Corpus.embeddings`, only when it is not None
 # Labels are stored by name so that bundles written separately load under
 # one shared vocabulary. Example ids are positions, because selection and
 # prompt assembly index examples by position. One corpus always gives the
@@ -540,16 +587,15 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
 
     Refuses, before it writes anything, a corpus the file cannot give back:
     an id that is not the example's position, a newline in a source, target
-    or label, and embeddings that are on some examples only, of differing
-    lengths or not finite.
+    or label, and embeddings that are not finite. (`Corpus` itself refuses
+    embeddings on some examples only or of differing lengths.)
     """
-    examples = corpus.examples
-    with_embeddings = bool(examples) and examples[0].embedding is not None
-    dim = np.size(examples[0].embedding) if with_embeddings else 0
+    examples, embeddings = corpus.examples, corpus.embeddings
+    if embeddings is not None:
+        _check_finite(embeddings, MalformedBundle, "example ", 0)
     # each tree's labels and heads, sliced from its forest's int32 arrays
     label_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
     head_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
-    vectors = []
     for position, ex in enumerate(examples):
         where = f"example {position}"
         if ex.id != position:
@@ -558,17 +604,6 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
             if "\n" in text:
                 raise MalformedBundle(f"{where}: the {name} contains a newline")
         tree, forest = ex.tree, ex.tree.forest
-        if (ex.embedding is not None) != with_embeddings:
-            raise DimensionMismatch(f"{where}: embeddings must be on every example or on none")
-        if with_embeddings:
-            vector = np.asarray(ex.embedding, dtype=np.float64)
-            if vector.shape != (dim,) or not dim:
-                raise DimensionMismatch(
-                    f"{where}: embedding has shape {vector.shape}; embeddings must be non-empty "
-                    f"vectors of one length ({dim} on example 0)")
-            if not np.isfinite(vector).all():
-                raise MalformedBundle(f"{where}: embedding values must be finite numbers")
-            vectors.append(vector)
         start = forest.tree_start.item(tree.index)
         label_parts.append(forest.labels[start:start + tree.n_tokens])
         head_parts.append(forest.heads[start:start + tree.n_tokens])
@@ -593,8 +628,8 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
         "sources": _text([ex.source for ex in examples]),
         "targets": _text([ex.target for ex in examples]),
     }
-    if vectors:
-        arrays["embeddings"] = np.stack(vectors)
+    if embeddings is not None:
+        arrays["embeddings"] = embeddings
     os.makedirs(out_dir, exist_ok=True)
     np.savez(os.path.join(out_dir, BUNDLE_FILE), **arrays)
 
@@ -779,10 +814,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
         if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
             raise DimensionMismatch(
                 f"{path}: embeddings have shape {embeddings.shape}, for {n_trees} examples")
-        finite = np.isfinite(embeddings).all(axis=1)
-        if not finite.all():
-            raise MalformedBundle(f"{path} example {np.flatnonzero(~finite)[0]}: "
-                                  "embedding values must be finite numbers")
+        _check_finite(embeddings, MalformedBundle, f"{path} example ", 0)
 
     vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
     forest = _forest(labels, len(label_names), heads, tree_start, f"{path} example ", 0,

@@ -200,11 +200,6 @@ def make_synth_corpus(n_examples, seed=0, min_tokens=3, max_tokens=40, embedding
     return Corpus(examples=examples, vocab=vocab, embedding_dim=embedding_dim)
 
 
-@pytest.fixture(scope="session")
-def corpus_35k():
-    return make_synth_corpus(35_000, seed=7, min_tokens=3, max_tokens=40)
-
-
 # ---------------------------------------------------------------------------
 # mock chat-completions endpoint
 # ---------------------------------------------------------------------------

@@ -270,6 +270,26 @@ def test_ingest_non_finite_embedding_exits_1(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_select_dense_refuses_a_norm_that_overflows(tmp_path, capsys):
+    # 1e200 is finite, so ingest takes it, but its squared norm overflows float64
+    for name, seed, vectors in (("train", 5, ["0.1 0.2", "1e200 0.0", "0.3 0.4"]),
+                                ("test", 6, ["0.1 0.2"])):
+        src, tgt, trees = dump_corpus_files(
+            make_synth_corpus(len(vectors), seed=seed, max_tokens=6), str(tmp_path / name))
+        emb = tmp_path / f"{name}.emb"
+        emb.write_text("\n".join(vectors) + "\n", encoding="utf-8")
+        assert main(["ingest", "--src", src, "--tgt", tgt, "--trees", trees,
+                     "--embeddings", str(emb), "--out", str(tmp_path / f"{name}-bundle")]) == 0
+    capsys.readouterr()
+    code = main(["select", "--train-bundle", str(tmp_path / "train-bundle"),
+                 "--test-bundle", str(tmp_path / "test-bundle"), "--stage1", "dense",
+                 "--stage2", "none", "--candidates", "2", "--shots", "1",
+                 "--out", str(tmp_path / "sel")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: embedding row 1 has float64 L2 norm inf")
+
+
 @pytest.mark.parametrize("command", ["select", "prompt", "run"])
 def test_old_bundle_layout_exits_1(bundles, mock_endpoint, capsys, command):
     selections = select_for_prompts(bundles, "sel_old")

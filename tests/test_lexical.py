@@ -189,15 +189,17 @@ def test_rows_unit_normalized():
     assert index.unit32.dtype == np.float32
     norms = np.sqrt((index.unit32.astype(np.float64) ** 2).sum(axis=1))
     assert np.all(np.abs(norms - 1.0) < 1e-6)
-    for row, kept, norm in zip(raw, index.rows, index.norms):
-        assert np.shares_memory(row, kept)  # the float64 rows are not copied
+    assert np.shares_memory(raw, index.matrix)  # the float64 matrix is not copied
+    for row, norm in zip(raw, index.norms):
         assert norm == math.sqrt(float(np.dot(row, row)))
+    for row, norm, unit in zip(raw, index.norms, index.unit32):
+        assert unit.tobytes() == (row / norm).astype(np.float32).tobytes()
 
 
 def test_index_arrays_are_read_only():
     raw = np.random.default_rng(2).normal(size=(5, 4))
     index = DenseIndex.from_vectors(raw)
-    for array in (index.rows[0], index.norms, index.unit32):
+    for array in (index.matrix[0], index.norms, index.unit32):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     raw[0, 0] = 1.0  # the caller's own matrix stays writable
@@ -240,8 +242,26 @@ def test_dimension_and_zero_query_errors():
         dense_topk(index, np.array([1.0, 0.0]), 1)
     with pytest.raises(ZeroVector):
         dense_topk(index, np.zeros(3), 1)
-    with pytest.raises(DimensionMismatch):
-        DenseIndex.from_vectors([np.ones(3), np.ones(2)])
+
+
+# a vector whose float64 norm overflows or underflows has no unit vector: an
+# overflowing row used to get the unit row 0 and rank last on its own query
+NO_NORM = [([1e200, 0.0], "inf"), ([0.0, 1e-300], r"0\.0"), ([np.nan, 1.0], "nan"),
+           ([np.inf, 1.0], "inf"), ([-np.inf, 1.0], "inf")]
+NO_NORM_IDS = ["overflow", "underflow", "nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("row, norm", NO_NORM, ids=NO_NORM_IDS)
+def test_row_without_a_norm_is_refused(row, norm):
+    with pytest.raises(ZeroVector, match=f"embedding row 1 has float64 L2 norm {norm},"):
+        DenseIndex.from_vectors(np.array([[0.0, 1.0], row, [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("query, norm", NO_NORM, ids=NO_NORM_IDS)
+def test_query_without_a_norm_is_refused(query, norm):
+    index = DenseIndex.from_vectors(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ZeroVector, match=f"the query vector has float64 L2 norm {norm},"):
+        dense_topk(index, np.array(query), 2)
 
 
 def test_dense_matches_oracle_and_score_range():
@@ -267,7 +287,7 @@ def test_dense_rescoring_has_np_dot_bits():
             nq = q / math.sqrt(float(np.dot(q, q)))
             got = dict(dense_topk(index, q, n))
             assert sorted(got) == list(range(n))
-            for i, (row, norm) in enumerate(zip(index.rows, index.norms)):
+            for i, (row, norm) in enumerate(zip(index.matrix, index.norms)):
                 assert got[i].hex() == float(np.dot(row / norm, nq)).hex()
 
 
@@ -295,7 +315,8 @@ def test_dense_topk_exact_on_adversarial_rows(approx_error, monkeypatch):
                 return exact_vecdot(unit32, nq32)
             assert unit32.dtype == nq32.dtype == np.float32
             nq = q / math.sqrt(float(np.dot(q, q)))  # the query dense_topk is scoring
-            exact = np.array([np.dot(row / norm, nq) for row, norm in zip(index.rows, index.norms)])
+            exact = np.array([np.dot(row / norm, nq)
+                              for row, norm in zip(index.matrix, index.norms)])
             return exact + rng.choice([-e, e], size=len(exact))
 
         monkeypatch.setattr(np, "vecdot", shifted_dots)
@@ -326,9 +347,9 @@ def test_build_dense_requires_embeddings():
     with_emb = make_synth_corpus(4, seed=3, embedding_dim=8)
     index = build_dense(with_emb)
     assert index.dim == 8
-    # the index reads the examples' embeddings in place
-    for row, ex in zip(index.rows, with_emb.examples):
-        assert np.shares_memory(row, ex.embedding)
+    # the index reads the corpus's matrix in place
+    assert np.shares_memory(index.matrix, with_emb.embeddings)
+    assert index.matrix.tobytes() == with_emb.embeddings.tobytes()
 
 
 def test_top_k_equals_full_sort():

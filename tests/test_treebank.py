@@ -503,6 +503,43 @@ def test_bundle_roundtrip(tmp_path):
         assert np.allclose(orig.embedding, back.embedding)
 
 
+def test_corpus_holds_one_read_only_embedding_matrix(tmp_path):
+    from synicl.lexical import build_dense
+
+    src, tgt, trees, emb = write_corpus_files(
+        tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES,
+        embeddings=[[0.1, 0.2], [0.5, -1.0], [1.0, 0.0]])
+    read = load_corpus(src, tgt, trees, emb)
+    save_bundle(read, str(tmp_path / "bundle"))
+    by_hand = make_synth_corpus(5, seed=4, embedding_dim=3)
+    for corpus in (read, load_bundle(str(tmp_path / "bundle")), by_hand):
+        matrix = corpus.embeddings
+        assert matrix.dtype == np.float64 and matrix.shape == (len(corpus), corpus.embedding_dim)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+        for row, ex in zip(matrix, corpus.examples):
+            assert np.shares_memory(row, ex.embedding)
+            assert row.tobytes() == ex.embedding.tobytes()
+        assert np.shares_memory(build_dense(corpus).matrix, matrix)
+    assert make_synth_corpus(2, seed=4).embeddings is None
+
+
+def test_corpus_refuses_a_matrix_or_width_that_does_not_fit():
+    corpus = make_synth_corpus(2, seed=4, embedding_dim=3)
+    for dim in (2, 4):
+        with pytest.raises(DimensionMismatch, match=f"embedding_dim is {dim}, but .* width 3"):
+            treebank.Corpus(corpus.examples, corpus.vocab, embedding_dim=dim)
+    with pytest.raises(DimensionMismatch, match="embedding_dim is 3, but .* width None"):
+        treebank.Corpus(make_synth_corpus(2, seed=4).examples, corpus.vocab, embedding_dim=3)
+    for shape in [(3, 3), (1, 3), (2, 0), (2,), (2, 3, 1)]:
+        with pytest.raises(DimensionMismatch, match=r"embeddings have shape .* for 2 examples"):
+            treebank.Corpus(corpus.examples, corpus.vocab, embeddings=np.ones(shape))
+    given = np.arange(6.0).reshape(2, 3)
+    assert treebank.Corpus(corpus.examples, corpus.vocab, embeddings=given)[1].embedding.tolist() \
+        == [3.0, 4.0, 5.0]
+    given[0, 0] = 1.0  # the caller's own matrix stays writable
+
+
 def test_bundles_share_vocab(tmp_path):
     src, tgt, trees, _ = write_corpus_files(
         tmp_path, ["a", "b c", "d e f"], ["A", "B C", "D E F"], THREE_TREES)
