@@ -17,6 +17,12 @@ leaf matches and child-count products are integers below 2**53, a pair with
 at most one nested score takes one correctly rounded IEEE operation per
 step, and a pair with two or more sums them with `math.fsum`, so every
 score has the bits of the per-pair `treekernel.tree_kernel_similarity`.
+
+The polynomial stages read the same forest: `treepoly.pool_polynomials`
+expands every pool tree in one level-by-level numpy pass, whose
+polynomials equal `treepoly.tree_to_polynomial`'s array for array, so
+every distance keeps its bits. A query's polynomial still comes from
+`tree_to_polynomial`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lexical, treekernel, treepoly
-from .treebank import Corpus, Example, InputError, read_lines
+from .treebank import Corpus, Example, InputError, in_one_forest, read_lines
 
 STAGE1_METHODS = ("none", "bm25", "dense")
 STAGE2_METHODS = ("none", "tree_kernel", "poly", "weighted_poly", "random")
@@ -84,6 +90,10 @@ class SelectionConfig:
         if not (math.isfinite(self.error_weight) and self.error_weight > 0):
             raise InvalidConfig(
                 f"error_weight must be a finite number > 0, got {self.error_weight}")
+        if self.term_budget is not None and not (_is_int(self.term_budget)
+                                                 and self.term_budget >= 1):
+            raise InvalidConfig(
+                f"term_budget must be None or an int >= 1, got {self.term_budget!r}")
 
 
 @dataclass
@@ -125,22 +135,20 @@ class Selector:
                 raise MissingPrecomputation("dense stage I needs an embedding for every example")
             self.dense = lexical.build_dense(corpus)
 
-        # stage II reaches the kernel for tree_kernel, and as the fallback of poly
+        # stage II reaches the kernel for tree_kernel, and as the fallback of poly;
+        # both read one forest of the pool's trees
         self.kernel_pool: Optional[treekernel.PoolForest] = None
         if config.stage2 in ("tree_kernel", "poly", "weighted_poly"):
-            self.kernel_pool = treekernel.PoolForest([ex.tree for ex in corpus.examples])
+            trees = in_one_forest([ex.tree for ex in corpus.examples])
+            self.kernel_pool = treekernel.PoolForest(trees)
 
         self.polynomials: Optional[List[Optional[treepoly.Polynomial]]] = None
+        self.poly_terms: Optional[np.ndarray] = None  # int64 term counts, 0 where None
         self.weights: Optional[treepoly.WeightProfile] = None
         if config.stage2 in ("poly", "weighted_poly"):
-            self.polynomials = []
-            for ex in corpus.examples:
-                try:
-                    self.polynomials.append(
-                        treepoly.tree_to_polynomial(ex.tree, corpus.vocab, config.term_budget)
-                    )
-                except treepoly.TermBudgetExceeded:
-                    self.polynomials.append(None)
+            self.polynomials = treepoly.pool_polynomials(trees, corpus.vocab, config.term_budget)
+            self.poly_terms = np.array(
+                [0 if poly is None else len(poly) for poly in self.polynomials], dtype=np.int64)
             if config.stage2 == "weighted_poly":
                 self.weights = treepoly.WeightProfile.error_weighted(
                     corpus.vocab, config.error_weight
@@ -185,13 +193,14 @@ class Selector:
             fallbacks.append({"kind": "query_poly_budget", "query_id": query.id})
             return self._rank_tree_kernel(query, pool)
 
-        candidates = [self.polynomials[ex_id] for ex_id in pool]
-        pairs = len(query_poly) * sum(len(poly) for poly in candidates if poly is not None)
+        assert self.poly_terms is not None
+        pairs = len(query_poly) * int(self.poly_terms[pool].sum())
         if pairs > treepoly.QUERY_PAIRS_CAP:
             fallbacks.append({"kind": "query_pair_budget", "query_id": query.id})
             return self._rank_tree_kernel(query, pool)
         distances = []
-        for ex_id, poly in zip(pool, candidates):
+        for ex_id in pool:
+            poly = self.polynomials[ex_id]
             if poly is None:
                 fallbacks.append({"kind": "candidate_poly_budget", "example_id": ex_id})
                 distances.append(math.inf)

@@ -39,7 +39,7 @@ import itertools
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,6 +224,26 @@ class DepTree:
     def heads(self) -> List[int]:
         """Head token indices (0 at the root), in token order."""
         return self._column(self.forest.heads)
+
+
+def in_one_forest(trees: Sequence[DepTree]) -> List[DepTree]:
+    """`trees` in order, as views of one forest.
+
+    Trees that already share one forest (a loaded bundle, one `parse_conllu`
+    result) come back as they are, their forest shared and not copied; trees
+    from several forests become views of a new forest that joins theirs.
+    """
+    forests: Dict[int, Forest] = {}  # id -> forest, in order of first use
+    for tree in trees:
+        forests.setdefault(id(tree.forest), tree.forest)
+    if len(forests) <= 1:
+        return list(trees)
+    # where each forest's trees start in the joined forest
+    first = np.cumsum([0] + [len(f.roots) for f in forests.values()]).tolist()
+    shift = dict(zip(forests, first))
+    joined = join_forests(forests.values())
+    return [DepTree._view(joined, shift[id(tree.forest)] + tree.index, tree.n_tokens,
+                          tree.sentence_id) for tree in trees]
 
 
 @dataclass

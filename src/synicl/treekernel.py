@@ -45,11 +45,11 @@ The pass gives `tree_kernel_similarity`'s bits for every pair:
 from __future__ import annotations
 
 from math import fsum
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .treebank import DepTree, Forest, join_forests
+from .treebank import DepTree, Forest, in_one_forest
 
 
 def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
@@ -109,15 +109,10 @@ class PoolForest:
     __slots__ = ("forest", "roots", "width")
 
     def __init__(self, trees: Sequence[DepTree]):
-        forests: Dict[int, Forest] = {}  # id -> forest, in order of first use
-        for tree in trees:
-            forests.setdefault(id(tree.forest), tree.forest)
-        # where each forest's trees start in the joined forest
-        first = np.cumsum([0] + [len(f.roots) for f in forests.values()]).tolist()
-        shift = dict(zip(forests, first))
-        self.forest = join_forests(forests.values())
-        self.roots = self.forest.roots[np.fromiter(
-            (shift[id(tree.forest)] + tree.index for tree in trees), np.intp, len(trees))]
+        trees = in_one_forest(trees)
+        self.forest = trees[0].forest if trees else Forest()
+        self.roots = self.forest.roots[
+            np.fromiter((tree.index for tree in trees), np.intp, len(trees))]
         self.width = 1 + int(self.forest.group_label.max(initial=-1))
 
     def scores(self, query: DepTree, ids: np.ndarray) -> np.ndarray:

@@ -28,6 +28,31 @@ columns. A coefficient of 2**62 or more is refused with
 `TermBudgetExceeded`, like a term count past the budget, so every stored
 polynomial fits int64.
 
+A pool's trees are expanded all at once by `pool_polynomials`, in blocks
+of `_POOL_BLOCK_TREES` trees, level by level from the deepest nodes, in
+numpy; `tree_to_polynomial` stays the per-tree reference and builds query
+polynomials. One `np.unique` over (tree, entry) gives every tree's support
+and every node's field, and a term is packed into uint64 words of the same
+fixed-width fields, so adding two keys adds two monomials. A factor of one
+term keeps the order and the count of the terms it multiplies, on whichever
+side `_multiply`'s swap puts it, so a node's leaf kids fold into one shift
+of its product, and only its internal kids are multiplied, in token order:
+the longer factor is the outer loop, the running product on a tie. Like
+terms merge in the order they first occur (a sort, then the first pair of
+each group). Then y adds 1 to an equal term (a node whose only kid is internal
+can hold one) or comes last, and the term budget applies after each product
+and after y. A tree goes to `tree_to_polynomial`, which decides it
+exactly, when a coefficient product or merged sum reaches 2**61 in float64
+(so int64 holds every one the pass keeps), or when a product has more than
+`_POOL_PAIRS` term pairs, or more than `_HARD_PAIRS_CAP`, read at call time
+(a leaf kid's product has at most its node's final count). Past
+`_POOL_PAIRS` a dict merges a pair about as fast as a sort, so the
+fallback pays for speed too. The pool's rows are one flat int64 buffer,
+written block by block once every block is expanded (so the pass's scratch
+arrays are freed first): each pool polynomial is a read-only, C-contiguous
+view of it, with rows of the pool's support and slot matrices, and
+`Polynomial.__init__` does not run.
+
 A weight profile decides once whether every weight is 1, so a distance call
 does no per-pair set-up beyond the union of the two supports.
 `poly_distance` takes pairwise differences only in those columns: a column
@@ -50,11 +75,11 @@ bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .treebank import DepTree, LabelVocab
+from .treebank import DepTree, Forest, LabelVocab, in_one_forest
 
 DEFAULT_TERM_BUDGET = 200_000
 
@@ -69,10 +94,20 @@ _HARD_PAIRS_CAP = 40_000_000
 # Xeon VM a term pair took ~125-150 ns unweighted and ~190-225 ns weighted
 # (91 columns; the 20 queries with the most term pairs, 0.06-2.8M each, of
 # 16- and 25-token corpora against their dense top 100), so the cap allows
-# about 0.5-0.9 s of distance work per query.
+# about 0.5-0.9 s of distance work per query. Those timings predate the
+# distance over the union of two supports, and the cap has not been derived
+# again since.
 QUERY_PAIRS_CAP = 4_000_000
 # one block of the distance's |s-t| tensor has at most about this many entries
 _BLOCK_ENTRIES = 4_000_000
+# the pool pass expands this many trees at a time, which bounds its scratch arrays
+_POOL_BLOCK_TREES = 1024
+# a tree with a product of more term pairs than this goes to tree_to_polynomial
+_POOL_PAIRS = 512
+# so does one whose coefficient product or merged sum reaches this, in float64
+_POOL_COEFF_LIMIT = 2.0 ** 61
+# a packed key's word: little-endian, so its fields read back as a view
+_KEY = np.dtype("<u8")
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -115,6 +150,13 @@ class Polynomial:
         self.slot[entries] = np.arange(s + 1)
         self.rows.flags.writeable = self.support.flags.writeable = False
         self.slot.flags.writeable = False
+
+    @classmethod
+    def _view(cls, d: int, rows: np.ndarray, support: np.ndarray, slot: np.ndarray) -> "Polynomial":
+        """A polynomial of arrays already built and made read-only, without `__init__`."""
+        poly = object.__new__(cls)
+        poly.d, poly.rows, poly.support, poly.slot = d, rows, support, slot
+        return poly
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -227,6 +269,278 @@ def tree_to_polynomial(
     packed = b"".join(key.to_bytes(size, "little") for key in terms)
     exps = np.frombuffer(packed, dtype=field).reshape(len(terms), len(columns))
     return Polynomial(d, columns, exps, list(terms.values()))
+
+
+# ---------------------------------------------------------------------------
+# the pool pass: every tree of a pool at once, level by level
+# ---------------------------------------------------------------------------
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """start, ..., start + count - 1 of each (start, count), laid end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - ends + counts, counts)
+
+
+def _product(a_keys: np.ndarray, a_coef: np.ndarray, a_start: np.ndarray, m: np.ndarray,
+             b_keys: np.ndarray, b_coef: np.ndarray, b_start: np.ndarray, n: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Segment by segment, `_multiply` of a's m terms from `a_start` and b's n from `b_start`.
+
+    The longer factor is the outer loop, a on a tie; like terms merge into
+    the first of them, in the order they first occur. Both factors are
+    polynomials of internal nodes, which have two or more terms (a node of
+    leaf kids has its x term and y, and a product has at least as many
+    terms as either factor), so any product can hold like terms. Returns
+    the product's packed keys, coefficients and per-segment term counts,
+    and the segments where a coefficient product or merged sum reached
+    `_POOL_COEFF_LIMIT` (their values are not exact).
+    """
+    pairs = m * n
+    seg = np.repeat(np.arange(len(pairs)), pairs)
+    within = _ranges(np.zeros_like(pairs), pairs)
+    a_outer = m >= n
+    outer, inner = np.divmod(within, np.where(a_outer, n, m)[seg])
+    a_outer = a_outer[seg]
+    ai = a_start[seg] + np.where(a_outer, outer, inner)
+    bi = b_start[seg] + np.where(a_outer, inner, outer)
+    keys = a_keys[ai] + b_keys[bi]
+    coef = a_coef[ai] * b_coef[bi]
+    approx = a_coef[ai].astype(np.float64) * b_coef[bi]
+    # a sort groups equal (segment, key) pairs; the first of each group, in
+    # pair order, keeps the group's sum
+    order = np.lexsort([*keys.T, seg])
+    sorted_keys, sorted_seg = keys[order], seg[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ((sorted_seg[1:] != sorted_seg[:-1])
+               | (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1))
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    coef[first] = np.add.reduceat(coef[order], starts)
+    approx[first] = np.add.reduceat(approx[order], starts)
+    kept = np.sort(first)
+    counts = np.bincount(seg[kept], minlength=len(pairs))
+    inexact = np.bincount(seg[kept], approx[kept] >= _POOL_COEFF_LIMIT, len(pairs)) > 0
+    return keys[kept], coef[kept], counts, inexact
+
+
+class _Block(NamedTuple):
+    """What the pass keeps of a block of trees until the pool's arrays are made."""
+
+    support: np.ndarray  # (trees, 2d + 1) bool
+    slot: np.ndarray  # (trees, 2d + 1), the block's narrowest unsigned type
+    s: np.ndarray  # each tree's support size, the coefficient not counted
+    expanded: np.ndarray  # the trees the pass expanded, ascending
+    count: np.ndarray  # their term counts
+    fields: np.ndarray  # (terms, widest) exponents in support order, tree by tree
+    coef: np.ndarray  # int64 coefficients of those terms
+    fallback: np.ndarray  # the trees left to tree_to_polynomial
+
+
+def _expand_block(forest: Forest, index: np.ndarray, d: int, budget: Optional[int]) -> _Block:
+    """The pass over the trees `index` of `forest`."""
+    n_trees = len(index)
+    pairs_limit = min(_POOL_PAIRS, _HARD_PAIRS_CAP)
+    first = forest.tree_start[index].astype(np.intp)
+    sizes = forest.tree_start[index + 1] - first
+    nodes = _ranges(first, sizes)
+    tree = np.repeat(np.arange(n_trees), sizes)  # block-local node id -> tree
+    base = np.cumsum(sizes) - sizes  # each tree's first block-local node
+    labels = forest.labels[nodes].astype(np.intp)
+    if labels.max() >= d:  # a label past the vocab would land in the next tree's entries
+        raise ValueError(f"a tree has label id {labels.max()}, but the vocab has {d} labels")
+    heads = forest.heads[nodes].astype(np.intp)
+    internal = forest.n_children[nodes] > 0
+    is_root = heads == 0
+    parent = np.where(is_root, -1, base[tree] + heads - 1)
+
+    # the support: one entry per (tree, leaf x or internal y label), ascending
+    # entry ids within a tree; a node's field is its entry's place there
+    width = 2 * d + 1
+    entry, where = np.unique(tree * width + np.where(internal, d + labels, labels),
+                             return_inverse=True)
+    entry_tree, entry = np.divmod(entry, width)
+    s = np.bincount(entry_tree, minlength=n_trees)
+    s_start = np.cumsum(s) - s
+    field = where.reshape(-1) - s_start[tree]
+    support = np.zeros((n_trees, width), dtype=bool)
+    support[entry_tree, entry] = True
+    support[:, 2 * d] = True
+    slot = np.empty((n_trees, width), dtype=np.min_scalar_type(s.max() + 1))
+    slot[:] = (s + 1)[:, None]
+    slot[entry_tree, entry] = np.arange(len(entry)) - s_start[entry_tree]
+    slot[:, 2 * d] = s
+
+    # exponents packed in fixed-width fields of uint64 words, each field wide
+    # enough for the largest tree, so adding two keys adds two monomials
+    field_type = np.min_scalar_type(sizes.max()).newbyteorder("<")
+    per_word = 8 // field_type.itemsize
+    n_words = max(1, -(-int(s.max()) // per_word))
+    word = field // per_word
+    bits = 8 * field_type.itemsize
+    bit = np.left_shift(np.uint64(1), (bits * (field % per_word)).astype(np.uint64))
+    # every leaf kid multiplies by a one-term factor, so its node's product is
+    # that of the internal kids shifted by the leaf kids' monomials (a one-node
+    # tree's root by its own)
+    shift = np.zeros((len(nodes), n_words), dtype=_KEY)
+    leaves = np.flatnonzero(~internal)
+    np.add.at(shift, (np.where(is_root, np.arange(len(nodes)), parent)[leaves], word[leaves]),
+              bit[leaves])
+
+    # children in token order: a stable sort by parent, the roots first
+    kids = np.argsort(parent, kind="stable")[n_trees:]
+    n_kids = np.bincount(parent[kids], minlength=len(nodes))
+    kid_start = np.cumsum(n_kids) - n_kids
+    inner_kids = kids[internal[kids]]
+    n_inner = np.bincount(parent[inner_kids], minlength=len(nodes))
+    inner_start = np.cumsum(n_inner) - n_inner
+    levels = [np.flatnonzero(is_root)]
+    while True:
+        below = kids[_ranges(kid_start[levels[-1]], n_kids[levels[-1]])]
+        if not len(below):
+            break
+        levels.append(below)
+
+    ok = np.ones(n_trees, dtype=bool)  # still expanding here
+    fallback = np.zeros(n_trees, dtype=bool)  # left to tree_to_polynomial
+    # the level below: each node's terms, and one unit term last
+    poly_start = np.zeros(len(nodes), dtype=np.intp)
+    poly_count = np.zeros(len(nodes), dtype=np.intp)
+    src_keys = np.zeros((1, n_words), dtype=_KEY)
+    src_coef = np.ones(1, dtype=np.int64)
+    for level in reversed(levels):
+        act = level[(internal[level] | is_root[level]) & ok[tree[level]]]
+        if not len(act):
+            continue  # the level below stays, and so does its unit term
+        unit = len(src_coef) - 1
+        has = n_inner[act] > 0
+        r_start = np.full(len(act), unit, dtype=np.intp)
+        r_count = np.ones(len(act), dtype=np.intp)
+        k0 = inner_kids[inner_start[act[has]]]
+        r_start[has], r_count[has] = poly_start[k0], poly_count[k0]
+        r_keys, r_coef = src_keys, src_coef
+        done = []
+        j = 1
+        while True:
+            live = ok[tree[act]]
+            more = live & (n_inner[act] > j)
+            fin = live & ~more
+            terms = _ranges(r_start[fin], r_count[fin])
+            done.append((act[fin], r_count[fin], r_keys[terms], r_coef[terms]))
+            act, r_start, r_count = act[more], r_start[more], r_count[more]
+            if not len(act):
+                break
+            kid = inner_kids[inner_start[act] + j]
+            too_many = r_count * poly_count[kid] > pairs_limit
+            fallback[tree[act[too_many]]] = True
+            ok[tree[act[too_many]]] = False
+            act, r_start, r_count, kid = (x[~too_many] for x in (act, r_start, r_count, kid))
+            r_keys, r_coef, r_count, inexact = _product(
+                r_keys, r_coef, r_start, r_count, src_keys, src_coef, poly_start[kid],
+                poly_count[kid])
+            r_start = np.cumsum(r_count) - r_count
+            fallback[tree[act[inexact]]] = True
+            ok[tree[act[inexact]]] = False
+            if budget is not None:  # a stop, not a decision: counts only grow until y
+                ok[tree[act[r_count > budget]]] = False
+            j += 1
+        act = np.concatenate([part[0] for part in done])
+        count = np.concatenate([part[1] for part in done])
+        keys = np.concatenate([part[2] for part in done]) + shift[np.repeat(act, count)]
+        coef = np.concatenate([part[3] for part in done])
+        # a leaf kid's product has at most the node's final count of term pairs
+        wide = (n_kids[act] > n_inner[act]) & (n_kids[act] > 1) & (count > pairs_limit)
+        fallback[tree[act[wide]]] = True
+        ok[tree[act[wide]]] = False
+        # then y: one more to a term equal to it, else a new last term
+        owner = np.repeat(np.arange(len(act)), count)
+        y = np.zeros((len(act), n_words), dtype=_KEY)
+        y[np.arange(len(act)), word[act]] = bit[act]
+        equal = np.flatnonzero((keys == y[owner]).all(axis=1) & internal[act][owner])
+        coef[equal] += 1
+        add = internal[act] & (np.bincount(owner[equal], minlength=len(act)) == 0)
+        new_count = count + add
+        new_start = np.cumsum(new_count) - new_count
+        src_keys = np.zeros((new_count.sum() + 1, n_words), dtype=_KEY)
+        src_coef = np.ones(len(src_keys), dtype=np.int64)
+        moved = new_start[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+        src_keys[moved], src_coef[moved] = keys, coef
+        src_keys[(new_start + count)[add]] = y[add]
+        if budget is not None:
+            ok[tree[act[internal[act] & (new_count > budget)]]] = False
+        poly_start[act], poly_count[act] = new_start, new_count
+
+    expanded = np.flatnonzero(ok)
+    roots = levels[0][expanded]
+    count = poly_count[roots]
+    terms = _ranges(poly_start[roots], count)
+    fields = src_keys[terms].view(field_type)[:, :int(s[expanded].max(initial=0))]
+    return _Block(support, slot, s, expanded, count, fields, src_coef[terms],
+                  np.flatnonzero(fallback))
+
+
+def _write_rows(block: _Block, buffer: np.ndarray, done: int) -> int:
+    """Write the block's rows into `buffer` from `done` on; returns where they end."""
+    s_term = np.repeat(block.s[block.expanded], block.count)
+    row = done + np.cumsum(s_term + 2) - (s_term + 2)
+    buffer[_ranges(row, s_term)] = block.fields[np.arange(block.fields.shape[1]) < s_term[:, None]]
+    buffer[row + s_term] = block.coef
+    buffer[row + s_term + 1] = 0
+    return done + int((s_term + 2).sum())
+
+
+def pool_polynomials(
+    trees: Sequence[DepTree], vocab: LabelVocab, budget: Optional[int] = DEFAULT_TERM_BUDGET
+) -> List[Optional[Polynomial]]:
+    """`tree_to_polynomial` of every tree, None where it raises TermBudgetExceeded.
+
+    Every polynomial has the rows, support and slot that `tree_to_polynomial`
+    gives; the trees may come from several forests.
+    """
+    trees = in_one_forest(trees)
+    if not trees:
+        return []
+    index = np.fromiter((tree.index for tree in trees), np.intp, len(trees))
+    firsts = range(0, len(trees), _POOL_BLOCK_TREES)
+    blocks = [_expand_block(trees[0].forest, index[first: first + _POOL_BLOCK_TREES],
+                            len(vocab), budget) for first in firsts]
+    # the pool's arrays are made only now, with every block's scratch arrays
+    # freed, and each block's rows go straight into their part of the buffer:
+    # its exponents over its support, the coefficient, the zero column
+    support = np.concatenate([block.support for block in blocks])
+    slot = np.concatenate([block.slot for block in blocks])
+    s = np.concatenate([block.s for block in blocks])
+    expanded = np.concatenate([first + block.expanded for first, block in zip(firsts, blocks)])
+    fallback = np.concatenate([first + block.fallback for first, block in zip(firsts, blocks)])
+    count = np.concatenate([block.count for block in blocks])
+    size = count * (s[expanded] + 2)
+    start = np.cumsum(size) - size
+    buffer = np.empty(int(size.sum()), dtype=np.int64)
+    done = 0
+    while blocks:
+        done = _write_rows(blocks.pop(0), buffer, done)
+    for array in (buffer, support, slot):
+        array.flags.writeable = False
+
+    # a slot map's dtype is the narrowest for its tree, as in `Polynomial`
+    narrowest = slot.dtype == np.min_scalar_type(0)
+    d = len(vocab)
+    polys: List[Optional[Polynomial]] = [None] * len(trees)
+    for t, at, n_terms, s_t in zip(expanded.tolist(), start.tolist(), count.tolist(),
+                                   s[expanded].tolist()):
+        tree_slot = slot[t]
+        if not narrowest and tree_slot.dtype != np.min_scalar_type(s_t + 1):
+            tree_slot = tree_slot.astype(np.min_scalar_type(s_t + 1))
+            tree_slot.flags.writeable = False
+        polys[t] = Polynomial._view(
+            d, buffer[at: at + n_terms * (s_t + 2)].reshape(n_terms, s_t + 2), support[t],
+            tree_slot)
+    for t in fallback.tolist():
+        try:
+            polys[t] = tree_to_polynomial(trees[t], vocab, budget)
+        except TermBudgetExceeded:
+            pass
+    return polys
 
 
 # ---------------------------------------------------------------------------

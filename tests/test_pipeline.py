@@ -67,6 +67,19 @@ def test_config_validation():
             SelectionConfig(error_weight=weight).validate()
 
 
+@pytest.mark.parametrize("budget", [0, -5, 2.5, float("inf"), True, False, "100"])
+def test_config_refuses_a_term_budget_that_is_not_a_positive_int(budget):
+    # a budget below 1 refuses every pool polynomial, and every query then
+    # falls back to the tree kernel without a word
+    with pytest.raises(InvalidConfig, match="term_budget must be None or an int >= 1"):
+        SelectionConfig(term_budget=budget).validate()
+
+
+def test_config_accepts_no_term_budget_or_a_positive_int():
+    for budget in (None, 1, treepoly.DEFAULT_TERM_BUDGET):
+        SelectionConfig(term_budget=budget).validate()
+
+
 def test_defaults_match_documented_values():
     config = SelectionConfig()
     assert config.candidate_size == 1000

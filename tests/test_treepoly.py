@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from synicl import treepoly
-from synicl.treebank import LabelVocab
+from synicl.treebank import LabelVocab, parse_conllu
 from synicl.treepoly import (
     EmptyPolynomial,
     Polynomial,
     TermBudgetExceeded,
     WeightProfile,
     poly_distance,
+    pool_polynomials,
     tree_to_polynomial,
 )
 
-from conftest import build_tree, leaf, node, random_tree_spec
+from conftest import (build_tree, leaf, make_synth_corpus, node, random_tree_spec,
+                      tree_to_conllu)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +320,119 @@ def test_term_budget_enforced():
     vocab2 = LabelVocab()
     tree2 = build_tree(spec, vocab2)
     assert len(tree_to_polynomial(tree2, vocab2)) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the pool pass
+# ---------------------------------------------------------------------------
+
+def assert_pool_matches(trees, vocab, budget=treepoly.DEFAULT_TERM_BUDGET):
+    """`pool_polynomials` equals `tree_to_polynomial` tree by tree; returns the refused count.
+
+    Rows in values, dtype and C order, support and slot in values and
+    dtypes, all three read-only, and None exactly where the reference raises.
+    """
+    pooled = pool_polynomials(trees, vocab, budget)
+    assert len(pooled) == len(trees)
+    refused = 0
+    for tree, poly in zip(trees, pooled):
+        try:
+            want = tree_to_polynomial(tree, vocab, budget)
+        except TermBudgetExceeded:
+            assert poly is None
+            refused += 1
+            continue
+        assert poly is not None and poly.d == want.d
+        assert poly.rows.dtype == want.rows.dtype == np.int64
+        assert poly.rows.shape == want.rows.shape and np.array_equal(poly.rows, want.rows)
+        assert poly.rows.flags.c_contiguous
+        assert np.array_equal(poly.support, want.support) and poly.support.dtype == bool
+        assert poly.slot.dtype == want.slot.dtype and np.array_equal(poly.slot, want.slot)
+        for array in (poly.rows, poly.support, poly.slot):
+            assert not array.flags.writeable
+    return refused
+
+
+def test_pool_polynomials_equal_the_per_tree_reference():
+    rng = random.Random(51)
+    labels = ["r", "a", "b", "c", "S"]
+    vocab = LabelVocab()
+    trees = [build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab)
+             for _ in range(400)]
+    assert sum(tree.n_tokens == 1 for tree in trees) > 10
+    assert assert_pool_matches(trees, vocab) == 0
+    # budgets that refuse some of the trees, the smaller one more of them
+    assert assert_pool_matches(trees, vocab, budget=5) > assert_pool_matches(trees, vocab, 6) > 0
+    assert assert_pool_matches(trees, vocab, budget=None) == 0
+    assert pool_polynomials([], vocab) == []
+    with pytest.raises(ValueError, match="but the vocab has 2 labels"):
+        pool_polynomials(trees, LabelVocab(["r", "a"]))
+
+
+def test_pool_polynomials_merge_y_and_refuse_like_the_reference(monkeypatch):
+    vocab = LabelVocab(["r", "a", "b"])
+    # y_a is already a term of the kid's polynomial: its coefficient becomes 2
+    merged = build_tree(node("a", node("a", leaf("b"))), vocab)
+    assert terms(pool_polynomials([merged], vocab)[0]) == {(0, 0, 1, 0, 0, 0): 1,
+                                                           (0, 0, 0, 0, 1, 0): 2}
+    # C(65, 32) is below 2**62 and C(66, 33) is not: both pass 2**61, so the
+    # reference decides, and refuses the second at any budget
+    copies = [build_tree(node("r", *[node("a", leaf("b"))] * k), vocab) for k in (65, 66)]
+    star = build_tree(node("r", *[leaf("b")] * 70_000), vocab)
+    # 301 support entries need a uint16 slot map; the other trees keep uint8
+    labelled = build_tree(node("r", *[leaf(f"l{i}") for i in range(300)]), vocab)
+    for budget in (treepoly.DEFAULT_TERM_BUDGET, None):
+        assert assert_pool_matches([merged, *copies, star, labelled], vocab, budget) == 1
+    assert pool_polynomials(copies, vocab)[1] is None
+
+    # the largest product has 4 x 2 = 8 term pairs; the cap is read at call time
+    spec = node("r",
+                node("a", leaf("u"), leaf("v")),
+                node("b", leaf("u"), leaf("w")),
+                node("c", leaf("v"), leaf("w")))
+    tree = build_tree(spec, vocab)
+    # a chain of 8 terms times a leaf: the only product is that of a leaf kid
+    chain = leaf("x")
+    for label in "wvudcba":
+        chain = node(label, chain)
+    times_leaf = build_tree(node("r", chain, leaf("z")), vocab)
+    for cap, refused in ((8, 0), (7, 2)):
+        monkeypatch.setattr(treepoly, "_HARD_PAIRS_CAP", cap)
+        assert assert_pool_matches([tree, merged, times_leaf], vocab, budget=None) == refused
+
+
+def test_pool_polynomials_take_trees_of_several_forests_in_any_block(monkeypatch):
+    rng = random.Random(52)
+    labels = ["r", "a", "b", "c"]
+    vocab = LabelVocab()
+    parsed = parse_conllu("\n\n".join(
+        tree_to_conllu(build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab), vocab)
+        for _ in range(30)), vocab)
+    built = [build_tree(random_tree_spec(rng, rng.randint(1, 9), labels), vocab) for _ in range(30)]
+    # one forest's trees out of order and repeated, between trees of their own forests
+    mixed = [tree for pair in zip(parsed[::-1], built) for tree in pair] + parsed[:5]
+    for block in (1, 7, treepoly._POOL_BLOCK_TREES):
+        monkeypatch.setattr(treepoly, "_POOL_BLOCK_TREES", block)
+        for budget in (6, None):
+            assert_pool_matches(mixed, vocab, budget)
+
+
+def test_pool_polynomials_of_longer_sentences_reach_the_reference(monkeypatch):
+    corpus = make_synth_corpus(2_000, seed=5, min_tokens=3, max_tokens=25)
+    trees = [ex.tree for ex in corpus.examples]
+    reference = treepoly.tree_to_polynomial
+    sent = []
+
+    def counted(tree, vocab, budget=treepoly.DEFAULT_TERM_BUDGET):
+        sent.append(tree)
+        return reference(tree, vocab, budget)
+
+    monkeypatch.setattr(treepoly, "tree_to_polynomial", counted)
+    pooled = pool_polynomials(trees, corpus.vocab)
+    monkeypatch.undo()
+    assert 0 < len(sent) < len(trees) // 10  # some products pass _POOL_PAIRS
+    assert all(poly is not None for poly in pooled)
+    assert assert_pool_matches(trees, corpus.vocab) == 0
 
 
 # ---------------------------------------------------------------------------
