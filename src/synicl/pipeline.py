@@ -83,8 +83,12 @@ class SelectionConfig:
             raise InvalidConfig(f"stage2 must be one of {STAGE2_METHODS}, got {self.stage2!r}")
         if self.stage1 == "none" and self.stage2 == "none":
             raise InvalidConfig("stage1 and stage2 cannot both be 'none'")
-        if self.shots < 1:
-            raise InvalidConfig("shots must be >= 1")
+        # a float or a bool would pass the comparisons below and then fail
+        # inside np.partition or a slice, or count as 1
+        for name in ("shots", "candidate_size"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise InvalidConfig(f"{name} must be an int >= 1, got {value!r}")
         if self.candidate_size < self.shots:
             raise InvalidConfig("candidate_size must be >= shots")
         if not (math.isfinite(self.error_weight) and self.error_weight > 0):

@@ -169,6 +169,77 @@ def test_bm25_posting_weights_equal_per_query_formula():
             assert got.tobytes() == want.tobytes()
 
 
+def assert_dense_layout_keeps_bits(docs, queries, dense_terms):
+    """`dense_terms` are stored as columns and only they; every query keeps the per-query bits."""
+    index = Bm25Index.build(docs)
+    assert set(index.postings) == {token for doc in docs for token in doc}
+    assert {t for t, (ids, _) in index.postings.items() if isinstance(ids, slice)} == dense_terms
+    for query in queries:
+        got = bm25_scores(index, " ".join(query))
+        assert got.tobytes() == per_query_bm25_scores(docs, query).tobytes()
+    return index
+
+
+def test_term_in_a_quarter_of_the_documents_is_a_dense_column():
+    # "x" in 3 of 12 documents: 4 * df == n
+    docs = [["x", "a"], ["x", "x", "b"], ["c", "x"]] + [["a", "b"]] * 4 + [["c"]] * 5
+    index = assert_dense_layout_keeps_bits(docs, [["x"], ["x", "a"], ["b", "x"]],
+                                           {"x", "a", "b", "c"})
+    ids, column = index.postings["x"]
+    assert ids == slice(None) and column.dtype == np.float64 and column.shape == (12,)
+    assert np.flatnonzero(column).tolist() == [0, 1, 2]
+
+
+def test_term_one_document_short_of_a_quarter_stays_sparse():
+    # "x" in 2 of 12 documents (one short of 3), and in 3 of 13 (4 * df == n - 1)
+    for docs in ([["x", "a"], ["x", "x", "b"]] + [["a", "b"]] * 5 + [["c"]] * 5,
+                 [["x", "a"], ["x", "x", "b"], ["x"]] + [["a", "b"]] * 5 + [["c"]] * 5):
+        index = assert_dense_layout_keeps_bits(docs, [["x"], ["x", "a"], ["c", "x", "x"]],
+                                               {"a", "b", "c"})
+        ids, weights = index.postings["x"]
+        assert ids.tolist() == list(range(len(weights)))
+
+
+def test_query_repeating_a_dense_token_adds_its_column_again():
+    docs = [["the", "cat"], ["the", "dog", "the"], ["a", "cat"], ["the"], ["dog"], ["bird"]]
+    assert_dense_layout_keeps_bits(
+        docs, [["the", "the"], ["the", "cat", "the", "the"], ["cat", "the", "cat"]],
+        {"the", "cat", "dog"})
+
+
+def test_query_mixing_dense_sparse_and_unknown_tokens():
+    rng = random.Random(44)
+    common, rare = ["the", "a", "of"], [f"r{i}" for i in range(30)]
+    docs = [[rng.choice(common) for _ in range(rng.randint(1, 4))]
+            + [rng.choice(rare) for _ in range(rng.randint(0, 3))] for _ in range(200)]
+    queries = [[rng.choice(common + rare + ["oov", "zzz"]) for _ in range(rng.randint(1, 10))]
+               for _ in range(50)]
+    assert_dense_layout_keeps_bits(docs, queries, set(common))
+
+
+def test_corpus_where_every_term_is_dense():
+    for docs in ([["a", "b", "a"]], [["a", "b"], ["b", "c"]]):
+        vocabulary = {token for doc in docs for token in doc}
+        assert_dense_layout_keeps_bits(docs, [["a"], ["b", "c", "oov", "b"]], vocabulary)
+
+
+def test_corpus_with_empty_documents_keeps_the_dense_layout():
+    docs = [[], ["a", "b"], [], ["a"], [], ["c", "a"], [], [], ["b"], []]
+    assert_dense_layout_keeps_bits(docs, [["a"], ["a", "b", "c"], ["c", "oov", "c"]], {"a"})
+
+
+def test_bm25_index_arrays_are_read_only():
+    docs = [["a", "b"], ["a"], ["a", "c"], ["d"], ["e"], ["f"], ["g"], ["h"], ["i"]]
+    index = Bm25Index.build(docs)
+    dense_column = index.postings["a"][1]
+    sparse_ids, sparse_weights = index.postings["c"]
+    before = bm25_scores(index, "a c")
+    for array in (dense_column, sparse_ids, sparse_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 100
+    assert bm25_scores(index, "a c").tobytes() == before.tobytes()
+
+
 def test_bm25_scores_nonnegative():
     rng = random.Random(41)
     docs = [[rng.choice("abc") for _ in range(rng.randint(1, 6))] for _ in range(30)]

@@ -75,6 +75,16 @@ def test_config_refuses_a_term_budget_that_is_not_a_positive_int(budget):
         SelectionConfig(term_budget=budget).validate()
 
 
+@pytest.mark.parametrize("name", ["shots", "candidate_size"])
+@pytest.mark.parametrize("value", [10.5, 2.5, True, False, "4"])
+def test_config_refuses_sizes_that_are_not_ints(name, value):
+    # a float would fail later inside np.partition or a slice, and True would count as 1
+    config = SelectionConfig(shots=1, candidate_size=1000)
+    setattr(config, name, value)
+    with pytest.raises(InvalidConfig, match=f"{name} must be an int >= 1"):
+        config.validate()
+
+
 def test_config_accepts_no_term_budget_or_a_positive_int():
     for budget in (None, 1, treepoly.DEFAULT_TERM_BUDGET):
         SelectionConfig(term_budget=budget).validate()
