@@ -126,6 +126,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise pipeline.InvalidConfig(f"--limit must be >= 0 (0 = all queries), got {args.limit}")
+    if args.jobs < 1:
+        raise pipeline.InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     config = _selection_config(args)
     train, test = _load_bundles(args.train_bundle, args.test_bundle)
     hashes = _bundle_hashes(args)
@@ -165,6 +167,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.max_retries < 0:
         raise pipeline.InvalidConfig(f"--max-retries must be >= 0, got {args.max_retries}")
+    if args.jobs < 1:
+        raise pipeline.InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     if not (math.isfinite(args.timeout) and args.timeout > 0):
         raise pipeline.InvalidConfig(f"--timeout must be a finite number > 0, got {args.timeout}")
     hashes, train, test, selections = _selection_inputs(args)
@@ -255,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="select in-context examples for every query")
     add_selection_flags(p)
     p.add_argument("--limit", type=int, default=0, help="only process the first N queries (0 = all)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel selection workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="selection worker threads, each taking one contiguous share of the "
+                   "queries; tree-kernel queries are scored in blocks either way")
     p.add_argument("--out", required=True, help="output directory (selections.jsonl + manifest)")
     p.set_defaults(func=cmd_select)
 

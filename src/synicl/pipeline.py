@@ -11,12 +11,17 @@ Whenever stage II can reach the tree kernel (`tree_kernel`, and the kernel
 fallback of `poly` and `weighted_poly`), the `Selector` builds a
 `treekernel.PoolForest` once, which reads the pool's forest in place (a
 loaded bundle holds all its trees in one). Kernel re-ranking then scores
-every stage-I candidate of a query in one level-by-level numpy pass, from
-the root pairs down to the deepest matching node pairs. The pass is exact:
-leaf matches and child-count products are integers below 2**53, a pair with
-at most one nested score takes one correctly rounded IEEE operation per
-step, and a pair with two or more sums them with `math.fsum`, so every
-score has the bits of the per-pair `treekernel.tree_kernel_similarity`.
+the stage-I candidates of a block of queries in one level-by-level numpy
+pass, from the root pairs down to the deepest matching node pairs, and
+picks each query's top `shots` from its own segment. `select_batch` runs
+stage I query by query and hands the kernel whole queries in chunks of at
+most `_BLOCK_ROOT_PAIRS` root pairs, which bounds a pass's memory; `select`
+is a block of one. The other stage-II methods run query by query. The
+pass is exact: leaf matches and child-count products are integers below
+2**53, a pair with at most one nested score takes one correctly rounded
+IEEE operation per step, and a pair with two or more sums them with
+`math.fsum`, so every score has the bits of the per-pair
+`treekernel.tree_kernel_similarity`, whatever the block.
 
 The polynomial stages read the same forest: `treepoly.pool_polynomials`
 expands every pool tree in one level-by-level numpy pass, whose
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +47,16 @@ from .treebank import Corpus, Example, InputError, in_one_forest, read_lines
 
 STAGE1_METHODS = ("none", "bm25", "dense")
 STAGE2_METHODS = ("none", "tree_kernel", "poly", "weighted_poly", "random")
+
+# The most root pairs (query, candidate) one tree-kernel pass takes. A pass holds every
+# level's node pairs at once, so its memory grows with its root pairs: about 200 bytes
+# each under tracemalloc, on a pool of 35,000 trees of 3-40 tokens with 1,000 BM25
+# candidates a query (perfbench's select-tk inputs): 0.2 MB for one query, 10.0 MB for
+# 50 and 40.1 MB for 200. The per-query fixed cost is mostly spread by then: on one CPU
+# the pass took 0.44 ms a query in blocks of 7 and 0.38 ms in blocks of 50. So a chunk
+# of 65,536 root pairs (about 13 MB, 65 such queries) stays a few percent of that run's
+# ~190 MB resident set.
+_BLOCK_ROOT_PAIRS = 65_536
 
 
 class InvalidConfig(InputError):
@@ -91,9 +107,15 @@ class SelectionConfig:
                 raise InvalidConfig(f"{name} must be an int >= 1, got {value!r}")
         if self.candidate_size < self.shots:
             raise InvalidConfig("candidate_size must be >= shots")
-        if not (math.isfinite(self.error_weight) and self.error_weight > 0):
+        # a string would raise a raw TypeError in isfinite, and True would weigh 1.0
+        if not (_is_real(self.error_weight) and math.isfinite(self.error_weight)
+                and self.error_weight > 0):
             raise InvalidConfig(
-                f"error_weight must be a finite number > 0, got {self.error_weight}")
+                f"error_weight must be a finite number > 0, got {self.error_weight!r}")
+        # the seed is formatted into each query's random.Random seed: 2.0 would seed
+        # differently from 2
+        if not _is_int(self.random_seed):
+            raise InvalidConfig(f"random_seed must be an int, got {self.random_seed!r}")
         if self.term_budget is not None and not (_is_int(self.term_budget)
                                                  and self.term_budget >= 1):
             raise InvalidConfig(
@@ -177,7 +199,7 @@ class Selector:
     def _rank_tree_kernel(self, query: Example, pool: List[int]) -> List[Tuple[int, float]]:
         assert self.kernel_pool is not None
         ids = np.asarray(pool, dtype=np.intp)
-        return lexical.top_k(self.kernel_pool.scores(query.tree, ids), self.config.shots, ids)
+        return lexical.top_k(self.kernel_pool.scores([query.tree], [ids]), self.config.shots, ids)
 
     def _rank_poly(
         self, query: Example, pool: List[int], fallbacks: List[Dict[str, object]]
@@ -212,50 +234,99 @@ class Selector:
             distances.append(treepoly.poly_distance(query_poly, poly, self.weights))
         return lexical.top_k(distances, self.config.shots, pool, smallest=True)
 
-    # -- public API ----------------------------------------------------------
-
-    def select(self, query: Example) -> SelectionResult:
+    def _select_one(self, query: Example, stage1: List[Tuple[int, float]]) -> SelectionResult:
+        """Stage II of one query, for every method but the tree kernel."""
         cfg = self.config
-        fallbacks: List[Dict[str, object]] = []
-        stage1 = self._stage1_pool(query)
-        pool_ids = [ex_id for ex_id, _ in stage1]
-
         if cfg.stage2 == "none":
-            chosen = stage1[: cfg.shots]
-        elif cfg.stage2 == "tree_kernel":
-            chosen = self._rank_tree_kernel(query, pool_ids)
-        elif cfg.stage2 in ("poly", "weighted_poly"):
-            chosen = self._rank_poly(query, pool_ids, fallbacks)
-        else:  # random
+            return SelectionResult(query.id, stage1[: cfg.shots], len(stage1))
+        fallbacks: List[Dict[str, object]] = []
+        pool_ids = [ex_id for ex_id, _ in stage1]
+        if cfg.stage2 == "random":
             rng = random.Random(f"{cfg.random_seed}:{query.id}")
             sample = rng.sample(pool_ids, min(cfg.shots, len(pool_ids)))
             chosen = [(ex_id, 0.0) for ex_id in sample]
+        else:
+            chosen = self._rank_poly(query, pool_ids, fallbacks)
+        return SelectionResult(query.id, chosen, len(pool_ids), fallbacks)
 
-        return SelectionResult(
-            query_id=query.id,
-            chosen=chosen,
-            stage1_pool_size=len(pool_ids),
-            fallbacks=fallbacks,
-        )
+    def _select_block(
+        self, queries: Sequence[Example]
+    ) -> Tuple[List[Optional[SelectionResult]], List[Tuple[int, Exception]]]:
+        """Each query's result (None where it failed), and (query id, exception) per failure.
+
+        Stage I runs query by query. Tree-kernel queries then wait in a chunk
+        of whole queries, and each chunk takes one `PoolForest.scores` pass
+        over all its candidates, each query's top `shots` picked from its own
+        segment. Every score has the bits of a pass over one query alone.
+        """
+        cfg = self.config
+        results: List[Optional[SelectionResult]] = [None] * len(queries)
+        errors: Dict[int, Exception] = {}
+        chunk: List[Tuple[int, np.ndarray]] = []  # (position, candidate ids), awaiting the pass
+        chunk_pairs = 0
+
+        def score_chunk() -> None:
+            assert self.kernel_pool is not None
+            try:
+                scores = self.kernel_pool.scores([queries[i].tree for i, _ in chunk],
+                                                 [ids for _, ids in chunk])
+                ends = np.cumsum([len(ids) for _, ids in chunk]).tolist()
+                chosen = [lexical.top_k(scores[end - len(ids): end], cfg.shots, ids)
+                          for (_, ids), end in zip(chunk, ends)]
+            except Exception as exc:  # noqa: BLE001 - the chunk's queries fail together
+                errors.update((i, exc) for i, _ in chunk)
+            else:
+                for (i, ids), best in zip(chunk, chosen):
+                    results[i] = SelectionResult(queries[i].id, best, len(ids))
+            chunk.clear()
+
+        for position, query in enumerate(queries):
+            try:
+                stage1 = self._stage1_pool(query)
+                if cfg.stage2 != "tree_kernel":
+                    results[position] = self._select_one(query, stage1)
+                    continue
+            except Exception as exc:  # noqa: BLE001 - aggregated by the caller
+                errors[position] = exc
+                continue
+            ids = np.fromiter((ex_id for ex_id, _ in stage1), np.intp, len(stage1))
+            if chunk and chunk_pairs + len(ids) > _BLOCK_ROOT_PAIRS:
+                score_chunk()
+                chunk_pairs = 0
+            chunk.append((position, ids))
+            chunk_pairs += len(ids)
+        if chunk:
+            score_chunk()
+        return results, [(queries[i].id, errors[i]) for i in sorted(errors)]
+
+    # -- public API ----------------------------------------------------------
+
+    def select(self, query: Example) -> SelectionResult:
+        (result,), failures = self._select_block([query])
+        if failures:
+            raise failures[0][1]
+        return result
 
     def select_batch(self, queries: Sequence[Example], jobs: int = 1) -> List[SelectionResult]:
-        """Element-wise equal to independent select() calls; order preserved."""
+        """Element-wise equal to independent select() calls; order preserved.
 
-        def run(query: Example):
-            try:
-                return self.select(query), None
-            except Exception as exc:  # noqa: BLE001 - aggregated below
-                return None, (query.id, exc)
-
-        if jobs <= 1:
-            outcomes = [run(q) for q in queries]
+        With `jobs` > 1, each of up to `jobs` worker threads selects one
+        contiguous share of the queries.
+        """
+        if not (_is_int(jobs) and jobs >= 1):
+            raise InvalidConfig(f"jobs must be an int >= 1, got {jobs!r}")
+        workers = min(jobs, len(queries))
+        if workers <= 1:
+            outcomes = [self._select_block(queries)]
         else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run, queries))
-        failures = [fail for _, fail in outcomes if fail is not None]
+            bounds = [len(queries) * share // workers for share in range(workers + 1)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(self._select_block, [
+                    queries[start:end] for start, end in zip(bounds, bounds[1:])]))
+        failures = [fail for _, fails in outcomes for fail in fails]
         if failures:
             raise BatchSelectionError(failures)
-        return [result for result, _ in outcomes]
+        return [result for results, _ in outcomes for result in results]
 
 
 def export_results(
@@ -277,6 +348,10 @@ def export_results(
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def load_results(path: str) -> List[SelectionResult]:

@@ -18,16 +18,22 @@ score is the correctly rounded sum whatever the order: the same bits as
 comparing every pair of children one by one, and exactly symmetric. It is
 the per-pair reference.
 
-Re-ranking scores one query against many pool trees. `PoolForest` reads
-the forest that holds the pool's trees, without copying it, and scores all
-candidates of a query in one pass, level by level from the root pairs
-down, in numpy: only node pairs that can match are visited, found by label
-as in Moschitti's fast tree kernel ("Making tree kernels practical for
-natural language learning", EACL 2006). Each frontier pair (query node,
-pool node) is expanded to the pool node's child groups; a group adds the
-query node's leaf count of its label times its own, and crosses the query
-node's internal children of its label with its own, which makes the next
-frontier. Going back up, a pair scores `(nested + leaves) / size`.
+Re-ranking scores each query against many pool trees. `PoolForest` reads
+the forest that holds the pool's trees, without copying it, and scores a
+block of queries, each against its own candidates, in one pass, level by
+level from the root pairs down, in numpy: only node pairs that can match
+are visited, found by label as in Moschitti's fast tree kernel ("Making
+tree kernels practical for natural language learning", EACL 2006). The
+block's query nodes are renumbered into one local range, so the fixed cost
+of a pass (its per-(node, label) tables and some two dozen numpy calls a
+level) is paid once per block, not once per query, while its memory grows
+with its root pairs (see `pipeline._BLOCK_ROOT_PAIRS`). Each frontier pair
+(query node, pool node) is expanded to the pool node's child groups; a
+group adds the query node's leaf count of its label times its own, and
+crosses the query node's internal children of its label with its own,
+which makes the next frontier. Going back up, a pair scores `(nested +
+leaves) / size`. A pair's score depends on its own subtree pairs alone,
+so it has the same bits in any block.
 
 The pass gives `tree_kernel_similarity`'s bits for every pair:
 
@@ -96,6 +102,13 @@ def _segments(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(counts)), counts)
 
 
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges `first[i]` to `first[i] + counts[i] - 1`, laid end to end."""
+    if len(counts) == 1:  # a block of one query: spare `select` the general form's calls
+        return np.arange(first[0], first[0] + counts[0])
+    return np.arange(int(counts.sum())) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+
+
 class PoolForest:
     """A pool's trees in one `treebank.Forest`, for `scores`.
 
@@ -115,37 +128,50 @@ class PoolForest:
             np.fromiter((tree.index for tree in trees), np.intp, len(trees))]
         self.width = 1 + int(self.forest.group_label.max(initial=-1))
 
-    def scores(self, query: DepTree, ids: np.ndarray) -> np.ndarray:
-        """`tree_kernel_similarity(query, tree)` for the pool trees `ids`, bit for bit.
+    def scores(self, queries: Sequence[DepTree], ids: Sequence[np.ndarray]) -> np.ndarray:
+        """`tree_kernel_similarity(queries[q], tree)` for the pool trees `ids[q]`, bit for bit.
 
-        Returns float64 scores in the order of `ids`. Query labels the pool
-        never uses are allowed; they match nothing.
+        Returns float64 scores laid end to end, query after query, each
+        query's in the order of its `ids`. Queries from several forests are
+        joined into one. Query labels the pool never uses are allowed; they
+        match nothing.
         """
-        f, t = query.forest, query.index
-        v0, v1 = f.tree_start[t: t + 2].tolist()
-        g0, g1 = f.group_start[[v0, v1]].tolist()
-        k0, k1 = f.kid_start[[g0, g1]].tolist()
-        q_groups = np.diff(f.group_start[v0:v1 + 1])
-        q_label = f.group_label[g0:g1].astype(np.intp)
-        q_kid_start = f.kid_start[g0:g1 + 1] - k0
-        q_kids = f.kids[k0:k1] - v0
+        if not len(queries):
+            return np.zeros(0)
+        queries = in_one_forest(queries)
+        f = queries[0].forest
+        t = np.fromiter((query.index for query in queries), np.intp, len(queries))
+        # the block's query nodes, their groups and their internal kids, each query's
+        # laid end to end in one local range: a tree's nodes, groups and kids are
+        # contiguous in its forest, so local kid ids are node ids shifted per query
+        v0, v1 = f.tree_start[t], f.tree_start[t + 1]
+        g0, g1 = f.group_start[v0], f.group_start[v1]
+        k0, k1 = f.kid_start[g0], f.kid_start[g1]
+        shift = np.cumsum(v1 - v0) - (v1 - v0) - v0  # global node id + shift = local id
+        nodes = _ranges(v0, v1 - v0)
+        groups = _ranges(g0, g1 - g0)
+        q_groups = f.group_start[nodes + 1] - f.group_start[nodes]
+        q_label = f.group_label[groups].astype(np.intp)
+        inner = f.kid_start[groups + 1] - f.kid_start[groups]
+        q_kids = f.kids[_ranges(k0, k1 - k0)] + np.repeat(shift, k1 - k0)
         # int64, so that a product of two child counts does not wrap
-        q_size = np.maximum(f.n_children[v0:v1], 1).astype(np.int64)
+        q_size = np.maximum(f.n_children[nodes], 1).astype(np.int64)
         # per (query node, label): leaf count, and the query's internal kids there
         width = max(self.width, 1 + int(q_label.max(initial=-1)))
         cell = _segments(q_groups) * width + q_label
-        q_leaves = np.zeros((v1 - v0) * width)
-        q_leaves[cell] = f.group_leaves[g0:g1]
-        q_inner = np.zeros((v1 - v0) * width, dtype=np.intp)
-        q_inner[cell] = np.diff(q_kid_start)
-        q_first = np.zeros((v1 - v0) * width, dtype=np.intp)
-        q_first[cell] = q_kid_start[:-1]
+        q_leaves = np.zeros(len(nodes) * width)
+        q_leaves[cell] = f.group_leaves[groups]
+        q_inner = np.zeros(len(nodes) * width, dtype=np.intp)
+        q_inner[cell] = inner
+        q_first = np.zeros(len(nodes) * width, dtype=np.intp)
+        q_first[cell] = np.cumsum(inner) - inner
 
         # down: each level's leaf sums, sizes, and the parent of each of its pairs
         levels = []
-        qa = np.full(len(ids), f.roots[t] - v0, dtype=np.intp)
+        counts = np.fromiter((len(each) for each in ids), np.intp, len(ids))
+        qa = np.repeat(f.roots[t] + shift, counts)
         pool = self.forest
-        pb = self.roots[ids]
+        pb = self.roots[np.concatenate(ids)]
         parent = None
         while True:
             first = pool.group_start[pb]
@@ -180,8 +206,8 @@ class PoolForest:
                 if len(many):
                     nested = scores.tolist()
                     ends = np.cumsum(n_nested)
-                    for p, start, end in zip(many.tolist(), (ends - n_nested)[many].tolist(),
-                                             ends[many].tolist()):
-                        total[p] = fsum(nested[start:end] + [leaves[p]])
+                    total[many] = [fsum(nested[start:end] + [leaf]) for start, end, leaf in zip(
+                        (ends - n_nested)[many].tolist(), ends[many].tolist(),
+                        leaves[many].tolist())]
             scores, below = total / size, parent
         return scores

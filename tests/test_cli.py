@@ -222,6 +222,20 @@ def test_negative_count_exits_1_before_loading(tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["select", "run"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_1_before_loading(tmp_path, capsys, command, jobs):
+    # fewer than one worker used to run one without a word
+    args = [command, "--train-bundle", str(tmp_path / "train"),
+            "--test-bundle", str(tmp_path / "test"), "--jobs", jobs, "--out", str(tmp_path / "out")]
+    if command == "run":
+        args += ["--selections", str(tmp_path / "selections.jsonl"), "--style", "chat",
+                 "--base-url", "http://127.0.0.1:9", "--model", "m"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: --jobs must be >= 1")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
 def test_run_bad_timeout_exits_1_before_loading(tmp_path, capsys, timeout):
     # the bundles do not exist: a check made after loading them would exit 2

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from synicl import lexical, treekernel, treepoly
+from synicl import lexical, pipeline, treekernel, treepoly
 from synicl.pipeline import (
     BatchSelectionError,
     InvalidConfig,
@@ -65,6 +65,20 @@ def test_config_validation():
     for weight in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(InvalidConfig, match="error_weight must be a finite number > 0"):
             SelectionConfig(error_weight=weight).validate()
+
+
+@pytest.mark.parametrize("weight", ["2", True])
+def test_config_refuses_an_error_weight_that_is_not_a_real_number(weight):
+    # a string raised a raw TypeError inside math.isfinite, and True weighed 1.0
+    with pytest.raises(InvalidConfig, match="error_weight must be a finite number > 0"):
+        SelectionConfig(error_weight=weight).validate()
+
+
+@pytest.mark.parametrize("seed", [2.5, "x", 2.0, True])
+def test_config_refuses_a_random_seed_that_is_not_an_int(seed):
+    # the seed is formatted into each query's random.Random seed, where 2.0 is not 2
+    with pytest.raises(InvalidConfig, match="random_seed must be an int"):
+        SelectionConfig(random_seed=seed).validate()
 
 
 @pytest.mark.parametrize("budget", [0, -5, 2.5, float("inf"), True, False, "100"])
@@ -355,6 +369,89 @@ def test_batch_equals_individual_and_parallel_equals_serial():
     assert serial == parallel == individual
     single = selector.select_batch(queries.examples[:1])
     assert single == [individual[0]]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.0, True])
+def test_select_batch_refuses_jobs_that_are_not_a_positive_int(jobs):
+    corpus = make_synth_corpus(10, seed=23)
+    selector = Selector(corpus, SelectionConfig(candidate_size=5, shots=2))
+    with pytest.raises(InvalidConfig, match="jobs must be an int >= 1"):
+        selector.select_batch(corpus.examples[:2], jobs=jobs)
+
+
+def mixed_queries(tmp_path):
+    """A bundle pool, and queries from a second bundle, one-tree graphs and unseen labels."""
+    vocab = LabelVocab()
+    for seed, out, n in ((71, "train", 300), (72, "test", 40)):
+        save_bundle(make_synth_corpus(n, seed=seed, min_tokens=1, max_tokens=20, vocab=vocab),
+                    str(tmp_path / out))
+    shared = LabelVocab()
+    train = load_bundle(str(tmp_path / "train"), shared)
+    test = load_bundle(str(tmp_path / "test"), shared)
+    graphs = make_synth_corpus(6, seed=73, max_tokens=20, vocab=shared, id_offset=100)
+    unseen = [query_example(spec, shared, qid) for qid, spec in enumerate([
+        node("Root", leaf("never"), node("nsubj", leaf("never"), leaf("det"))),
+        node("never", node("nsubj", leaf("det")), leaf("punct")),
+        leaf("nowhere"),
+    ], 200)]
+    queries = test.examples[:20] + unseen[:2] + graphs.examples + test.examples[20:] + unseen[2:]
+    assert len(queries) == 49 and len({id(q.tree.forest) for q in queries}) > 2
+    return train, queries + [test[0]]  # 50 queries, one of them twice
+
+
+@pytest.mark.parametrize("bound", [65_536, 70, 10])
+def test_select_batch_equals_select_in_blocks_of_any_size(tmp_path, monkeypatch, bound):
+    # 30 candidates a query: a bound of 70 takes two queries a pass, and one of 10 is
+    # exceeded by every query on its own
+    train, queries = mixed_queries(tmp_path)
+    selector = Selector(train, SelectionConfig(stage1="bm25", stage2="tree_kernel",
+                                               candidate_size=30, shots=4))
+    assert selector.kernel_pool.width <= train.vocab.labels.index("never")
+    single = [selector.select(query) for query in queries]
+    monkeypatch.setattr(pipeline, "_BLOCK_ROOT_PAIRS", bound)
+    passes = []
+    real_scores = treekernel.PoolForest.scores
+
+    def scores(pool, trees, ids):
+        passes.append([len(each) for each in ids])
+        return real_scores(pool, trees, ids)
+
+    monkeypatch.setattr(treekernel.PoolForest, "scores", scores)
+    for size in (1, 7, 50):
+        passes.clear()
+        batches = [queries[i:i + size] for i in range(0, len(queries), size)]
+        assert [r for batch in batches for r in selector.select_batch(batch)] == single
+        assert sum(len(each) for each in passes) == len(queries)
+        assert all(len(each) == 1 or sum(each) <= bound for each in passes)
+        per_pass = max(bound // 30, 1)
+        assert len(passes) == sum(-(-len(batch) // per_pass) for batch in batches)
+    assert selector.select_batch(queries, jobs=3) == single
+    # scores in the chosen lists have the per-pair kernel's bits
+    for query, result in zip(queries, single):
+        for ex_id, score in result.chosen:
+            want = treekernel.tree_kernel_similarity(query.tree, train[ex_id].tree)
+            assert score.hex() == want.hex()
+
+
+def test_a_failing_query_mid_block_fails_alone():
+    corpus = make_synth_corpus(60, seed=81, embedding_dim=4)
+    config = SelectionConfig(stage1="dense", stage2="tree_kernel", candidate_size=20, shots=3)
+    selector = Selector(corpus, config)
+    block = make_synth_corpus(7, seed=82, vocab=corpus.vocab, embedding_dim=4).examples
+    block[3].embedding = None
+    block[3].id = 77
+    with pytest.raises(MissingPrecomputation, match="query 77 has no embedding"):
+        selector.select(block[3])
+    results, failures = selector._select_block(block)
+    assert [(qid, type(exc)) for qid, exc in failures] == [(77, MissingPrecomputation)]
+    assert results[3] is None
+    assert [results[i] for i in (0, 1, 2, 4, 5, 6)] == [
+        selector.select(block[i]) for i in (0, 1, 2, 4, 5, 6)]
+    for jobs in (1, 2):
+        with pytest.raises(BatchSelectionError) as excinfo:
+            selector.select_batch(block, jobs=jobs)
+        assert [qid for qid, _ in excinfo.value.failures] == [77]
+        assert "1 queries failed: query 77" in str(excinfo.value)
 
 
 def test_random_stage2_is_reproducible_and_pool_bound():

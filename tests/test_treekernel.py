@@ -169,7 +169,12 @@ def test_star_tree_products_do_not_wrap():
     star = DepTree(DepNode(1, "r", vocab.add("root"), leaves), 50_001)
     score = tree_kernel_similarity(star, star)
     assert type(score) is float and score == 1.0
-    assert PoolForest([star]).scores(star, np.array([0])).tolist() == [1.0]
+    pool = PoolForest([star])
+    assert pool.scores([star], [np.array([0])]).tolist() == [1.0]
+    # in a block, beside a one-leaf query and a query with no candidates
+    lone = DepTree(DepNode(1, "r", vocab.add("root"), [DepNode(2, "w", vocab.add("b"))]), 2)
+    assert pool.scores([lone, star, star], [np.array([0]), np.array([], np.intp),
+                                            np.array([0, 0])]).tolist() == [0.0, 1.0, 1.0]
 
 
 FOREST_ARRAYS = ("group_start", "group_label", "group_leaves", "kid_start", "kids",
@@ -189,7 +194,7 @@ def test_pool_of_one_forest_shares_its_arrays(tmp_path):
             assert np.shares_memory(getattr(pool.forest, name), getattr(trees[0].forest, name))
         ids = np.arange(len(trees))
         want = [tree_kernel_similarity(trees[5], tree) for tree in trees]
-        assert pool.scores(trees[5], ids).tolist() == want
+        assert pool.scores([trees[5]], [ids]).tolist() == want
     # trees of several forests (here a bundle, one-tree graphs and parsed text) are
     # joined into a new one
     graphs = make_synth_corpus(20, seed=22, max_tokens=12, vocab=loaded.vocab)
@@ -200,4 +205,34 @@ def test_pool_of_one_forest_shares_its_arrays(tmp_path):
         assert not np.shares_memory(getattr(pool.forest, name), getattr(parsed[0].forest, name))
     for query in (parsed[7], graphs[3].tree):
         want = [tree_kernel_similarity(query, tree) for tree in mixed]
-        assert pool.scores(query, np.arange(len(mixed))).tolist() == want
+        assert pool.scores([query], [np.arange(len(mixed))]).tolist() == want
+
+
+def test_block_of_queries_from_several_forests_equals_kernel_per_pair(tmp_path):
+    vocab = LabelVocab()
+    save_bundle(make_synth_corpus(80, seed=31, min_tokens=1, max_tokens=20, vocab=vocab),
+                str(tmp_path / "b"))
+    loaded = load_bundle(str(tmp_path / "b"), vocab)
+    graphs = make_synth_corpus(15, seed=32, min_tokens=1, max_tokens=20, vocab=vocab)
+    parsed = parse_conllu("\n\n".join(tree_to_conllu(ex.tree, vocab)
+                                        for ex in graphs.examples), vocab)
+    pool = PoolForest([ex.tree for ex in loaded.examples])
+    # a bundle's trees, one-tree graphs and parsed text, one query repeated, and a
+    # label the pool never saw; candidates in any order, repeated, or none at all
+    unseen = build_tree(node("root", leaf("unseen"), node("nsubj", leaf("unseen"))), vocab)
+    queries = ([ex.tree for ex in loaded.examples[40:55]] + [ex.tree for ex in graphs.examples]
+               + parsed + [loaded[3].tree, unseen, loaded[3].tree])
+    rng = np.random.default_rng(33)
+    ids = [rng.integers(0, len(loaded), rng.integers(1, 60)) for _ in queries]
+    ids[20] = np.array([], np.intp)
+    assert vocab.labels.index("unseen") >= pool.width
+    got = pool.scores(queries, ids)
+    want = [tree_kernel_similarity(query, loaded[i].tree)
+            for query, each in zip(queries, ids) for i in each.tolist()]
+    assert got.dtype == np.float64 and [s.hex() for s in got.tolist()] == [s.hex() for s in want]
+    # each query's segment is what a block of that query alone gives
+    ends = np.cumsum([len(each) for each in ids])
+    for query, each, end in zip(queries, ids, ends):
+        alone = pool.scores([query], [each])
+        assert alone.tobytes() == got[end - len(each): end].tobytes()
+    assert pool.scores([], []).tolist() == []
