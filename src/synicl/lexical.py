@@ -11,6 +11,11 @@ which a query adds through an index. Zipf-distributed text puts most of a
 query's postings in its few such terms. Adding a column's 0.0 leaves a
 score unchanged, so the scores have the bits of adding postings only.
 
+The BM25 build reads its documents once and holds no Python object per
+token: only the vocabulary, the tokens of the document being read, and two
+int64 buffers, one term id per token and one length per document. The
+numpy arrays that count and weigh the postings come from those buffers.
+
 Embeddings are an external input (any encoder producing one vector per
 sentence). The dense index reads the corpus's float64 embedding matrix in
 place, not copied, and keeps each row's L2 norm and the unit rows rounded
@@ -31,8 +36,9 @@ embeddings it holds about k rows.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,12 +90,25 @@ class Bm25Index:
     postings: Dict[str, Tuple[Union[np.ndarray, slice], np.ndarray]]
 
     @classmethod
-    def build(cls, docs_tokens: List[List[str]]) -> "Bm25Index":
-        if not docs_tokens:
+    def build(cls, docs_tokens: Iterable[Sequence[str]]) -> "Bm25Index":
+        """Index the documents of `docs_tokens`, read once, in order.
+
+        Any iterable of token sequences will do. Besides the vocabulary, the
+        build holds one document's tokens at a time: each token becomes its
+        term id (numbered in order of first occurrence) in one int64 buffer,
+        8 bytes a token, and each document its length in another.
+        """
+        term_ids: Dict[str, int] = {}
+        terms = array("q")
+        doc_lengths = array("q")
+        for doc in docs_tokens:
+            terms.extend([term_ids.setdefault(token, len(term_ids)) for token in doc])
+            doc_lengths.append(len(doc))
+        if not doc_lengths:
             raise EmptyCorpus("cannot index an empty corpus")
-        n = len(docs_tokens)
-        lengths = np.array([len(doc) for doc in docs_tokens], dtype=np.float64)
-        avgdl = float(sum(len(doc) for doc in docs_tokens)) / n
+        n = len(doc_lengths)
+        lengths = np.frombuffer(doc_lengths, dtype=np.int64)
+        avgdl = float(len(terms)) / n
 
         if avgdl > 0:
             k1_norm = K1 * (1.0 - B + B * lengths / avgdl)
@@ -98,10 +117,8 @@ class Bm25Index:
             k1_norm = np.full(n, K1 * (1.0 - B))
         # one (term, doc) key per token occurrence; counting the distinct keys
         # gives every posting, sorted by term and then by doc id
-        term_ids: Dict[str, int] = {}
-        terms = [term_ids.setdefault(token, len(term_ids)) for doc in docs_tokens for token in doc]
-        docs = np.repeat(np.arange(n), lengths.astype(np.intp))
-        keys, tfs = np.unique(np.array(terms, dtype=np.intp) * n + docs, return_counts=True)
+        docs = np.repeat(np.arange(n), lengths)
+        keys, tfs = np.unique(np.frombuffer(terms, dtype=np.int64) * n + docs, return_counts=True)
         ids = keys % n
         bounds = np.searchsorted(keys // n, np.arange(len(term_ids) + 1))
         doc_freq = np.diff(bounds)
@@ -126,8 +143,8 @@ class Bm25Index:
         sparse = np.repeat(~dense, doc_freq)
         ids, weights = ids[sparse], weights[sparse]
         bounds = [0] + np.cumsum(np.where(dense, 0, doc_freq)).tolist()
-        for array in (ids, weights, *columns.values()):
-            array.flags.writeable = False
+        for part in (ids, weights, *columns.values()):
+            part.flags.writeable = False
         postings = {token: (slice(None), columns[t]) if t in columns
                     else (ids[bounds[t]:bounds[t + 1]], weights[bounds[t]:bounds[t + 1]])
                     for token, t in term_ids.items()}
@@ -137,7 +154,7 @@ class Bm25Index:
 
 def build_bm25(corpus: Corpus) -> Bm25Index:
     """Index the tokenized source sentences of `corpus`."""
-    return Bm25Index.build([tokenize(ex.source) for ex in corpus.examples])
+    return Bm25Index.build(tokenize(ex.source) for ex in corpus.examples)
 
 
 def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:

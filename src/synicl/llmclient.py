@@ -136,6 +136,40 @@ def complete(config: EndpointConfig, messages: List[Dict[str, str]]) -> Tuple[st
         raise
 
 
+_REQUIRED = object()
+# each journal field: the types its value may have, and its value when absent
+_JOURNAL_FIELDS = {
+    "query_id": (int, _REQUIRED),
+    "fingerprint": (str, _REQUIRED),
+    "raw_output": (str, ""),
+    "correction": (str, ""),
+    "latency_ms": ((int, float), 0.0),
+    "retry_count": (int, 0),
+    "error": ((str, type(None)), None),
+    "flag": ((str, type(None)), None),
+}
+
+
+def _journal_record(data: object, where: str) -> RunRecord:
+    """The record of one parsed journal line, `where` in errors.
+
+    A missing or mistyped field raises MalformedJournal. A bool is refused
+    where a number is due: JSON `true` would otherwise load as query id 1.
+    """
+    if not isinstance(data, dict):
+        raise MalformedJournal(f"{where}: not a journal record but a JSON {type(data).__name__}")
+    fields = {}
+    for name, (kind, default) in _JOURNAL_FIELDS.items():
+        value = data.get(name, default)
+        if value is _REQUIRED:
+            raise MalformedJournal(f"{where}: not a journal record, no {name!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise MalformedJournal(f"{where}: {name!r} has the wrong type "
+                                   f"({type(value).__name__} {value!r:.80})")
+        fields[name] = value
+    return RunRecord(**fields)
+
+
 def load_journal(path: str) -> Dict[Tuple[int, str], RunRecord]:
     """Read an existing journal; the last record per (query id, fingerprint) wins.
 
@@ -155,19 +189,7 @@ def load_journal(path: str) -> Dict[Tuple[int, str], RunRecord]:
                 if not line.endswith(b"\n"):
                     break
                 raise MalformedJournal(f"{path} line {number}: not JSON ({exc})") from exc
-            try:
-                rec = RunRecord(
-                    query_id=data["query_id"],
-                    fingerprint=data["fingerprint"],
-                    raw_output=data.get("raw_output", ""),
-                    correction=data.get("correction", ""),
-                    latency_ms=data.get("latency_ms", 0.0),
-                    retry_count=data.get("retry_count", 0),
-                    error=data.get("error"),
-                    flag=data.get("flag"),
-                )
-            except (KeyError, TypeError) as exc:
-                raise MalformedJournal(f"{path} line {number}: not a journal record ({exc!r})") from exc
+            rec = _journal_record(data, f"{path} line {number}")
             records[(rec.query_id, rec.fingerprint)] = rec
     return records
 

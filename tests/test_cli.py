@@ -682,14 +682,17 @@ def test_run_bad_journal_line_exits_1(bundles, mock_endpoint, capsys):
           "--stage1", "bm25", "--stage2", "none", "--candidates", "12", "--shots", "1",
           "--out", sel_dir])
     journal = bundles["tmp"] / "journal.jsonl"
-    journal.write_text("{torn\n{}\n", encoding="utf-8")
     server = mock_endpoint(reply_fn=lambda body: "ok")
-    code = main(["run", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
-                 "--selections", os.path.join(sel_dir, "selections.jsonl"),
-                 "--style", "chat", "--base-url", server.base_url, "--model", "mock",
-                 "--journal", str(journal), "--out", str(bundles["tmp"] / "run_j")])
-    assert code == 1
-    assert "journal.jsonl line 1" in capsys.readouterr().err
+    # not JSON; a record whose correction is no string; one whose query id is unhashable
+    for lines in ("{torn\n{}\n", '{"query_id": 0, "fingerprint": "f", "correction": 5}\n',
+                  '{"query_id": [1], "fingerprint": "f"}\n'):
+        journal.write_text(lines, encoding="utf-8")
+        code = main(["run", "--train-bundle", bundles["train"], "--test-bundle", bundles["test"],
+                     "--selections", os.path.join(sel_dir, "selections.jsonl"),
+                     "--style", "chat", "--base-url", server.base_url, "--model", "mock",
+                     "--journal", str(journal), "--out", str(bundles["tmp"] / "run_j")])
+        assert code == 1
+        assert "journal.jsonl line 1" in capsys.readouterr().err
     assert server.requests == []
 
 

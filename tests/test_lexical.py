@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,8 +66,61 @@ def test_tokenize():
 
 
 def test_build_rejects_empty():
-    with pytest.raises(EmptyCorpus):
-        Bm25Index.build([])
+    for docs in ([], iter([]), (tokenize(source) for source in [])):
+        with pytest.raises(EmptyCorpus):
+            Bm25Index.build(docs)
+
+
+def test_corpus_of_empty_documents_builds_and_scores_zero():
+    index = Bm25Index.build([] for _ in range(3))
+    assert index.n_docs == 3 and index.postings == {}
+    assert bm25_scores(index, "a a b").tobytes() == np.zeros(3).tobytes()
+    assert bm25_topk(index, "a", 2) == [(0, 0.0), (1, 0.0)]
+
+
+def test_build_from_a_generator_equals_the_build_from_its_list():
+    rng = random.Random(46)
+    common, rare = ["the", "a", "of"], [f"r{i}" for i in range(40)]
+    docs = [[rng.choice(common) for _ in range(rng.randint(0, 4))]
+            + [rng.choice(rare) for _ in range(rng.randint(0, 5))] for _ in range(300)]
+    from_list = Bm25Index.build(docs)
+    from_generator = Bm25Index.build(tuple(doc) for doc in docs)
+    # terms are numbered in order of first occurrence, and postings keep that order
+    first_seen = list(dict.fromkeys(token for doc in docs for token in doc))
+    assert list(from_generator.postings) == list(from_list.postings) == first_seen
+    dense = 0
+    for term, (ids, weights) in from_list.postings.items():
+        generator_ids, generator_weights = from_generator.postings[term]
+        if isinstance(ids, slice):
+            dense += 1
+            assert generator_ids == ids
+        else:
+            assert generator_ids.dtype == ids.dtype and generator_ids.tobytes() == ids.tobytes()
+        assert generator_weights.dtype == weights.dtype
+        assert generator_weights.tobytes() == weights.tobytes()
+    assert dense >= 1
+    query = "the r1 the oov r1 a"
+    assert bm25_scores(from_generator, query).tobytes() == bm25_scores(from_list, query).tobytes()
+
+
+def test_build_bm25_holds_no_python_object_per_token():
+    # Streaming one document's tokens at a time into an int64 buffer peaked at
+    # ~55 bytes a token here; holding every document's token list and one int
+    # per token at once peaked at ~120.
+    rng = random.Random(47)
+    words = [f"w{i}" for i in range(500)]
+    zipf = [1.0 / (rank + 1) for rank in range(len(words))]
+    sources = [" ".join(rng.choices(words, weights=zipf, k=rng.randint(3, 40)))
+               for _ in range(5000)]
+    corpus = SimpleNamespace(examples=[SimpleNamespace(source=source) for source in sources])
+    n_tokens = sum(len(tokenize(source)) for source in sources)
+    tracemalloc.start()
+    try:
+        build_bm25(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_tokens < 80
 
 
 def test_build_from_corpus():

@@ -276,7 +276,12 @@ def test_run_batch_terminates_a_whole_unterminated_last_record(tmp_path, mock_en
 def test_bad_journal_line_names_path_and_line(tmp_path):
     journal = tmp_path / "journal.jsonl"
     good = json.dumps({"query_id": 0, "fingerprint": "f"})
-    for bad in ("{not json", "[1, 2]", json.dumps({"query_id": 1})):
+    mistyped = [{"query_id": [1]}, {"query_id": True}, {"query_id": 1.0}, {"fingerprint": 7},
+                {"raw_output": None}, {"correction": 5}, {"latency_ms": "3"},
+                {"latency_ms": False}, {"retry_count": 1.5}, {"retry_count": True},
+                {"error": 0}, {"flag": ["x"]}]
+    for bad in ("{not json", "[1, 2]", json.dumps({"query_id": 1}),
+                *(json.dumps({"query_id": 1, "fingerprint": "g", **field}) for field in mistyped)):
         journal.write_text(good + "\n" + bad + "\n" + good + "\n", encoding="utf-8")
         with pytest.raises(MalformedJournal, match=r"journal\.jsonl line 2"):
             load_journal(str(journal))
@@ -284,6 +289,11 @@ def test_bad_journal_line_names_path_and_line(tmp_path):
     journal.write_text(good + "\n" + json.dumps({"query_id": 1, "fingerprint": "g"}),
                        encoding="utf-8")
     assert sorted(load_journal(str(journal))) == [(0, "f"), (1, "g")]
+    # every optional field at a type it may have
+    record = {"query_id": 2, "fingerprint": "h", "raw_output": "r", "correction": "c",
+              "latency_ms": 3, "retry_count": 1, "error": None, "flag": "empty_output"}
+    journal.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert load_journal(str(journal))[(2, "h")] == llmclient.RunRecord(**record)
 
 
 def test_error_records_count_the_retries_made(tmp_path, mock_endpoint):
