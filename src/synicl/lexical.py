@@ -16,6 +16,14 @@ token: only the vocabulary, the tokens of the document being read, and two
 int64 buffers, one term id per token and one length per document. The
 numpy arrays that count and weigh the postings come from those buffers.
 
+Every top k comes from one survivor step: a partition finds the k-th best
+score, every better score survives, and of the scores tied with it as many
+as fit, lower ids first. `top_k` sorts only those k survivors, into
+`(id, score)` pairs ranked as a full sort would rank them; `bm25_topk`
+returns them. `bm25_candidates` returns the same BM25 ids unranked, as an
+ascending int array, for a caller that needs only the set: a stage II that
+scores each candidate on its own and breaks its own ties by the lower id.
+
 Embeddings are an external input (any encoder producing one vector per
 sentence). The dense index reads the corpus's float64 embedding matrix in
 place, not copied, and keeps each row's L2 norm and the unit rows rounded
@@ -173,6 +181,26 @@ def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
     return scores
 
 
+def _survivors(keys: np.ndarray, k: int, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Ascending positions of the k smallest keys; ties at the k-th key go to the lower ids.
+
+    One partition finds the k-th key. Every key below it survives, and of
+    the keys equal to it as many as fit, lower ids first. `ids` defaults to
+    positions, which are already in order. Raises ValueError when k < 1.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= len(keys):
+        return np.arange(len(keys))
+    kth = np.partition(keys, k - 1)[k - 1]
+    keep = keys < kth
+    tied = np.flatnonzero(keys == kth)
+    if ids is not None:
+        tied = tied[np.argsort(ids[tied], kind="stable")]
+    keep[tied[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def top_k(
     scores: Sequence[float], k: int, ids: Optional[Sequence[int]] = None, smallest: bool = False
 ) -> List[Tuple[int, float]]:
@@ -180,27 +208,30 @@ def top_k(
 
     Highest scores come first, or lowest when `smallest` (distances); ties go
     to the lower id. `ids` defaults to positions; scores must not be NaN.
-    Only the k survivors of a partition are sorted.
+    Only the k survivors of `_survivors` are sorted.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    ids = np.arange(len(scores)) if ids is None else np.asarray(ids)
     keys = scores if smallest else -scores
-    if k < len(keys):
-        kth = np.partition(keys, k - 1)[k - 1]
-        better = np.flatnonzero(keys < kth)
-        tied = np.flatnonzero(keys == kth)
-        tied = tied[np.argsort(ids[tied], kind="stable")[: k - len(better)]]
-        keep = np.concatenate((better, tied))
-        keys, ids, scores = keys[keep], ids[keep], scores[keep]
-    order = np.lexsort((ids, keys))[:k]
-    return list(zip(ids[order].tolist(), scores[order].tolist()))
+    ids = None if ids is None else np.asarray(ids)
+    keep = _survivors(keys, k, ids)
+    ids = keep if ids is None else ids[keep]
+    order = np.lexsort((ids, keys[keep]))
+    return list(zip(ids[order].tolist(), scores[keep][order].tolist()))
 
 
 def bm25_topk(index: Bm25Index, query: str, k: int) -> List[Tuple[int, float]]:
     """Top-k documents by BM25 score, descending, ties broken by lower doc id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return top_k(bm25_scores(index, query), k)
+
+
+def bm25_candidates(index: Bm25Index, query: str, k: int) -> np.ndarray:
+    """The doc ids of `bm25_topk(index, query, k)`, ascending, as an int array.
+
+    For a caller that needs only the set: the survivors of one partition,
+    never ranked.
+    """
+    scores = bm25_scores(index, query)
+    return _survivors(np.negative(scores, out=scores), k)
 
 
 @dataclass

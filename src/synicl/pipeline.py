@@ -23,6 +23,13 @@ IEEE operation per step, and a pair with two or more sums them with
 `math.fsum`, so every score has the bits of the per-pair
 `treekernel.tree_kernel_similarity`, whatever the block.
 
+The kernel takes each query's candidates as one int array of ids. It
+scores each candidate on its own and breaks ties by the lower id, so it
+needs only their set, not their stage-I order: BM25 hands over the
+ascending ids of `lexical.bm25_candidates`, never ranked and never turned
+into pairs. The other stage-II methods read the ordered stage-I pool of
+`(id, score)` pairs.
+
 The polynomial stages read the same forest: `treepoly.pool_polynomials`
 expands every pool tree in one level-by-level numpy pass, whose
 polynomials equal `treepoly.tree_to_polynomial`'s array for array, so
@@ -183,6 +190,7 @@ class Selector:
     # -- stage I ------------------------------------------------------------
 
     def _stage1_pool(self, query: Example) -> List[Tuple[int, float]]:
+        """The stage-I candidates as (id, score) pairs, best first."""
         cfg = self.config
         if cfg.stage1 == "none":
             return [(position, 0.0) for position in range(len(self.corpus))]
@@ -193,6 +201,19 @@ class Selector:
         if query.embedding is None:
             raise MissingPrecomputation(f"query {query.id} has no embedding for dense stage I")
         return lexical.dense_topk(self.dense, query.embedding, cfg.candidate_size)
+
+    def _stage1_ids(self, query: Example) -> np.ndarray:
+        """The ids of `_stage1_pool(query)` as an int array, in no promised order.
+
+        For the tree kernel, which needs only their set: BM25 hands over its
+        candidates unranked and ascending, and builds no pairs.
+        """
+        cfg = self.config
+        if cfg.stage1 == "bm25":
+            assert self.bm25 is not None
+            return lexical.bm25_candidates(self.bm25, query.source, cfg.candidate_size)
+        pool = self._stage1_pool(query)
+        return np.fromiter((ex_id for ex_id, _ in pool), np.intp, len(pool))
 
     # -- stage II -----------------------------------------------------------
 
@@ -234,9 +255,15 @@ class Selector:
             distances.append(treepoly.poly_distance(query_poly, poly, self.weights))
         return lexical.top_k(distances, self.config.shots, pool, smallest=True)
 
-    def _select_one(self, query: Example, stage1: List[Tuple[int, float]]) -> SelectionResult:
-        """Stage II of one query, for every method but the tree kernel."""
+    def _select_one(self, query: Example) -> SelectionResult:
+        """Both stages of one query, for every stage II but the tree kernel.
+
+        These read the ordered stage-I pool: `none` keeps its top `shots`,
+        `random` samples from it in score order, and `poly` records its
+        `candidate_poly_budget` fallbacks in pool order.
+        """
         cfg = self.config
+        stage1 = self._stage1_pool(query)
         if cfg.stage2 == "none":
             return SelectionResult(query.id, stage1[: cfg.shots], len(stage1))
         fallbacks: List[Dict[str, object]] = []
@@ -254,10 +281,11 @@ class Selector:
     ) -> Tuple[List[Optional[SelectionResult]], List[Tuple[int, Exception]]]:
         """Each query's result (None where it failed), and (query id, exception) per failure.
 
-        Stage I runs query by query. Tree-kernel queries then wait in a chunk
-        of whole queries, and each chunk takes one `PoolForest.scores` pass
-        over all its candidates, each query's top `shots` picked from its own
-        segment. Every score has the bits of a pass over one query alone.
+        Stage I runs query by query. Tree-kernel queries then wait, each with
+        its candidate id array, in a chunk of whole queries, and each chunk
+        takes one `PoolForest.scores` pass over all its candidates, each
+        query's top `shots` picked from its own segment. Every score has the
+        bits of a pass over one query alone.
         """
         cfg = self.config
         results: List[Optional[SelectionResult]] = [None] * len(queries)
@@ -282,14 +310,13 @@ class Selector:
 
         for position, query in enumerate(queries):
             try:
-                stage1 = self._stage1_pool(query)
                 if cfg.stage2 != "tree_kernel":
-                    results[position] = self._select_one(query, stage1)
+                    results[position] = self._select_one(query)
                     continue
+                ids = self._stage1_ids(query)
             except Exception as exc:  # noqa: BLE001 - aggregated by the caller
                 errors[position] = exc
                 continue
-            ids = np.fromiter((ex_id for ex_id, _ in stage1), np.intp, len(stage1))
             if chunk and chunk_pairs + len(ids) > _BLOCK_ROOT_PAIRS:
                 score_chunk()
                 chunk_pairs = 0

@@ -78,6 +78,16 @@ def test_parse_block_without_edits():
     assert docs[0].annotations == {0: set()}
 
 
+def test_parse_splits_blocks_at_whitespace_only_lines():
+    docs = parse_m2("S a b c\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n \nS d e\n")
+    assert [doc.source_tokens for doc in docs] == [["a", "b", "c"], ["d", "e"]]
+    assert [doc.annotations for doc in docs] == [{0: {Edit(0, 1, "x")}}, {0: set()}]
+    # tabs, several separator lines in a row, CRLF line ends and trailing blank lines
+    spaced = "\n\t \n\n".join(BASIC_M2.strip().split("\n\n")) + "\n \n\t\n"
+    for text in (spaced, BASIC_M2.replace("\n", "\r\n")):
+        assert parse_m2(text) == parse_m2(BASIC_M2)
+
+
 def test_parse_errors():
     with pytest.raises(MalformedBlock):
         parse_m2("A 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n")  # no S line

@@ -12,6 +12,8 @@ from synicl.lexical import (
     DimensionMismatch,
     EmptyCorpus,
     ZeroVector,
+    _survivors,
+    bm25_candidates,
     bm25_scores,
     bm25_topk,
     build_bm25,
@@ -495,3 +497,52 @@ def test_top_k_equals_full_sort():
         # plain Python ints and floats, not numpy scalars, also from list inputs
         pairs = top_k(np.array(scores), k) + top_k(scores, k, ids, smallest=True)
         assert all(type(i) is int and type(s) is float for i, s in pairs)
+
+
+def test_survivors_are_the_top_k_set():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        # integer scores from a small range, so the k-th score is nearly always tied
+        scores = np.array([float(rng.randint(0, 3)) for _ in range(n)])
+        ids = np.array(rng.sample(range(200), n))
+        for k in {1, max(n - 1, 1), n, n + 1, rng.randint(1, n)}:
+            # a full sort is the oracle; the ranked top_k shares the survivor step
+            want = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[:k])
+            assert sorted(i for i, _ in top_k(scores, k)) == want
+            assert _survivors(-scores, k).tolist() == want
+            nearest = sorted(zip(scores.tolist(), ids.tolist()))[:k]
+            assert sorted(ids[_survivors(scores, k, ids)].tolist()) == sorted(i for _, i in nearest)
+
+
+def test_bm25_candidates_are_bm25_topk_ids_ascending():
+    rng = random.Random(41)
+    words = [f"t{i}" for i in range(6)]  # a small vocabulary: many equal scores
+    for _ in range(20):
+        n = rng.randint(2, 80)
+        docs = [[rng.choice(words) for _ in range(rng.randint(0, 6))] for _ in range(n)]
+        if not any(docs):
+            continue
+        index = Bm25Index.build(docs)
+        for _ in range(5):
+            query = " ".join(rng.choice(words + ["oov"]) for _ in range(rng.randint(1, 4)))
+            for k in (1, n - 1, n, n + 5, rng.randint(1, n)):
+                got = bm25_candidates(index, query, k)
+                assert got.dtype == np.intp
+                assert got.tolist() == sorted(i for i, _ in bm25_topk(index, query, k))
+
+
+def test_bm25_candidates_of_an_out_of_vocabulary_query_are_the_first_ids():
+    docs = [tokenize("alpha beta"), tokenize("gamma delta"), tokenize("epsilon"), ["beta"]]
+    index = Bm25Index.build(docs)
+    for k in (1, 2, 3, 4, 9):
+        assert bm25_candidates(index, "zzz qqq", k).tolist() == list(range(min(k, 4)))
+
+
+def test_every_top_k_rejects_k_below_one():
+    index = Bm25Index.build([tokenize("a b"), tokenize("b c")])
+    for k in (0, -1):
+        for call in (lambda: bm25_candidates(index, "b", k), lambda: bm25_topk(index, "b", k),
+                     lambda: top_k([1.0, 2.0, 3.0], k)):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                call()

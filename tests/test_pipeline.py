@@ -234,7 +234,7 @@ def assert_stage2_kernel_scores_bitwise(selectors, queries):
         results = [selector.select(query) for query in queries]
         assert selector.select_batch(queries, jobs=2) == results
         for query, result in zip(queries, results):
-            pool = sorted(ex_id for ex_id, _ in selector._stage1_pool(query))
+            pool = sorted(selector._stage1_ids(query).tolist())
             assert sorted(ex_id for ex_id, _ in result.chosen) == pool
             for ex_id, score in result.chosen:
                 tree = selector.corpus[ex_id].tree
@@ -431,6 +431,36 @@ def test_select_batch_equals_select_in_blocks_of_any_size(tmp_path, monkeypatch,
         for ex_id, score in result.chosen:
             want = treekernel.tree_kernel_similarity(query.tree, train[ex_id].tree)
             assert score.hex() == want.hex()
+
+
+@pytest.mark.parametrize("candidate_size", [1, 59, 60, 100])
+def test_bm25_tree_kernel_reranks_the_set_bm25_topk_ranks(candidate_size):
+    # sources of a few words each from four, so the k-th BM25 score is nearly always
+    # tied: stage II must get the candidates bm25_topk ranks, and score them alone
+    rng = random.Random(74)
+    corpus = make_synth_corpus(60, seed=75, max_tokens=15)
+    queries = make_synth_corpus(50, seed=76, max_tokens=15, vocab=corpus.vocab).examples
+    for ex in corpus.examples + queries:
+        ex.source = " ".join(rng.choice("abcd") for _ in range(rng.randint(1, 4)))
+    shots = min(4, candidate_size)
+    selector = Selector(corpus, SelectionConfig(stage1="bm25", stage2="tree_kernel",
+                                                candidate_size=candidate_size, shots=shots))
+    single = [selector.select(query) for query in queries]
+    for size in (1, 7, 50):
+        batches = [queries[i:i + size] for i in range(0, len(queries), size)]
+        assert [r for batch in batches for r in selector.select_batch(batch)] == single
+    straddled = 0
+    for query, result in zip(queries, single):
+        pool = lexical.bm25_topk(selector.bm25, query.source, candidate_size)
+        scores = lexical.bm25_scores(selector.bm25, query.source)
+        straddled += len(pool) < np.count_nonzero(scores >= pool[-1][1])
+        assert result.stage1_pool_size == len(pool) == min(candidate_size, len(corpus))
+        ranked = sorted(((ex_id, treekernel.tree_kernel_similarity(query.tree, corpus[ex_id].tree))
+                         for ex_id, _ in pool), key=lambda item: (-item[1], item[0]))
+        assert [(ex_id, score.hex()) for ex_id, score in result.chosen] == \
+            [(ex_id, score.hex()) for ex_id, score in ranked[:shots]]
+    # ties at the k-th score cut the pool of many queries, when it cuts the corpus at all
+    assert straddled >= len(queries) // 5 or candidate_size >= len(corpus), straddled
 
 
 def test_a_failing_query_mid_block_fails_alone():
