@@ -6,14 +6,15 @@ against gold edits by exact (start, end, replacement) equality. For each
 sentence the annotator maximizing sentence-level F0.5 is chosen; tp/fp/fn
 are accumulated corpus-wide. This is a comparable, self-contained metric,
 not a byte-exact reimplementation of the official scorers.
+M2 files are split into blocks by `treebank._blocks`, which reads CoNLL-U too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Set
+from typing import Dict, List, NamedTuple, Sequence, Set
 
-from .treebank import InputError, LengthMismatch
+from .treebank import InputError, LengthMismatch, _blocks
 
 
 class MalformedBlock(InputError):
@@ -79,25 +80,6 @@ def parse_m2(text: str) -> List[M2Doc]:
             annotations[0] = set()
         docs.append(M2Doc(source_tokens=source_tokens, annotations=annotations))
     return docs
-
-
-def _blocks(text: str) -> Iterator[List[str]]:
-    """The lines of each block of `text`: runs of lines split at lines whose strip() is empty.
-
-    The text is cut at its empty lines first, so that only one chunk's lines
-    are alive at a time: splitting every line of the text at once raised
-    perfbench's gec-endpoint `peak_rss_mb` by about 1 MB (69.5 to 70.4).
-    """
-    for chunk in text.split("\n\n"):
-        lines: List[str] = []
-        for line in chunk.split("\n"):
-            if line.strip():
-                lines.append(line)
-            elif lines:
-                yield lines
-                lines = []
-        if lines:
-            yield lines
 
 
 def extract_edits(source_tokens: Sequence[str], hypothesis_tokens: Sequence[str]) -> Set[Edit]:

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .treebank import Corpus, DimensionMismatch, InputError
+from .treebank import Corpus, DimensionMismatch, InputError, _segments
 
 # Okapi term-frequency saturation and document-length normalisation
 K1 = 1.2
@@ -125,7 +125,7 @@ class Bm25Index:
             k1_norm = np.full(n, K1 * (1.0 - B))
         # one (term, doc) key per token occurrence; counting the distinct keys
         # gives every posting, sorted by term and then by doc id
-        docs = np.repeat(np.arange(n), lengths)
+        docs = _segments(lengths)
         keys, tfs = np.unique(np.frombuffer(terms, dtype=np.int64) * n + docs, return_counts=True)
         ids = keys % n
         bounds = np.searchsorted(keys // n, np.arange(len(term_ids) + 1))

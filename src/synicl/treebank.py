@@ -27,7 +27,9 @@ token order at once and checks that its indices are 1..n. A bundle is one
 binary file, `examples.npz`, written by `save_bundle`. Both loaders,
 `load_corpus` of text files and `load_bundle` of a bundle, end in
 `_corpus`, the one example check: each source has as many words as its
-tree has tokens.
+tree has tokens. CoNLL-U text and `gecscore`'s M2 files are split into
+blocks by one reader, `_blocks`. Every module addresses segments laid end to
+end, such as a forest's, with `_segments` and `_ranges`.
 The embeddings of a corpus are one read-only float64 matrix,
 `Corpus.embeddings`, which the dense index reads in place.
 """
@@ -35,11 +37,10 @@ The embeddings of a corpus are one read-only float64 matrix,
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,6 +157,19 @@ class Forest:
     def __init__(self) -> None:
         for name, (_, offsets) in _FOREST_ARRAYS.items():
             setattr(self, name, np.zeros(int(offsets), dtype=np.int32))
+
+
+def _segments(counts: np.ndarray) -> np.ndarray:
+    """For segments of `counts` items laid end to end, each item's segment."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges `first[i]` to `first[i] + counts[i] - 1`, laid end to end."""
+    if len(counts) == 1:  # a block of one query: spare `select` the general form's calls
+        return np.arange(first[0], first[0] + counts[0])
+    ends = np.cumsum(counts)  # its last entry is the total: no second pass to sum the counts
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + counts, counts)
 
 
 def join_forests(forests: Sequence[Forest]) -> Forest:
@@ -387,14 +401,14 @@ def _rows_forest(indices: Sequence[int], heads: Sequence[int], label_ids: Sequen
     """
     start = np.array(starts, dtype=np.int64)
     sizes = start[1:] - start[:-1]
-    base = np.repeat(start[:-1], sizes)  # where each row's tree starts
+    tree = _segments(sizes)
     rows = _int64([indices, heads, label_ids])
-    rows = rows[:, np.lexsort((rows[0], base))]  # by tree, then by token index
-    wrong = rows[0] != np.arange(1, len(base) + 1) - base  # not 1..n in its tree
+    rows = rows[:, np.lexsort((rows[0], tree))]  # by tree, then by token index
+    wrong = rows[0] != _ranges(np.ones_like(sizes), sizes)  # not 1..n in its tree
     # count_nonzero, not any/all: a one-tree graph pays every call's overhead
     if np.count_nonzero(wrong) or np.count_nonzero(sizes) < len(sizes):
         bad = sizes < 1
-        bad[np.searchsorted(start, np.flatnonzero(wrong), "right") - 1] = True
+        bad[tree[wrong]] = True
         t = int(np.flatnonzero(bad)[0])
         if not sizes[t]:
             raise MalformedLine(f"sentence {first + t}: empty block")
@@ -418,24 +432,37 @@ def _graph_rows(root: DepNode, sentence_id: int) -> List[Tuple[int, int, int]]:
     return rows
 
 
+def _blocks(text: str) -> Iterator[List[str]]:
+    """The lines of each block of `text`: runs of lines split at lines whose strip() is empty.
+
+    The one blank-line block reader, of CoNLL-U text and of M2 files. The
+    text is cut at its empty lines first, so that only one chunk's lines are
+    alive at a time: splitting every line of the text at once raised
+    perfbench's gec-endpoint `peak_rss_mb` by about 1 MB (69.5 to 70.4).
+    """
+    for chunk in text.split("\n\n"):
+        lines: List[str] = []
+        for line in chunk.split("\n"):
+            if line.strip():
+                lines.append(line)
+            elif lines:
+                yield lines
+                lines = []
+        if lines:
+            yield lines
+
+
 def _conllu_forest(text: str, vocab: LabelVocab) -> Forest:
     """The forest of the dependency blocks of `text`, as `parse_conllu` reads them."""
     indices: List[int] = []
     heads: List[int] = []
     label_ids: List[int] = []
     starts = [0]
-    current: List[str] = []
-    for raw in itertools.chain(text.split("\n"), [""]):  # a blank line ends the last sentence
-        line = raw.rstrip("\r")
-        if line.strip() == "":
-            if current:
-                _block_rows(current, len(starts) - 1, vocab, indices, heads, label_ids)
-                starts.append(len(indices))
-                current = []
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        current.append(line)
+    for block in _blocks(text):
+        lines = [line.rstrip("\r") for line in block if not line.lstrip().startswith("#")]
+        if lines:  # a block of comments only holds no sentence
+            _block_rows(lines, len(starts) - 1, vocab, indices, heads, label_ids)
+            starts.append(len(indices))
     return _rows_forest(indices, heads, label_ids, starts, len(vocab), 0)
 
 
@@ -698,9 +725,9 @@ def _read_bundle(path: str) -> dict:
 
 
 def _lines(arrays: dict, name: str, path: str) -> List[str]:
-    """The lines of the text array `name`, each of which ends in a newline."""
+    """The lines of the text array `name`, taken out of `arrays`; each ends in a newline."""
     try:
-        lines = arrays[name].tobytes().decode("utf-8").split("\n")
+        lines = arrays.pop(name).tobytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedBundle(f"{path}: {name} is not UTF-8 text ({exc})") from exc
     if lines.pop():
@@ -723,7 +750,7 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     """
     n = len(labels)
     sizes = starts[1:] - starts[:-1]
-    tree = np.repeat(np.arange(len(sizes)), sizes)
+    tree = _segments(sizes)
     bad = np.flatnonzero((labels < 0) | (labels >= n_labels))
     if bad.size:
         i = bad[0]
@@ -818,6 +845,8 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     label_names = _lines(arrays, "label_names", path)
     sources, targets = (_lines(arrays, name, path) for name in ("sources", "targets"))
     labels, heads, tree_start = arrays["labels"], arrays["heads"], arrays["tree_start"]
+    embeddings = arrays.get("embeddings")
+    del arrays  # the raw text is decoded, and the tree arrays go once the forest is built
     n_trees = len(tree_start) - 1
     if (n_trees < 0 or tree_start[0] != 0 or tree_start[-1] != len(labels)
             or len(heads) != len(labels)):
@@ -829,7 +858,6 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     for name, lines in (("sources", sources), ("targets", targets)):
         if len(lines) != n_trees:
             raise LengthMismatch(f"{path}: {len(lines)} lines of {name} for {n_trees} trees")
-    embeddings = arrays.get("embeddings")
     if embeddings is not None:
         if embeddings.shape[0] != n_trees or embeddings.shape[1] == 0:
             raise DimensionMismatch(
@@ -839,6 +867,7 @@ def load_bundle(bundle_dir: str, vocab: Optional[LabelVocab] = None) -> Corpus:
     vocab_ids = np.array([vocab.add(name) for name in label_names], dtype=np.int64)
     forest = _forest(labels, len(label_names), heads, tree_start, f"{path} example ", 0,
                      vocab_ids, MalformedBundle)
+    del labels, heads, tree_start, sizes
     return _corpus(forest, vocab, sources, targets, embeddings, f"{path} example ", 0)
 
 

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .treebank import DepTree, Forest, in_one_forest
+from .treebank import DepTree, Forest, _ranges, _segments, in_one_forest
 
 
 def _node_similarity(fa: Forest, a: int, fb: Forest, b: int) -> float:
@@ -95,18 +95,6 @@ def tree_kernel_similarity(t1: DepTree, t2: DepTree) -> float:
     """Kernel score of two trees: the similarity of their root nodes."""
     f1, f2 = t1.forest, t2.forest
     return _node_similarity(f1, f1.roots.item(t1.index), f2, f2.roots.item(t2.index))
-
-
-def _segments(counts: np.ndarray) -> np.ndarray:
-    """For segments of `counts` items laid end to end, each item's segment."""
-    return np.repeat(np.arange(len(counts)), counts)
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges `first[i]` to `first[i] + counts[i] - 1`, laid end to end."""
-    if len(counts) == 1:  # a block of one query: spare `select` the general form's calls
-        return np.arange(first[0], first[0] + counts[0])
-    return np.arange(int(counts.sum())) + np.repeat(first - (np.cumsum(counts) - counts), counts)
 
 
 class PoolForest:
@@ -177,7 +165,7 @@ class PoolForest:
             first = pool.group_start[pb]
             count = pool.group_start[pb + 1] - first
             pair = _segments(count)
-            g = np.arange(len(pair)) + np.repeat(first - (np.cumsum(count) - count), count)
+            g = _ranges(first, count)
             key = qa[pair] * width + pool.group_label[g]
             leaves = np.bincount(pair, q_leaves[key] * pool.group_leaves[g], len(pb))
             levels.append((leaves, q_size[qa] * np.maximum(pool.n_children[pb], 1), parent))
@@ -189,7 +177,7 @@ class PoolForest:
             if not len(m):
                 break
             cross = cross[m]
-            within = np.arange(cross.sum()) - np.repeat(np.cumsum(cross) - cross, cross)
+            within = _ranges(np.zeros_like(cross), cross)
             p_each = np.repeat(p_count[m], cross)
             qa = q_kids[np.repeat(q_first[key[m]], cross) + within // p_each]
             pb = pool.kids[np.repeat(p_first[m], cross) + within % p_each]

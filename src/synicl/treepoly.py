@@ -79,7 +79,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .treebank import DepTree, Forest, LabelVocab, in_one_forest
+from .treebank import DepTree, Forest, LabelVocab, _ranges, _segments, in_one_forest
 
 DEFAULT_TERM_BUDGET = 200_000
 
@@ -128,8 +128,10 @@ class Polynomial:
     coefficient, and a column of zeros. `support` is the (2d+1,) mask of the
     stored entries (the coefficient always among them), and `slot` maps each
     of the 2d+1 entries to its column of `rows`, an absent entry to the zero
-    column, so `rows[:, slot]` is the full row array. A coefficient of 2**62
-    or more raises TermBudgetExceeded. All three arrays are read-only.
+    column, so `rows[:, slot]` is the full row array. Every slot map of a
+    vocab has one dtype, `np.min_scalar_type(2 * d + 1)`, whatever the
+    support. A coefficient of 2**62 or more raises TermBudgetExceeded. All
+    three arrays are read-only.
     """
 
     __slots__ = ("d", "rows", "support", "slot")
@@ -146,7 +148,7 @@ class Polynomial:
         entries = [*columns, 2 * d]
         self.support = np.zeros(2 * d + 1, dtype=bool)
         self.support[entries] = True
-        self.slot = np.full(2 * d + 1, s + 1, dtype=np.min_scalar_type(s + 1))
+        self.slot = np.full(2 * d + 1, s + 1, dtype=np.min_scalar_type(2 * d + 1))
         self.slot[entries] = np.arange(s + 1)
         self.rows.flags.writeable = self.support.flags.writeable = False
         self.slot.flags.writeable = False
@@ -275,13 +277,6 @@ def tree_to_polynomial(
 # the pool pass: every tree of a pool at once, level by level
 # ---------------------------------------------------------------------------
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """start, ..., start + count - 1 of each (start, count), laid end to end."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total, dtype=np.intp) + np.repeat(starts - ends + counts, counts)
-
-
 def _product(a_keys: np.ndarray, a_coef: np.ndarray, a_start: np.ndarray, m: np.ndarray,
              b_keys: np.ndarray, b_coef: np.ndarray, b_start: np.ndarray, n: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -297,7 +292,7 @@ def _product(a_keys: np.ndarray, a_coef: np.ndarray, a_start: np.ndarray, m: np.
     `_POOL_COEFF_LIMIT` (their values are not exact).
     """
     pairs = m * n
-    seg = np.repeat(np.arange(len(pairs)), pairs)
+    seg = _segments(pairs)
     within = _ranges(np.zeros_like(pairs), pairs)
     a_outer = m >= n
     outer, inner = np.divmod(within, np.where(a_outer, n, m)[seg])
@@ -328,7 +323,7 @@ class _Block(NamedTuple):
     """What the pass keeps of a block of trees until the pool's arrays are made."""
 
     support: np.ndarray  # (trees, 2d + 1) bool
-    slot: np.ndarray  # (trees, 2d + 1), the block's narrowest unsigned type
+    slot: np.ndarray  # (trees, 2d + 1), of `Polynomial`'s slot type
     s: np.ndarray  # each tree's support size, the coefficient not counted
     expanded: np.ndarray  # the trees the pass expanded, ascending
     count: np.ndarray  # their term counts
@@ -344,7 +339,7 @@ def _expand_block(forest: Forest, index: np.ndarray, d: int, budget: Optional[in
     first = forest.tree_start[index].astype(np.intp)
     sizes = forest.tree_start[index + 1] - first
     nodes = _ranges(first, sizes)
-    tree = np.repeat(np.arange(n_trees), sizes)  # block-local node id -> tree
+    tree = _segments(sizes)  # block-local node id -> tree
     base = np.cumsum(sizes) - sizes  # each tree's first block-local node
     labels = forest.labels[nodes].astype(np.intp)
     if labels.max() >= d:  # a label past the vocab would land in the next tree's entries
@@ -366,9 +361,9 @@ def _expand_block(forest: Forest, index: np.ndarray, d: int, budget: Optional[in
     support = np.zeros((n_trees, width), dtype=bool)
     support[entry_tree, entry] = True
     support[:, 2 * d] = True
-    slot = np.empty((n_trees, width), dtype=np.min_scalar_type(s.max() + 1))
+    slot = np.empty((n_trees, width), dtype=np.min_scalar_type(width))
     slot[:] = (s + 1)[:, None]
-    slot[entry_tree, entry] = np.arange(len(entry)) - s_start[entry_tree]
+    slot[entry_tree, entry] = _ranges(np.zeros_like(s), s)
     slot[:, 2 * d] = s
 
     # exponents packed in fixed-width fields of uint64 words, each field wide
@@ -453,7 +448,7 @@ def _expand_block(forest: Forest, index: np.ndarray, d: int, budget: Optional[in
         fallback[tree[act[wide]]] = True
         ok[tree[act[wide]]] = False
         # then y: one more to a term equal to it, else a new last term
-        owner = np.repeat(np.arange(len(act)), count)
+        owner = _segments(count)
         y = np.zeros((len(act), n_words), dtype=_KEY)
         y[np.arange(len(act)), word[act]] = bit[act]
         equal = np.flatnonzero((keys == y[owner]).all(axis=1) & internal[act][owner])
@@ -463,7 +458,7 @@ def _expand_block(forest: Forest, index: np.ndarray, d: int, budget: Optional[in
         new_start = np.cumsum(new_count) - new_count
         src_keys = np.zeros((new_count.sum() + 1, n_words), dtype=_KEY)
         src_coef = np.ones(len(src_keys), dtype=np.int64)
-        moved = new_start[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+        moved = _ranges(new_start, count)
         src_keys[moved], src_coef[moved] = keys, coef
         src_keys[(new_start + count)[add]] = y[add]
         if budget is not None:
@@ -522,19 +517,13 @@ def pool_polynomials(
     for array in (buffer, support, slot):
         array.flags.writeable = False
 
-    # a slot map's dtype is the narrowest for its tree, as in `Polynomial`
-    narrowest = slot.dtype == np.min_scalar_type(0)
     d = len(vocab)
     polys: List[Optional[Polynomial]] = [None] * len(trees)
     for t, at, n_terms, s_t in zip(expanded.tolist(), start.tolist(), count.tolist(),
                                    s[expanded].tolist()):
-        tree_slot = slot[t]
-        if not narrowest and tree_slot.dtype != np.min_scalar_type(s_t + 1):
-            tree_slot = tree_slot.astype(np.min_scalar_type(s_t + 1))
-            tree_slot.flags.writeable = False
         polys[t] = Polynomial._view(
             d, buffer[at: at + n_terms * (s_t + 2)].reshape(n_terms, s_t + 2), support[t],
-            tree_slot)
+            slot[t])
     for t in fallback.tolist():
         try:
             polys[t] = tree_to_polynomial(trees[t], vocab, budget)

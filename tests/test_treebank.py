@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from synicl import treebank
+from synicl.gecscore import parse_m2
 from synicl.treebank import (
     CyclicTree,
     DimensionMismatch,
@@ -707,3 +708,69 @@ def test_graph_labels_must_be_label_ids(label):
     child = treebank.DepNode(2, "b", label)
     with pytest.raises(MalformedLine, match="sentence 4: label id .* out of range"):
         treebank.DepTree(treebank.DepNode(1, "a", 0, [child]), 2, 4)
+
+
+@pytest.mark.parametrize("first, counts", [
+    ([], []),  # no ranges
+    ([5], [3]),  # one range: the shortcut
+    ([5], [0]),
+    ([4, 0, 9, 9, 2, 7], [2, 0, 3, 0, 1, 0]),  # zero-length ranges among them
+])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_ranges_and_segments_match_a_python_reference(first, counts, dtype):
+    first, counts = np.array(first, dtype), np.array(counts, dtype)
+    assert treebank._ranges(first, counts).tolist() == [
+        start + i for start, count in zip(first.tolist(), counts.tolist()) for i in range(count)]
+    assert treebank._segments(counts).tolist() == [
+        segment for segment, count in enumerate(counts.tolist()) for _ in range(count)]
+
+
+def test_ranges_address_a_forests_int32_segments():
+    rng = random.Random(31)
+    vocab = LabelVocab()
+    trees = parse_conllu("\n\n".join(
+        tree_to_conllu(build_tree(random_tree_spec(rng, rng.randint(1, 12), "abcd"), vocab), vocab)
+        for _ in range(40)), vocab)
+    f = trees[0].forest
+    assert f.kid_start.dtype == f.tree_start.dtype == np.int32
+    # every segment in order gives the whole array back
+    assert np.array_equal(f.kids[treebank._ranges(f.kid_start[:-1], np.diff(f.kid_start))],
+                          f.kids)
+    t = np.array(rng.sample(range(len(trees)), 15))
+    first, counts = f.tree_start[t], f.tree_start[t + 1] - f.tree_start[t]
+    assert treebank._ranges(first, counts).tolist() == [
+        v for tree in t.tolist() for v in range(f.tree_start[tree], f.tree_start[tree + 1])]
+    assert np.array_equal(treebank._segments(counts), np.repeat(np.arange(len(t)), counts))
+
+
+# sentences of distinct lengths, so that a wrong split shows in the sizes
+BLOCK_SENTENCES = [["a"], ["b", "c"], ["d", "e", "f"], ["g", "h"]]
+
+
+@pytest.mark.parametrize("lead, separator, end, newline, comment_block", [
+    ("", "\n\n", "\n", "\n", False),
+    ("", "\n \t\n", "\n", "\n", False),  # a separator line of spaces and a tab
+    ("", "\n\n", "\n", "\r\n", False),
+    ("", "\n\t\n \n", "\n\n", "\r\n", False),
+    ("", "\n\n", "\n", "\n", True),
+    ("\n \n\n", "\n\n", "\n", "\n", False),  # leading blank lines
+    ("", "\n\n", "", "\n", False),  # no trailing newline
+], ids=["blank", "whitespace", "crlf", "whitespace-crlf", "comment-block", "leading", "no-end"])
+def test_m2_and_conllu_read_the_same_blocks(lead, separator, end, newline, comment_block):
+    def text(blocks):
+        return (lead + separator.join("\n".join(block) for block in blocks) + end).replace(
+            "\n", newline)
+
+    m2 = [[f"S {' '.join(words)}", "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"]
+          for words in BLOCK_SENTENCES]
+    conllu = [[f"# text = {' '.join(words)}"]
+              + [f"{i}\t{word}\t{i - 1}\t{'root' if i == 1 else 'dep'}"
+                 for i, word in enumerate(words, 1)] for words in BLOCK_SENTENCES]
+    if comment_block:  # M2 has no comment lines; CoNLL-U skips a block of them
+        conllu.insert(2, ["# newdoc id = 2", "# a block of comments only"])
+    assert [doc.source_tokens for doc in parse_m2(text(m2))] == BLOCK_SENTENCES
+    vocab = LabelVocab()
+    trees = parse_conllu(text(conllu), vocab)
+    assert [(tree.n_tokens, tree.sentence_id) for tree in trees] == [
+        (len(words), t) for t, words in enumerate(BLOCK_SENTENCES)]
+    assert vocab.labels == ["root", "dep"]  # a line's trailing "\r" is cut

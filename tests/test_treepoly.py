@@ -379,7 +379,7 @@ def test_pool_polynomials_merge_y_and_refuse_like_the_reference(monkeypatch):
     # reference decides, and refuses the second at any budget
     copies = [build_tree(node("r", *[node("a", leaf("b"))] * k), vocab) for k in (65, 66)]
     star = build_tree(node("r", *[leaf("b")] * 70_000), vocab)
-    # 301 support entries need a uint16 slot map; the other trees keep uint8
+    # 300 leaf labels make the vocab's slot maps uint16, every tree's alike
     labelled = build_tree(node("r", *[leaf(f"l{i}") for i in range(300)]), vocab)
     for budget in (treepoly.DEFAULT_TERM_BUDGET, None):
         assert assert_pool_matches([merged, *copies, star, labelled], vocab, budget) == 1
@@ -399,6 +399,19 @@ def test_pool_polynomials_merge_y_and_refuse_like_the_reference(monkeypatch):
     for cap, refused in ((8, 0), (7, 2)):
         monkeypatch.setattr(treepoly, "_HARD_PAIRS_CAP", cap)
         assert assert_pool_matches([tree, merged, times_leaf], vocab, budget=None) == refused
+
+
+@pytest.mark.parametrize("n_labels, dtype", [(127, np.uint8), (128, np.uint16), (130, np.uint16)])
+def test_every_slot_map_of_a_vocab_has_one_dtype(n_labels, dtype):
+    # 2d + 1 entries: 255 fit uint8, 257 do not, whatever a tree's support
+    rng = random.Random(53)
+    vocab = LabelVocab([f"l{i}" for i in range(n_labels)])
+    trees = [build_tree(random_tree_spec(rng, rng.randint(1, 9), vocab.labels[:4]), vocab)
+             for _ in range(50)]
+    trees.append(build_tree(node("l0", *[leaf(label) for label in vocab.labels]), vocab))
+    polys = pool_polynomials(trees, vocab) + [tree_to_polynomial(tree, vocab) for tree in trees]
+    assert {poly.slot.dtype for poly in polys} == {np.dtype(dtype)}
+    assert assert_pool_matches(trees, vocab) == 0
 
 
 def test_pool_polynomials_take_trees_of_several_forests_in_any_block(monkeypatch):
