@@ -21,13 +21,15 @@ is a view (forest, tree index, n_tokens, sentence_id), and
 CoNLL-U text, DepNode graphs and corpus bundles reach their forest through
 one block loop, `_forest`, whose `_block_forest` checks each block of trees
 with numpy (one root, no cycles, heads and label ids in range) and is the
-only writer of child groups. Text and graphs first give their flat (token
-index, head, label id) rows to `_rows_forest`, which sorts every tree into
-token order at once and checks that its indices are 1..n. A bundle is one
-binary file, `examples.npz`, written by `save_bundle`. Both loaders,
-`load_corpus` of text files and `load_bundle` of a bundle, end in
-`_corpus`, the one example check: each source has as many words as its
-tree has tokens. CoNLL-U text and `gecscore`'s M2 files are split into
+only writer of child groups. Each checked block is written straight into the
+forest's final arrays by `_place`, the one rule for shifting ids from one
+forest into another, which `join_forests` follows too. Text and graphs
+first give their flat (token index, head, label id) rows to `_rows_forest`,
+which sorts every tree into token order at once and checks that its indices
+are 1..n. A bundle is one binary file, `examples.npz`, written by
+`save_bundle`. Both loaders, `load_corpus` of text files and `load_bundle`
+of a bundle, end in `_corpus`, the one example check: each source has as
+many words as its tree has tokens. CoNLL-U text and `gecscore`'s M2 files are split into
 blocks by one reader, `_blocks`. Every module addresses segments laid end to
 end, such as a forest's, with `_segments` and `_ranges`.
 The embeddings of a corpus are one read-only float64 matrix,
@@ -128,13 +130,15 @@ class DepNode:
     children: List["DepNode"] = field(default_factory=list)
 
 
-# The int32 arrays of a Forest: name -> (the ids it holds, which `join_forests`
-# shifts: 0 node, 1 group, 2 kid ids, None for plain values; whether it is an
-# offset array, with one entry more than the items it splits).
+# The int32 arrays of a Forest: name -> (the items it has one entry per; the
+# ids it holds, which shift when one forest is written into another, None for
+# plain values; whether it is an offset array, with one entry more than the
+# items it splits). Items and ids are numbered 0 node, 1 group, 2 kid, 3 tree.
 _FOREST_ARRAYS = {
-    "labels": (None, False), "heads": (None, False), "n_children": (None, False),
-    "group_start": (1, True), "group_label": (None, False), "group_leaves": (None, False),
-    "kid_start": (2, True), "kids": (0, False), "tree_start": (0, True), "roots": (0, False),
+    "labels": (0, None, False), "heads": (0, None, False), "n_children": (0, None, False),
+    "group_start": (0, 1, True), "group_label": (1, None, False),
+    "group_leaves": (1, None, False), "kid_start": (1, 2, True), "kids": (2, 0, False),
+    "tree_start": (3, 0, True), "roots": (3, 0, False),
 }
 
 
@@ -155,8 +159,45 @@ class Forest:
     __slots__ = tuple(_FOREST_ARRAYS)
 
     def __init__(self) -> None:
-        for name, (_, offsets) in _FOREST_ARRAYS.items():
+        for name, (_, _, offsets) in _FOREST_ARRAYS.items():
             setattr(self, name, np.zeros(int(offsets), dtype=np.int32))
+
+
+def _counts(forest: Forest) -> List[int]:
+    """The nodes, groups, kids and trees of `forest`, numbered as in `_FOREST_ARRAYS`."""
+    return [len(forest.labels), len(forest.group_label), len(forest.kids), len(forest.roots)]
+
+
+def _sized_forest(counts: Sequence[int]) -> Forest:
+    """A forest whose arrays have room for `counts` items of each kind, to be filled by `_place`.
+
+    Only the offset arrays' first entries, 0, are set.
+    """
+    if counts[0] >= 2 ** 31:
+        raise TreebankError(f"{counts[0]} nodes are too many for one forest's int32 ids")
+    forest = Forest()
+    for name, (items, _, offsets) in _FOREST_ARRAYS.items():
+        array = np.empty(counts[items] + offsets, dtype=np.int32)
+        if offsets:
+            array[0] = 0
+        setattr(forest, name, array)
+    return forest
+
+
+def _place(forest: Forest, part: Forest, at: Sequence[int]) -> List[int]:
+    """Write the arrays of `part` into `forest`'s from item `at[kind]` of each kind on.
+
+    Each id is shifted by `at` of its kind, and each value cast to int32. An
+    offset array is written whole: its last entry is the next part's first,
+    or the forest's total. Returns where the next part goes.
+    """
+    for name, (items, ids, _) in _FOREST_ARRAYS.items():
+        values = getattr(part, name)
+        out = getattr(forest, name)[at[items]:at[items] + len(values)]
+        out[...] = values  # a cast by assignment: np.add's casting `out=` took twice as long
+        if ids is not None:
+            out += at[ids]
+    return [start + count for start, count in zip(at, _counts(part))]
 
 
 def _segments(counts: np.ndarray) -> np.ndarray:
@@ -180,19 +221,10 @@ def join_forests(forests: Sequence[Forest]) -> Forest:
     forests = list(forests) or [Forest()]
     if len(forests) == 1:
         return forests[0]
-    sizes = [[0, 0, 0]] + [[len(f.labels), len(f.group_label), len(f.kids)] for f in forests]
-    starts = np.cumsum(sizes, axis=0)  # where each forest's node, group and kid ids start
-    if starts[-1, 0] >= 2 ** 31:
-        raise TreebankError(f"{starts[-1, 0]} nodes are too many for one forest's int32 ids")
-    joined = Forest()
-    for name, (by, offsets) in _FOREST_ARRAYS.items():
-        # an offset array drops each forest's last entry and ends with the total instead
-        parts = [getattr(f, name)[:len(getattr(f, name)) - offsets] for f in forests]
-        if by is not None:
-            parts = [part + start for part, start in zip(parts, starts[:, by].tolist())]
-        if offsets:
-            parts.append(starts[-1:, by])
-        setattr(joined, name, np.concatenate(parts).astype(np.int32))
+    joined = _sized_forest(np.sum([_counts(f) for f in forests], axis=0).tolist())
+    at = [0, 0, 0, 0]
+    for forest in forests:
+        at = _place(joined, forest, at)
     return joined
 
 
@@ -746,7 +778,9 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     lie in 0..n_labels - 1 (else `label_error`); they are vocab ids, or
     indices into `label_ids`, the vocab id of each. Heads are token indices
     within the tree, 0 at the root. This is the one writer of a forest's
-    child groups.
+    child groups. The block forest's arrays keep the integer dtype they were
+    computed in; `_place` casts them to int32 as it writes them into
+    `_forest`'s arrays.
     """
     n = len(labels)
     sizes = starts[1:] - starts[:-1]
@@ -782,6 +816,7 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     if unreached.any():
         t = np.flatnonzero(unreached)[0]
         raise CyclicTree(f"{where}{first + t}: {unreached[t]} tokens unreachable from root")
+    del tree, base, up  # freed before the grouping below makes its temporaries
 
     # children grouped by (head, label, token): each node's groups in label
     # order, a group's children in token order (a stable sort of the tokens)
@@ -804,7 +839,7 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
         ("kid_start", _offsets(np.bincount(group[internal], minlength=n_groups))),
         ("kids", child[internal]), ("tree_start", starts), ("roots", node[is_root]),
     ):
-        setattr(block, name, values.astype(np.int32))
+        setattr(block, name, values)
     return block
 
 
@@ -814,17 +849,27 @@ def _forest(labels: np.ndarray, n_labels: int, heads: np.ndarray, starts: np.nda
     """The forest of trees given as flat arrays, checked and built by `_block_forest`.
 
     The arguments are those of `_block_forest`, for all trees. Each block
-    takes its heads as int64 of its own, and the blocks are joined once.
+    takes its heads as int64 of its own and is written into the forest's
+    arrays as soon as it is checked, so at most one block forest is alive
+    beside them. The node and tree arrays are sized from `starts`; the group
+    and kid arrays get room for every node that is not a root, the most
+    there can be, and are cut to their counts in place at the end.
     """
     n_trees = len(starts) - 1
-    blocks = []
+    n_nodes = int(starts[-1])
+    non_root = max(n_nodes - n_trees, 0)
+    forest = _sized_forest([n_nodes, non_root, non_root, n_trees])
+    at = [0, 0, 0, 0]
     for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
         t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)
         a, b = starts[t0], starts[t1]
         block_heads = heads[a:b].astype(np.int64, copy=False)
-        blocks.append(_block_forest(labels[a:b], n_labels, block_heads, starts[t0:t1 + 1] - a,
-                                    where, first + t0, label_ids, label_error))
-    return join_forests(blocks)
+        at = _place(forest, _block_forest(labels[a:b], n_labels, block_heads,
+                                          starts[t0:t1 + 1] - a, where, first + t0,
+                                          label_ids, label_error), at)
+    for name, (items, _, offsets) in _FOREST_ARRAYS.items():
+        getattr(forest, name).resize(at[items] + offsets, refcheck=False)  # no view of it exists
+    return forest
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

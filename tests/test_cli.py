@@ -147,7 +147,7 @@ def test_input_errors_share_one_base_class():
     exit_1 = [treebank.TreebankError, pipeline.InvalidConfig, pipeline.MissingPrecomputation,
               pipeline.MalformedSelection, gecscore.MalformedBlock, gecscore.LengthMismatch,
               lexical.EmptyCorpus, lexical.DimensionMismatch, lexical.ZeroVector,
-              prompt.TagCollision, llmclient.MalformedJournal]
+              lexical.UntokenizedDocument, prompt.TagCollision, llmclient.MalformedJournal]
     assert [cls for cls in exit_1 if not issubclass(cls, treebank.InputError)] == []
     assert lexical.DimensionMismatch is treebank.DimensionMismatch
     assert gecscore.LengthMismatch is treebank.LengthMismatch

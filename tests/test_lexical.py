@@ -11,6 +11,7 @@ from synicl.lexical import (
     DenseIndex,
     DimensionMismatch,
     EmptyCorpus,
+    UntokenizedDocument,
     ZeroVector,
     _survivors,
     bm25_candidates,
@@ -105,10 +106,19 @@ def test_build_from_a_generator_equals_the_build_from_its_list():
     assert bm25_scores(from_generator, query).tobytes() == bm25_scores(from_list, query).tobytes()
 
 
+def test_build_rejects_a_str_document():
+    # a str is a sequence too: indexed as it is, its characters would be its terms
+    for docs, where in ((["no smoking", "i like cats"], "document 0"),
+                        (iter([["no", "smoking"], "i like cats"]), "document 1")):
+        with pytest.raises(UntokenizedDocument, match=f"^{where} is a str"):
+            Bm25Index.build(docs)
+
+
 def test_build_bm25_holds_no_python_object_per_token():
-    # Streaming one document's tokens at a time into an int64 buffer peaked at
-    # ~55 bytes a token here; holding every document's token list and one int
-    # per token at once peaked at ~120.
+    # Sorting the (term, doc) keys in place in the term buffer and freeing each
+    # temporary before the next peaked at ~23 bytes a token here; np.unique's
+    # copies and every posting-sized temporary alive at once at ~55; holding
+    # every document's token list and one int per token at once at ~120.
     rng = random.Random(47)
     words = [f"w{i}" for i in range(500)]
     zipf = [1.0 / (rank + 1) for rank in range(len(words))]
@@ -122,7 +132,7 @@ def test_build_bm25_holds_no_python_object_per_token():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n_tokens < 80
+    assert peak / n_tokens < 40
 
 
 def test_build_from_corpus():
@@ -218,6 +228,14 @@ def test_bm25_posting_weights_equal_per_query_formula():
         docs = [[rng.choice(words) for _ in range(rng.randint(1, 20))]
                 for _ in range(rng.randint(20, 400))]
         index = Bm25Index.build(docs)
+        # each term's postings: int64 doc ids and the per-query weights, byte for byte
+        for term, (ids, weights) in index.postings.items():
+            want = per_query_bm25_scores(docs, [term])  # 0.0 + w == w, and every w > 0
+            if isinstance(ids, slice):
+                assert weights.tobytes() == want.tobytes()
+            else:
+                assert ids.dtype == np.int64 and ids.tolist() == np.flatnonzero(want).tolist()
+                assert weights.tobytes() == want[ids].tobytes()
         for _ in range(30):
             query = [rng.choice(words[:8] + ["oov"]) for _ in range(rng.randint(1, 8))]
             query += query[: rng.randint(0, len(query))]  # repeated tokens count again

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -667,6 +668,50 @@ def test_loaded_forest_equals_parsed_forest(tmp_path):
         forest = treebank.DepTree(root, len(rows)).forest
         reference = reference_forest([tree_columns], vocab)
         assert forest_lists(forest) == reference
+
+
+@pytest.mark.parametrize("n_trees", [0, 2, 3, 14, 15, 2048, 2049])
+def test_block_size_does_not_change_the_forest(tmp_path, monkeypatch, n_trees):
+    # each count is a multiple of one of the block sizes below (1, 7 and the
+    # default), or one more than that, so a last block is full or holds one tree
+    assert treebank._LOAD_BLOCK_TREES == 2048
+    rng = random.Random(n_trees)
+    trees = [random_rows(rng, rng.randint(1, 12)) for _ in range(n_trees)]
+    bundle = write_arrays(tmp_path / "bundle", bundle_arrays(trees))
+    forests = []
+    build_corpus = treebank._corpus
+
+    def keep_forest(forest, *args):  # an empty corpus has no tree to reach its forest by
+        forests.append(forest)
+        return build_corpus(forest, *args)
+
+    monkeypatch.setattr(treebank, "_corpus", keep_forest)
+    for block_trees in (1, 7, 2048):
+        monkeypatch.setattr(treebank, "_LOAD_BLOCK_TREES", block_trees)
+        corpus = load_bundle(bundle)
+        assert len(corpus) == n_trees
+    columns = [([row[3] for row in rows], [row[2] for row in rows]) for rows in trees]
+    expected = reference_forest(columns, corpus.vocab)
+    assert [forest_lists(forest) for forest in forests] == [expected] * 3
+
+
+def test_load_bundle_peaks_near_the_memory_it_keeps(tmp_path, monkeypatch):
+    # Writing each block into the forest's arrays as it is checked keeps one
+    # block forest beside them (peak 1.1-1.2 times what the load keeps, here);
+    # keeping every block forest until one joined copy was made peaked at
+    # 1.6-1.7 times. Small blocks, so that many of them are alive at once.
+    monkeypatch.setattr(treebank, "_LOAD_BLOCK_TREES", 100)
+    rng = random.Random(48)
+    trees = [random_rows(rng, rng.randint(1, 40)) for _ in range(3000)]
+    bundle = write_arrays(tmp_path / "bundle", bundle_arrays(trees))
+    tracemalloc.start()
+    try:
+        corpus = load_bundle(bundle)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 3000
+    assert peak / kept < 1.35
 
 
 def one_token_corpus(n, **fields):
