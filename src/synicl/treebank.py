@@ -7,16 +7,20 @@ label vocabulary so that downstream similarity code works on small ints.
 
 A tree is what selection reads of it: its labels and heads, and the child
 groups derived from them. A token's form is not kept: an example's words
-are its `source`. Every tree of a corpus lives in one `Forest` of flat int32
-arrays, with no Python object per token, so a loaded pool of hundreds of
-thousands of tokens gives the cyclic garbage collector and the allocator a
-few objects per sentence, not two per token. Per node the forest keeps the
-label, the head, the child count and where its child groups start; per
-child group (the children of one label, the groups of a node in label
+are its `source`. Every tree of a corpus lives in one `Forest` of flat
+integer arrays, with no Python object per token, so a loaded pool of
+hundreds of thousands of tokens gives the cyclic garbage collector and the
+allocator a few objects per sentence, not two per token. Per node the forest
+keeps the label, the head, the child count and where its child groups start;
+per child group (the children of one label, the groups of a node in label
 order) the label, the number of leaves and the ids of the internal
-children, which is the shape the tree kernel merge-joins over. A `DepTree`
-is a view (forest, tree index, n_tokens, sentence_id), and
-`DepTree(root=DepNode…)` turns a hand-built graph into a one-tree forest.
+children, which is the shape the tree kernel merge-joins over. Ids and
+offsets are int32; each value array (labels, heads and counts) takes the
+narrowest signed dtype, int8, int16 or int32, that holds the largest label
+id or the longest tree of its input, so a pool of short sentences keeps one
+byte per value. A `DepTree` is a view (forest, tree index, n_tokens,
+sentence_id), and `DepTree(root=DepNode…)` turns a hand-built graph into a
+one-tree forest.
 
 CoNLL-U text, DepNode graphs and corpus bundles reach their forest through
 one block loop, `_forest`, whose `_block_forest` checks each block of trees
@@ -130,10 +134,14 @@ class DepNode:
     children: List["DepNode"] = field(default_factory=list)
 
 
-# The int32 arrays of a Forest: name -> (the items it has one entry per; the
-# ids it holds, which shift when one forest is written into another, None for
-# plain values; whether it is an offset array, with one entry more than the
-# items it splits). Items and ids are numbered 0 node, 1 group, 2 kid, 3 tree.
+# The arrays of a Forest: name -> (the items it has one entry per; the ids it
+# holds, which shift when one forest is written into another, None for plain
+# values; whether it is an offset array, with one entry more than the items it
+# splits). Items and ids are numbered 0 node, 1 group, 2 kid, 3 tree. Id and
+# offset arrays are int32; a value array (no ids) takes the narrowest signed
+# dtype that holds the largest label id (labels, group_label) or the longest
+# tree (the others), signed so that a difference does not wrap and
+# `max(initial=-1)` holds.
 _FOREST_ARRAYS = {
     "labels": (0, None, False), "heads": (0, None, False), "n_children": (0, None, False),
     "group_start": (0, 1, True), "group_label": (1, None, False),
@@ -143,7 +151,7 @@ _FOREST_ARRAYS = {
 
 
 class Forest:
-    """Every tree of a corpus in flat int32 arrays, with no object per token.
+    """Every tree of a corpus in flat integer arrays, with no object per token.
 
     Node ids are positions in the per-node arrays; the nodes of tree t are
     `tree_start[t]` to `tree_start[t + 1] - 1`, in token order, and its root
@@ -154,13 +162,20 @@ class Forest:
     `group_leaves` (how many of them are leaves) and the node ids of the
     others, `kids[kid_start[g]:kid_start[g + 1]]`. A new Forest holds no
     tree.
+
+    The id and offset arrays are int32. The value arrays take the narrowest
+    signed dtype of int8, int16 and int32 that holds what bounds them: the
+    largest label id of the input for `labels` and `group_label`, the
+    longest tree's token count for `heads`, `n_children` and
+    `group_leaves`. A forest joined from others takes, per array, the
+    widest of its parts' dtypes (int8 in a new Forest).
     """
 
     __slots__ = tuple(_FOREST_ARRAYS)
 
     def __init__(self) -> None:
-        for name, (_, _, offsets) in _FOREST_ARRAYS.items():
-            setattr(self, name, np.zeros(int(offsets), dtype=np.int32))
+        for name, (_, ids, offsets) in _FOREST_ARRAYS.items():
+            setattr(self, name, np.zeros(int(offsets), dtype=np.int8 if ids is None else np.int32))
 
 
 def _counts(forest: Forest) -> List[int]:
@@ -168,16 +183,23 @@ def _counts(forest: Forest) -> List[int]:
     return [len(forest.labels), len(forest.group_label), len(forest.kids), len(forest.roots)]
 
 
-def _sized_forest(counts: Sequence[int]) -> Forest:
+def _value_dtype(largest: int) -> np.dtype:
+    """The narrowest signed dtype of int8, int16 and int32 that holds 0 to `largest` (< 2**31)."""
+    return np.min_scalar_type(-1 - max(largest, 0))
+
+
+def _sized_forest(counts: Sequence[int], dtypes: Dict[str, np.dtype]) -> Forest:
     """A forest whose arrays have room for `counts` items of each kind, to be filled by `_place`.
 
-    Only the offset arrays' first entries, 0, are set.
+    `dtypes` maps each value array's name to its dtype. Only the offset
+    arrays' first entries, 0, are set.
     """
     if counts[0] >= 2 ** 31:
         raise TreebankError(f"{counts[0]} nodes are too many for one forest's int32 ids")
     forest = Forest()
-    for name, (items, _, offsets) in _FOREST_ARRAYS.items():
-        array = np.empty(counts[items] + offsets, dtype=np.int32)
+    for name, (items, ids, offsets) in _FOREST_ARRAYS.items():
+        dtype = np.int32 if ids is not None else dtypes[name]
+        array = np.empty(counts[items] + offsets, dtype=dtype)
         if offsets:
             array[0] = 0
         setattr(forest, name, array)
@@ -187,9 +209,10 @@ def _sized_forest(counts: Sequence[int]) -> Forest:
 def _place(forest: Forest, part: Forest, at: Sequence[int]) -> List[int]:
     """Write the arrays of `part` into `forest`'s from item `at[kind]` of each kind on.
 
-    Each id is shifted by `at` of its kind, and each value cast to int32. An
-    offset array is written whole: its last entry is the next part's first,
-    or the forest's total. Returns where the next part goes.
+    Each id is shifted by `at` of its kind, and each value cast to the dtype
+    of `forest`'s array, which must hold it. An offset array is written
+    whole: its last entry is the next part's first, or the forest's total.
+    Returns where the next part goes.
     """
     for name, (items, ids, _) in _FOREST_ARRAYS.items():
         values = getattr(part, name)
@@ -216,12 +239,15 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def join_forests(forests: Sequence[Forest]) -> Forest:
     """One forest of the trees of `forests` in order, their ids shifted past the forests before.
 
-    A single forest is returned as it is, not copied.
+    A single forest is returned as it is, not copied. Each value array takes
+    the widest of its parts' dtypes.
     """
     forests = list(forests) or [Forest()]
     if len(forests) == 1:
         return forests[0]
-    joined = _sized_forest(np.sum([_counts(f) for f in forests], axis=0).tolist())
+    dtypes = {name: np.result_type(*{getattr(f, name).dtype for f in forests})
+              for name, (_, ids, _) in _FOREST_ARRAYS.items() if ids is None}
+    joined = _sized_forest(np.sum([_counts(f) for f in forests], axis=0).tolist(), dtypes)
     at = [0, 0, 0, 0]
     for forest in forests:
         at = _place(joined, forest, at)
@@ -292,7 +318,7 @@ def in_one_forest(trees: Sequence[DepTree]) -> List[DepTree]:
                           tree.sentence_id) for tree in trees]
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     """A parallel (erroneous, corrected) sentence pair with its source tree.
 
@@ -672,7 +698,8 @@ def save_bundle(corpus: Corpus, out_dir: str) -> None:
     examples, embeddings = corpus.examples, corpus.embeddings
     if embeddings is not None:
         _check_finite(embeddings, MalformedBundle, "example ", 0)
-    # each tree's labels and heads, sliced from its forest's int32 arrays
+    # each tree's labels and heads, sliced from its forest's arrays (int8, int16 or
+    # int32) and concatenated onto int32, the bundle's dtype whatever the forests'
     label_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
     head_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int32)]
     for position, ex in enumerate(examples):
@@ -779,8 +806,8 @@ def _block_forest(labels: np.ndarray, n_labels: int, heads: np.ndarray,
     indices into `label_ids`, the vocab id of each. Heads are token indices
     within the tree, 0 at the root. This is the one writer of a forest's
     child groups. The block forest's arrays keep the integer dtype they were
-    computed in; `_place` casts them to int32 as it writes them into
-    `_forest`'s arrays.
+    computed in; `_place` casts them to the dtypes of `_forest`'s arrays as
+    it writes them there.
     """
     n = len(labels)
     sizes = starts[1:] - starts[:-1]
@@ -853,12 +880,22 @@ def _forest(labels: np.ndarray, n_labels: int, heads: np.ndarray, starts: np.nda
     arrays as soon as it is checked, so at most one block forest is alive
     beside them. The node and tree arrays are sized from `starts`; the group
     and kid arrays get room for every node that is not a root, the most
-    there can be, and are cut to their counts in place at the end.
+    there can be, and are cut to their counts in place at the end. The value
+    arrays' dtypes are set before the first block from the largest label id,
+    that of `label_ids` or else of `labels`, and the longest tree.
     """
     n_trees = len(starts) - 1
     n_nodes = int(starts[-1])
     non_root = max(n_nodes - n_trees, 0)
-    forest = _sized_forest([n_nodes, non_root, non_root, n_trees])
+    if label_ids is None:  # an id past n_labels fails the check: the cap keeps int64 out
+        largest = min(int(labels.max(initial=0)), n_labels - 1)
+    else:
+        largest = int(label_ids.max(initial=0))
+    label_type = _value_dtype(largest)
+    size_type = _value_dtype(int((starts[1:] - starts[:-1]).max(initial=0)))
+    forest = _sized_forest([n_nodes, non_root, non_root, n_trees], {
+        "labels": label_type, "group_label": label_type,
+        "heads": size_type, "n_children": size_type, "group_leaves": size_type})
     at = [0, 0, 0, 0]
     for t0 in range(0, n_trees, _LOAD_BLOCK_TREES):
         t1 = min(t0 + _LOAD_BLOCK_TREES, n_trees)

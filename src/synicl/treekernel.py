@@ -6,13 +6,16 @@ and the accumulated sum is normalized by the product of the child counts
 (taken as 1 when a node has no children). Only children are compared; the
 labels of the two root nodes themselves never participate.
 
-Both trees are read from the int32 arrays of their `treebank.Forest`s,
-where each node's children are grouped by label and the groups sorted by
-label. `tree_kernel_similarity` scores one pair: it merge-joins the two
-nodes' group lists, where a label present on both sides adds its leaf count
-times the other's, and one recursion per pair of its internal children.
-It reads single values as Python ints (`ndarray.item`) and slices only
-the internal kids it crosses, so no product wraps. Contributions are
+Both trees are read from the arrays of their `treebank.Forest`s, where
+each node's children are grouped by label and the groups sorted by label.
+Ids and offsets are int32; labels, child counts and leaf counts are int8,
+int16 or int32, the narrowest signed dtype that holds their input's largest
+label id or longest tree, so no product is taken in the forest's dtypes.
+`tree_kernel_similarity` scores one pair: it merge-joins the two nodes'
+group lists, where a label present on both sides adds its leaf count times
+the other's, and one recursion per pair of its internal children. It reads
+single values as Python ints (`ndarray.item`) and slices only the internal
+kids it crosses, so no product wraps. Contributions are
 added with exact summation (`fsum`, leaf matches as one integer), so each
 score is the correctly rounded sum whatever the order: the same bits as
 comparing every pair of children one by one, and exactly symmetric. It is
@@ -38,7 +41,7 @@ so it has the same bits in any block.
 The pass gives `tree_kernel_similarity`'s bits for every pair:
 
 - `leaves` is a sum of integer products and `size` a product of two child
-  counts (taken in float64 and int64, not in the forest's int32), all
+  counts (taken in float64 and int64, not in the forest's int8 to int32), all
   below 2**53 (for nodes of fewer than 2**26 children), so both are exact
   in float64 whatever the order of summation;
 - with no nested value the score is one IEEE division of exact operands,

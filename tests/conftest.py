@@ -9,7 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from synicl import treepoly
 from synicl.treebank import Corpus, DepNode, DepTree, Example, Forest, LabelVocab
+from synicl.treepoly import TermBudgetExceeded, pool_polynomials, tree_to_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +96,60 @@ def reference_forest(trees, vocab):
     return f
 
 
+def narrowest_signed(largest):
+    """The narrowest of int8, int16 and int32 that holds 0 to `largest`."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32) if largest <= np.iinfo(t).max)
+
+
+def forest_dtypes(forest):
+    """The dtype of each of `forest`'s arrays, by the documented rule.
+
+    Ids and offsets are int32; labels and group_label take the narrowest
+    signed dtype that holds the largest label, and heads, n_children and
+    group_leaves the one that holds the longest tree's token count.
+    """
+    label = narrowest_signed(int(forest.labels.max(initial=0)))
+    size = narrowest_signed(int(np.diff(forest.tree_start).max(initial=0)))
+    dtypes = dict.fromkeys(Forest.__slots__, np.dtype(np.int32))
+    dtypes.update(labels=label, group_label=label, heads=size, n_children=size, group_leaves=size)
+    return dtypes
+
+
 def forest_lists(forest):
-    """A `Forest` as `reference_forest` gives it: each int32 array as a list."""
+    """A `Forest` as `reference_forest` gives it: each array, in its documented dtype, as a list."""
     lists = {}
-    for name in Forest.__slots__:
+    for name, dtype in forest_dtypes(forest).items():
         values = getattr(forest, name)
-        assert values.dtype == np.int32 and values.ndim == 1, name
+        assert values.dtype == dtype and values.ndim == 1, name
         lists[name] = values.tolist()
     return lists
+
+
+def assert_pool_matches(trees, vocab, budget=treepoly.DEFAULT_TERM_BUDGET):
+    """`pool_polynomials` equals `tree_to_polynomial` tree by tree; returns the refused count.
+
+    Rows in values, dtype and C order, support and slot in values and
+    dtypes, all three read-only, and None exactly where the reference raises.
+    """
+    pooled = pool_polynomials(trees, vocab, budget)
+    assert len(pooled) == len(trees)
+    refused = 0
+    for tree, poly in zip(trees, pooled):
+        try:
+            want = tree_to_polynomial(tree, vocab, budget)
+        except TermBudgetExceeded:
+            assert poly is None
+            refused += 1
+            continue
+        assert poly is not None and poly.d == want.d
+        assert poly.rows.dtype == want.rows.dtype == np.int64
+        assert poly.rows.shape == want.rows.shape and np.array_equal(poly.rows, want.rows)
+        assert poly.rows.flags.c_contiguous
+        assert np.array_equal(poly.support, want.support) and poly.support.dtype == bool
+        assert poly.slot.dtype == want.slot.dtype and np.array_equal(poly.slot, want.slot)
+        for array in (poly.rows, poly.support, poly.slot):
+            assert not array.flags.writeable
+    return refused
 
 
 def leaf(label):

@@ -7,6 +7,7 @@ import pytest
 
 from synicl import treebank
 from synicl.gecscore import parse_m2
+from synicl.treekernel import PoolForest, tree_kernel_similarity
 from synicl.treebank import (
     CyclicTree,
     DimensionMismatch,
@@ -22,8 +23,8 @@ from synicl.treebank import (
     save_bundle,
 )
 
-from conftest import (build_tree, forest_lists, graph, make_synth_corpus, random_tree_spec,
-                      reference_forest, tree_to_conllu)
+from conftest import (assert_pool_matches, build_tree, forest_lists, graph, leaf,
+                      make_synth_corpus, node, random_tree_spec, reference_forest, tree_to_conllu)
 
 
 def iter_nodes(tree):
@@ -712,6 +713,133 @@ def test_load_bundle_peaks_near_the_memory_it_keeps(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(corpus) == 3000
     assert peak / kept < 1.35
+
+
+# ---------------------------------------------------------------------------
+# the value arrays' dtypes
+# ---------------------------------------------------------------------------
+
+VALUE_ARRAYS = ("labels", "heads", "n_children", "group_label", "group_leaves")
+# labels a-d first, so that trees of those keep int8 labels beside trees of l0-l129
+DTYPE_LABELS = list("abcd") + [f"l{i}" for i in range(130)]
+
+
+def chain_spec(label, n):
+    """The spec of n nodes of `label`, each the only child of the one before."""
+    spec = leaf(label)
+    for _ in range(n - 1):
+        spec = node(label, spec)
+    return spec
+
+
+def dtype_case(case, vocab, rng):
+    """Specs of trees whose forest takes narrow or wide value arrays, by `case`.
+
+    "short": trees of 1-12 tokens and labels a-d, all int8. "long": one tree
+    of 151 tokens, whose root has 131 children, among short ones: heads and
+    counts int16. "labels": labels up to l129, vocab id 133: labels int16.
+    """
+    labels = DTYPE_LABELS[4:] if case == "labels" else DTYPE_LABELS[:4]
+    specs = [random_tree_spec(rng, rng.randint(1, 12), labels) for _ in range(20)]
+    if case == "long":
+        specs.insert(3, node("a", *[leaf("ab"[i % 2]) for i in range(130)], chain_spec("c", 20)))
+    if case == "labels":
+        specs.append(node("l129", leaf("l128"), node("l127", leaf("l0"))))
+    return specs
+
+
+def conllu_trees(specs, vocab):
+    """The trees of `specs`, parsed from one CoNLL-U text into one forest."""
+    return parse_conllu("\n\n".join(tree_to_conllu(build_tree(spec, vocab), vocab)
+                                     for spec in specs), vocab)
+
+
+def value_dtypes(forest):
+    return {name: getattr(forest, name).dtype.name for name in VALUE_ARRAYS}
+
+
+def assert_same_results_as_int32(trees, vocab, tmp_path):
+    """Trees of a forest of narrow value arrays score, expand and save as with int32 arrays.
+
+    The tree kernel's pool pass against the per-pair kernel, bit for bit;
+    the pool pass of polynomials against the per-tree expansion; and the
+    bundle's bytes against those of the trees in an all-int32 copy of their
+    forest, which loads back into the documented dtypes.
+    """
+    trees = treebank.in_one_forest(trees)
+    forest = trees[0].forest
+    queries = trees[::4]
+    got = PoolForest(trees).scores(queries, [np.arange(len(trees))] * len(queries))
+    assert [score.hex() for score in got.tolist()] == [
+        tree_kernel_similarity(query, tree).hex() for query in queries for tree in trees]
+    assert assert_pool_matches(trees, vocab) == 0
+    wide = treebank.Forest()
+    for name in treebank.Forest.__slots__:
+        setattr(wide, name, getattr(forest, name).astype(np.int32))
+    for name, f in (("narrow", forest), ("int32", wide)):
+        save_bundle(treebank.Corpus([
+            treebank.Example(t, " ".join(["w"] * tree.n_tokens), "t",
+                             treebank.DepTree._view(f, tree.index, tree.n_tokens, t))
+            for t, tree in enumerate(trees)], vocab), str(tmp_path / name))
+    narrow, int32 = ((tmp_path / name / treebank.BUNDLE_FILE).read_bytes()
+                     for name in ("narrow", "int32"))
+    assert narrow == int32
+    loaded = [ex.tree for ex in load_bundle(str(tmp_path / "narrow"), vocab).examples]
+    forest_lists(loaded[0].forest)  # each array in its documented dtype
+    assert [(t.labels, t.heads) for t in loaded] == [(t.labels, t.heads) for t in trees]
+
+
+@pytest.mark.parametrize("case, label_type, size_type", [
+    ("short", "int8", "int8"), ("long", "int8", "int16"), ("labels", "int16", "int8")])
+def test_value_arrays_take_the_narrowest_dtype_of_their_data(tmp_path, case, label_type,
+                                                              size_type):
+    vocab = LabelVocab(DTYPE_LABELS)
+    specs = dtype_case(case, vocab, random.Random(61))
+    trees = conllu_trees(specs, vocab)
+    forest = trees[0].forest
+    assert value_dtypes(forest) == {"labels": label_type, "group_label": label_type,
+                                    "heads": size_type, "n_children": size_type,
+                                    "group_leaves": size_type}
+    # each array in the dtype forest_lists asserts, and a graph's forest alike
+    assert forest_lists(forest) == reference_forest(
+        [([vocab.labels[label] for label in tree.labels], tree.heads) for tree in trees], vocab)
+    graphs = [build_tree(spec, vocab) for spec in specs]
+    assert [forest_lists(g.forest) for g in graphs] == [
+        forest_lists(conllu_trees([spec], vocab)[0].forest) for spec in specs]
+    assert_same_results_as_int32(trees, vocab, tmp_path)
+
+
+@pytest.mark.parametrize("wide, label_type, size_type", [
+    ("long", "int8", "int16"), ("labels", "int16", "int8")])
+def test_joined_forests_take_the_widest_dtype_of_their_parts(tmp_path, wide, label_type,
+                                                             size_type):
+    vocab = LabelVocab(DTYPE_LABELS)
+    rng = random.Random(62)
+    short, other = dtype_case("short", vocab, rng), dtype_case(wide, vocab, rng)
+    parts = [conllu_trees(specs, vocab) for specs in (short, other)]
+    assert value_dtypes(parts[0][0].forest) == dict.fromkeys(VALUE_ARRAYS, "int8")
+    joined = treebank.join_forests([part[0].forest for part in parts])
+    assert value_dtypes(joined) == {"labels": label_type, "group_label": label_type,
+                                    "heads": size_type, "n_children": size_type,
+                                    "group_leaves": size_type}
+    # the same arrays, in the same dtypes, as the forest of both parts' trees parsed at once
+    assert forest_lists(joined) == forest_lists(conllu_trees(short + other, vocab)[0].forest)
+    # in_one_forest joins them too, here with their trees interleaved
+    mixed = [tree for pair in zip(parts[1], parts[0][::-1]) for tree in pair]
+    assert value_dtypes(treebank.in_one_forest(mixed)[0].forest) == value_dtypes(joined)
+    assert_same_results_as_int32(mixed, vocab, tmp_path)
+
+
+def test_a_forest_keeps_at_most_16_bytes_a_node(tmp_path):
+    # sentences of 3-40 tokens under some 45 labels, as the benchmark's pools have:
+    # int32 arrays took 29 bytes a node, and the value arrays' own dtypes some 14.7
+    corpus = make_synth_corpus(2_000, seed=63, min_tokens=3, max_tokens=40)
+    save_bundle(corpus, str(tmp_path / "bundle"))
+    loaded = load_bundle(str(tmp_path / "bundle"))[0].tree.forest
+    joined = treebank.in_one_forest([ex.tree for ex in corpus.examples])[0].forest
+    for forest in (loaded, joined):
+        n_bytes = sum(getattr(forest, name).nbytes for name in treebank.Forest.__slots__)
+        assert n_bytes / len(forest.labels) <= 16
 
 
 def one_token_corpus(n, **fields):

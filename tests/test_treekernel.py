@@ -162,19 +162,23 @@ def test_forest_kernel_equals_oracle_on_parsed_blocks():
 
 
 def test_star_tree_products_do_not_wrap():
-    # one root over 50,000 leaves of one label: its leaf product and its child-count
-    # product are both 2.5e9, past the int32 the forest stores its counts in
+    # one root over n leaves of one label: its leaf product and its child-count
+    # product are both n**2, past the dtype the forest stores its counts in, the
+    # narrowest signed one that holds the tree's token count: 1e4 past int8 and
+    # 2.5e9 past int32
     vocab = LabelVocab()
-    leaves = [DepNode(i, f"w{i}", vocab.add("a")) for i in range(2, 50_002)]
-    star = DepTree(DepNode(1, "r", vocab.add("root"), leaves), 50_001)
-    score = tree_kernel_similarity(star, star)
-    assert type(score) is float and score == 1.0
-    pool = PoolForest([star])
-    assert pool.scores([star], [np.array([0])]).tolist() == [1.0]
-    # in a block, beside a one-leaf query and a query with no candidates
-    lone = DepTree(DepNode(1, "r", vocab.add("root"), [DepNode(2, "w", vocab.add("b"))]), 2)
-    assert pool.scores([lone, star, star], [np.array([0]), np.array([], np.intp),
-                                            np.array([0, 0])]).tolist() == [0.0, 1.0, 1.0]
+    for n, count_type in ((100, np.int8), (50_000, np.int32)):
+        leaves = [DepNode(i, f"w{i}", vocab.add("a")) for i in range(2, n + 2)]
+        star = DepTree(DepNode(1, "r", vocab.add("root"), leaves), n + 1)
+        assert star.forest.n_children.dtype == star.forest.group_leaves.dtype == count_type
+        score = tree_kernel_similarity(star, star)
+        assert type(score) is float and score == 1.0
+        pool = PoolForest([star])
+        assert pool.scores([star], [np.array([0])]).tolist() == [1.0]
+        # in a block, beside a one-leaf query and a query with no candidates
+        lone = DepTree(DepNode(1, "r", vocab.add("root"), [DepNode(2, "w", vocab.add("b"))]), 2)
+        assert pool.scores([lone, star, star], [np.array([0]), np.array([], np.intp),
+                                                np.array([0, 0])]).tolist() == [0.0, 1.0, 1.0]
 
 
 FOREST_ARRAYS = ("group_start", "group_label", "group_leaves", "kid_start", "kids",

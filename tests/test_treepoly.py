@@ -17,8 +17,8 @@ from synicl.treepoly import (
     tree_to_polynomial,
 )
 
-from conftest import (build_tree, leaf, make_synth_corpus, node, random_tree_spec,
-                      tree_to_conllu)
+from conftest import (assert_pool_matches, build_tree, leaf, make_synth_corpus, node,
+                      random_tree_spec, tree_to_conllu)
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +325,6 @@ def test_term_budget_enforced():
 # ---------------------------------------------------------------------------
 # the pool pass
 # ---------------------------------------------------------------------------
-
-def assert_pool_matches(trees, vocab, budget=treepoly.DEFAULT_TERM_BUDGET):
-    """`pool_polynomials` equals `tree_to_polynomial` tree by tree; returns the refused count.
-
-    Rows in values, dtype and C order, support and slot in values and
-    dtypes, all three read-only, and None exactly where the reference raises.
-    """
-    pooled = pool_polynomials(trees, vocab, budget)
-    assert len(pooled) == len(trees)
-    refused = 0
-    for tree, poly in zip(trees, pooled):
-        try:
-            want = tree_to_polynomial(tree, vocab, budget)
-        except TermBudgetExceeded:
-            assert poly is None
-            refused += 1
-            continue
-        assert poly is not None and poly.d == want.d
-        assert poly.rows.dtype == want.rows.dtype == np.int64
-        assert poly.rows.shape == want.rows.shape and np.array_equal(poly.rows, want.rows)
-        assert poly.rows.flags.c_contiguous
-        assert np.array_equal(poly.support, want.support) and poly.support.dtype == bool
-        assert poly.slot.dtype == want.slot.dtype and np.array_equal(poly.slot, want.slot)
-        for array in (poly.rows, poly.support, poly.slot):
-            assert not array.flags.writeable
-    return refused
-
 
 def test_pool_polynomials_equal_the_per_tree_reference():
     rng = random.Random(51)
