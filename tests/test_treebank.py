@@ -732,7 +732,7 @@ def chain_spec(label, n):
     return spec
 
 
-def dtype_case(case, vocab, rng):
+def dtype_case(case, rng):
     """Specs of trees whose forest takes narrow or wide value arrays, by `case`.
 
     "short": trees of 1-12 tokens and labels a-d, all int8. "long": one tree
@@ -794,7 +794,7 @@ def assert_same_results_as_int32(trees, vocab, tmp_path):
 def test_value_arrays_take_the_narrowest_dtype_of_their_data(tmp_path, case, label_type,
                                                               size_type):
     vocab = LabelVocab(DTYPE_LABELS)
-    specs = dtype_case(case, vocab, random.Random(61))
+    specs = dtype_case(case, random.Random(61))
     trees = conllu_trees(specs, vocab)
     forest = trees[0].forest
     assert value_dtypes(forest) == {"labels": label_type, "group_label": label_type,
@@ -815,7 +815,7 @@ def test_joined_forests_take_the_widest_dtype_of_their_parts(tmp_path, wide, lab
                                                              size_type):
     vocab = LabelVocab(DTYPE_LABELS)
     rng = random.Random(62)
-    short, other = dtype_case("short", vocab, rng), dtype_case(wide, vocab, rng)
+    short, other = dtype_case("short", rng), dtype_case(wide, rng)
     parts = [conllu_trees(specs, vocab) for specs in (short, other)]
     assert value_dtypes(parts[0][0].forest) == dict.fromkeys(VALUE_ARRAYS, "int8")
     joined = treebank.join_forests([part[0].forest for part in parts])
